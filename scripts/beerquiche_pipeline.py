@@ -21,7 +21,6 @@ from sigsolve.normalform import (
     reduce_normal_form,
     reduced_sgcm_at_zero,
 )
-from sigsolve.rational import format_rational
 from sigsolve.sweep import (
     SweepConfig,
     component_ids,
@@ -57,13 +56,13 @@ def main() -> None:
         report = component_outcome(game, comp)
         index = component_index(gamma, comp, cfg)
         outcome = " + ".join(
-            f"{format_rational(m)}*({','.join(p)})"
+            f"{m}*({','.join(p)})"
             for p, m in report.outcome.masses.items()
             if m > 0
         )
         print(
             f"{cid}: {report.classification}, outcome {outcome}, payoffs "
-            f"({format_rational(report.payoffs[0])}, {format_rational(report.payoffs[1])}), "
+            f"({report.payoffs[0]}, {report.payoffs[1]}), "
             f"index {index.value:+d} (agreement {index.agreement})"
         )
 
@@ -85,7 +84,7 @@ def main() -> None:
     write_sweep_csv(records, str(out_path), classic=True)
     for rec in records:
         print(
-            f"c={format_rational(rec.c):>7}: found={int(rec.found)} monitor={format_rational(rec.monitor_probability):>3} "
+            f"c={rec.c!s:>7}: found={int(rec.found)} monitor={rec.monitor_probability!s:>3} "
             f"distance={rec.distance_decimal}"
         )
     scaling = distance_scaling(records)
@@ -95,13 +94,13 @@ def main() -> None:
     print("\n== survival threshold of the beer component ==")
     threshold = survival_threshold(game, "C0")
     print(
-        f"bracket [{format_rational(threshold.last_surviving)}, "
-        f"{format_rational(threshold.first_failing)}], width {format_rational(threshold.bracket_width)}"
+        f"bracket [{threshold.last_surviving}, "
+        f"{threshold.first_failing}], width {threshold.bracket_width}"
     )
 
     print("\n== closeness bound at epsilon = 1/20 ==")
     evidence = verify_theorem_bound(game, "C0", Fraction(1, 20), index_cfg=cfg)
-    print(f"c_epsilon = {format_rational(evidence.c_epsilon)}")
+    print(f"c_epsilon = {evidence.c_epsilon}")
 
 
 if __name__ == "__main__":

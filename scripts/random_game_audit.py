@@ -9,25 +9,10 @@ Exits nonzero on the first violation.
 import argparse
 import random
 import sys
-from fractions import Fraction
 
+from sigsolve.catalog import random_bimatrix
 from sigsolve.equilibrium import enumerate_extreme_equilibria, is_equilibrium
 from sigsolve.indices import equilibrium_index
-from sigsolve.normalform import BimatrixGame
-
-
-def random_bimatrix(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
-    u1 = rng.sample(range(1000), rows * cols)
-    u2 = rng.sample(range(1000), rows * cols)
-    cells = tuple(
-        tuple((Fraction(u1[r * cols + c]), Fraction(u2[r * cols + c])) for c in range(cols))
-        for r in range(rows)
-    )
-    return BimatrixGame(
-        row_labels=tuple(f"r{i}" for i in range(rows)),
-        col_labels=tuple(f"c{j}" for j in range(cols)),
-        cells=cells,
-    )
 
 
 def main() -> int:

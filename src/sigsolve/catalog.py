@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .game import SignalingGame
@@ -67,3 +68,18 @@ def coordination_2x2() -> BimatrixGame:
         ((F(1), F(0)), (F(2), F(2))),
     )
     return BimatrixGame(row_labels=("A", "B"), col_labels=("a", "b"), cells=cells)
+
+
+def random_bimatrix(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
+    """Integer payoffs drawn without replacement per player, so no ties."""
+    u1 = rng.sample(range(1000), rows * cols)
+    u2 = rng.sample(range(1000), rows * cols)
+    cells = tuple(
+        tuple((F(u1[r * cols + c]), F(u2[r * cols + c])) for c in range(cols))
+        for r in range(rows)
+    )
+    return BimatrixGame(
+        row_labels=tuple(f"r{i}" for i in range(rows)),
+        col_labels=tuple(f"c{j}" for j in range(cols)),
+        cells=cells,
+    )

@@ -32,8 +32,6 @@ from .game import (
 )
 from .indices import PerturbationConfig, component_index
 from .normalform import (
-    MONITOR,
-    NO_MONITOR,
     BimatrixGame,
     StrategyClass,
     build_normal_form,
@@ -41,7 +39,7 @@ from .normalform import (
     label_of,
     reduce_normal_form,
 )
-from .rational import format_compact, format_rational, parse_rational
+from .rational import format_compact, parse_rational
 from .sweep import (
     NoSurvivalError,
     SweepConfig,
@@ -149,7 +147,7 @@ def parse_game_file(text: str) -> SignalingGame:
 def serialize_game(game: SignalingGame) -> str:
     """Canonical text form; parse(serialize(g)) reproduces g exactly."""
     lines = [
-        "types: " + " ".join(f"{t}:{format_rational(game.prior[t])}" for t in game.types),
+        "types: " + " ".join(f"{t}:{game.prior[t]}" for t in game.types),
         "messages: " + " ".join(game.messages),
         "actions: " + " ".join(game.actions),
         "payoffs:",
@@ -158,7 +156,7 @@ def serialize_game(game: SignalingGame) -> str:
         for m in game.messages:
             for a in game.actions:
                 u1, u2 = game.payoff[(t, m, a)]
-                lines.append(f"{t} {m} {a} {format_rational(u1)} {format_rational(u2)}")
+                lines.append(f"{t} {m} {a} {u1} {u2}")
     return "\n".join(lines) + "\n"
 
 
@@ -193,13 +191,7 @@ def render_label(label: object, classic: bool) -> str:
         flag = "C" if label.monitor else "0"
         return f"{flag}{label.default}{quiche}{beer}"
     if isinstance(label, StrategyClass):
-        rep = label.representative
-        if label.partition == MONITOR and isinstance(rep, ReceiverStrategyC):
-            beer, quiche = rep.on_message
-            return f"C*{quiche}{beer}"
-        if label.partition == NO_MONITOR and isinstance(rep, ReceiverStrategyC):
-            return f"0{rep.default}**"
-        return render_label(rep, classic)
+        return render_label(label.masked, classic)
     return label_of(label)
 
 
@@ -232,7 +224,7 @@ def render_table(gamma: BimatrixGame, classic: bool, symbolic: bool = False) -> 
 
 def render_mix(mix, labels, classic: bool) -> str:
     parts = [
-        f"{format_rational(w)}*{render_label(lbl, classic)}"
+        f"{w}*{render_label(lbl, classic)}"
         for lbl, w in zip(labels, mix)
         if w > 0
     ]
@@ -243,7 +235,7 @@ def render_outcome(outcome: Outcome) -> str:
     parts = []
     for play, mass in outcome.masses.items():
         if mass > 0:
-            parts.append(f"{format_rational(mass)}*({','.join(str(x) for x in play)})")
+            parts.append(f"{mass}*({','.join(str(x) for x in play)})")
     return " + ".join(parts)
 
 
@@ -267,13 +259,13 @@ def write_sweep_csv(records: list[SweepRecord], path: str, classic: bool = False
         for rec in records:
             writer.writerow(
                 [
-                    format_rational(rec.c),
+                    rec.c,
                     "1" if rec.found else "0",
-                    format_rational(rec.monitor_probability),
-                    format_rational(rec.squared_distance),
+                    rec.monitor_probability,
+                    rec.squared_distance,
                     rec.distance_decimal,
-                    format_rational(rec.payoffs[0]),
-                    format_rational(rec.payoffs[1]),
+                    rec.payoffs[0],
+                    rec.payoffs[1],
                     "+".join(render_label(l, classic) for l in rec.sender_support),
                     "+".join(render_label(l, classic) for l in rec.receiver_support),
                 ]
@@ -313,13 +305,13 @@ def _cmd_sgcm(args) -> CommandResult:
     lines = []
     if args.reduce:
         gamma, classes = reduce_normal_form(gamma)
-        lines.append(f"reduced monitored normal form at c={format_rational(cost)} ({len(gamma.row_labels)} rows)")
+        lines.append(f"reduced monitored normal form at c={cost} ({len(gamma.row_labels)} rows)")
         for cls in classes:
             if cls.side == "row":
                 members = ", ".join(render_label(m, classic) for m in cls.members)
                 lines.append(f"  class {render_label(cls, classic)} <- {members}")
     else:
-        lines.append(f"monitored normal form at c={format_rational(cost)} ({len(gamma.row_labels)} rows)")
+        lines.append(f"monitored normal form at c={cost} ({len(gamma.row_labels)} rows)")
     lines.append(render_table(gamma, classic, symbolic=args.symbolic))
     return CommandResult(0, "\n".join(lines), {"rows": len(gamma.row_labels), "cost": str(cost)})
 
@@ -340,7 +332,7 @@ def _cmd_solve(args) -> CommandResult:
         lines.append(
             f"  E{k}: sender {render_mix(eq.col_mix, gamma.col_labels, classic)}"
             f" | receiver {render_mix(eq.row_mix, gamma.row_labels, classic)}"
-            f" | payoffs ({format_rational(eq.payoffs[0])}, {format_rational(eq.payoffs[1])})"
+            f" | payoffs ({eq.payoffs[0]}, {eq.payoffs[1]})"
         )
     if args.components or args.index:
         components = solve_components(gamma)
@@ -359,7 +351,7 @@ def _cmd_solve(args) -> CommandResult:
                 if report.classification:
                     lines.append(f"  classification: {report.classification}")
                 lines.append(
-                    f"  payoffs: ({format_rational(report.payoffs[0])}, {format_rational(report.payoffs[1])})"
+                    f"  payoffs: ({report.payoffs[0]}, {report.payoffs[1]})"
                 )
             else:
                 lines.append("  outcome: NOT CONSTANT (game is not generic)")
@@ -393,15 +385,15 @@ def _cmd_sweep(args) -> CommandResult:
     lines = [f"wrote {len(records)} records to {args.out}"]
     scaling = distance_scaling(records)
     if scaling.constant is not None:
-        lines.append(f"distance scaling: squared_distance = {format_rational(scaling.constant)} * c^2")
+        lines.append(f"distance scaling: squared_distance = {scaling.constant} * c^2")
         if args.check_coefficient is not None:
             expected = parse_rational(args.check_coefficient)
             if scaling.constant == expected:
-                lines.append(f"scaling coefficient matches {format_rational(expected)}")
+                lines.append(f"scaling coefficient matches {expected}")
             else:
                 lines.append(
                     "DISCREPANCY: measured squared-distance coefficient "
-                    f"{format_rational(scaling.constant)} differs from the stated {format_rational(expected)}"
+                    f"{scaling.constant} differs from the stated {expected}"
                 )
     else:
         lines.append("distance scaling: not a constant multiple of c^2 over this grid")
@@ -425,17 +417,16 @@ def _cmd_threshold(args) -> CommandResult:
         lines = [str(exc)]
         for rec in exc.records:
             lines.append(
-                f"  c={format_rational(rec.c)}: payoffs ({format_rational(rec.payoffs[0])},"
-                f" {format_rational(rec.payoffs[1])}), squared distance {format_rational(rec.squared_distance)}"
+                f"  c={rec.c}: payoffs ({rec.payoffs[0]}, {rec.payoffs[1]}), squared distance {rec.squared_distance}"
             )
         return CommandResult(1, "\n".join(lines), {"survives": False})
     if result.first_failing is None:
-        text = f"survives the whole grid; last checked cost {format_rational(result.last_surviving)}"
+        text = f"survives the whole grid; last checked cost {result.last_surviving}"
     else:
         text = (
-            f"last surviving c = {format_rational(result.last_surviving)}\n"
-            f"first failing c = {format_rational(result.first_failing)}\n"
-            f"bracket width = {format_rational(result.bracket_width)}"
+            f"last surviving c = {result.last_surviving}\n"
+            f"first failing c = {result.first_failing}\n"
+            f"bracket width = {result.bracket_width}"
         )
     summary = {
         "last_surviving": str(result.last_surviving),
@@ -462,12 +453,12 @@ def _cmd_theorem(args) -> CommandResult:
         lines.append(f"no cost bound found: sampled costs violate distance < {args.epsilon}")
         status = 0 if evidence.index_warning else 1
     else:
-        lines.append(f"c_epsilon = {format_rational(evidence.c_epsilon)}")
+        lines.append(f"c_epsilon = {evidence.c_epsilon}")
         status = 0
     for rec in evidence.records:
         marker = "pass" if rec.squared_distance < parse_rational(args.epsilon) ** 2 else "fail"
         lines.append(
-            f"  c={format_rational(rec.c)}: distance {rec.distance_decimal} [{marker}]"
+            f"  c={rec.c}: distance {rec.distance_decimal} [{marker}]"
         )
     summary = {
         "c_epsilon": str(evidence.c_epsilon) if evidence.c_epsilon is not None else None,

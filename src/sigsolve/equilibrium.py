@@ -396,7 +396,7 @@ def component_outcome(
         receiver = _collapse_to_strategies(component.row_labels, eq.row_mix)
         monitored = any(isinstance(s, ReceiverStrategyC) for s in receiver)
         mu = outcome_of_profile(game, MixedProfile(sender=sender, receiver=receiver), monitored=monitored)
-        pays = expected_payoffs(game, mu, cost=cost if monitored else ZERO)
+        pays = expected_payoffs(game, mu, cost=cost)
         if monitored and projection:
             mu = project_outcome(mu)
         witnessed.append((eq, mu))

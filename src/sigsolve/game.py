@@ -18,9 +18,6 @@ from typing import Mapping, Union
 
 from .rational import sqrt_decimal
 
-Play = tuple[str, str, str]
-PlayC = tuple[str, str, int, str]
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -61,6 +58,11 @@ class ReceiverStrategy:
     def label(self) -> str:
         return "".join(self.actions) if all(len(a) == 1 for a in self.actions) else ",".join(self.actions)
 
+    def reply(self, i: int) -> tuple[int, str]:
+        """(monitor bit, action) after message i: the base game is the
+        always-monitor slice of the monitored game."""
+        return 1, self.actions[i]
+
 
 @dataclass(frozen=True, order=True)
 class ReceiverStrategyC:
@@ -79,6 +81,10 @@ class ReceiverStrategyC:
     @property
     def label(self) -> str:
         return f"{self.monitor}{''.join(self.on_message)}{self.default}"
+
+    def reply(self, i: int) -> tuple[int, str]:
+        """(monitor bit, action) after message i."""
+        return (1, self.on_message[i]) if self.monitor else (0, self.default)
 
 
 ReceiverLike = Union[ReceiverStrategy, ReceiverStrategyC]
@@ -113,7 +119,11 @@ class Outcome:
 @dataclass(frozen=True)
 class DistanceResult:
     squared: Fraction
-    approx: str
+
+    @property
+    def approx(self) -> str:
+        """Decimal rendering of the distance itself."""
+        return sqrt_decimal(self.squared)
 
 
 def validate_game(game: SignalingGame) -> list[str]:
@@ -156,6 +166,30 @@ def enumerate_plays(game: SignalingGame, monitored: bool = False) -> list[tuple]
     return [(t, m, a) for t in game.types for m in game.messages for a in game.actions]
 
 
+def strategy_spaces(game: SignalingGame) -> tuple[tuple[SenderStrategy, ...], tuple[ReceiverStrategy, ...]]:
+    """All pure strategies of both players in lexicographic order."""
+    senders = tuple(
+        SenderStrategy(messages=combo)
+        for combo in itertools.product(game.messages, repeat=len(game.types))
+    )
+    receivers = tuple(
+        ReceiverStrategy(actions=combo)
+        for combo in itertools.product(game.actions, repeat=len(game.messages))
+    )
+    return senders, receivers
+
+
+def strategy_spaces_c(game: SignalingGame) -> tuple[ReceiverStrategyC, ...]:
+    """Receiver strategies of the monitored game: (bit, per-message actions, default)."""
+    _, receivers = strategy_spaces(game)
+    return tuple(
+        ReceiverStrategyC(monitor=bit, on_message=s2.actions, default=default)
+        for bit in (0, 1)
+        for s2 in receivers
+        for default in game.actions
+    )
+
+
 def _check_weights(weights: Mapping, side: str) -> None:
     total = sum(weights.values(), ZERO)
     if total != 1:
@@ -166,34 +200,28 @@ def _check_weights(weights: Mapping, side: str) -> None:
 
 
 def _check_profile(game: SignalingGame, profile: MixedProfile, monitored: bool) -> None:
-    _check_weights(profile.sender, "sender")
-    _check_weights(profile.receiver, "receiver")
-    for s1 in profile.sender:
-        if len(s1.messages) != len(game.types) or any(m not in game.messages for m in s1.messages):
-            raise ValueError(f"sender strategy {s1} does not fit the game")
-    for s2 in profile.receiver:
-        if monitored:
-            if not isinstance(s2, ReceiverStrategyC):
-                raise ValueError("monitored outcome requested but receiver strategy lacks a monitor bit")
-            ok = (
-                s2.monitor in (0, 1)
-                and len(s2.on_message) == len(game.messages)
-                and all(a in game.actions for a in s2.on_message)
-                and s2.default in game.actions
-            )
-        else:
-            ok = isinstance(s2, ReceiverStrategy) and len(s2.actions) == len(game.messages) and all(
-                a in game.actions for a in s2.actions
-            )
-        if not ok:
-            raise ValueError(f"receiver strategy {s2} does not fit the game")
+    """Weights are distributions over pure strategies of the requested game."""
+    senders, receivers = strategy_spaces(game)
+    if monitored:
+        receivers = strategy_spaces_c(game)
+    kind = "monitored" if monitored else "base"
+    for side, weights, space in (("sender", profile.sender, senders), ("receiver", profile.receiver, receivers)):
+        _check_weights(weights, side)
+        fitting = frozenset(space)
+        for strat in weights:
+            if strat not in fitting:
+                raise ValueError(f"{side} strategy {strat} does not fit the {kind} game")
 
 
 def outcome_of_profile(game: SignalingGame, profile: MixedProfile, monitored: bool = False) -> Outcome:
-    """Distribution over plays induced by a mixed profile."""
+    """Distribution over plays induced by a mixed profile.
+
+    Plays are counted with their monitor bit; base profiles, whose receiver
+    always monitors, get the projected outcome.
+    """
     _check_profile(game, profile, monitored)
     msg_index = {m: i for i, m in enumerate(game.messages)}
-    masses: dict[tuple, Fraction] = {play: ZERO for play in enumerate_plays(game, monitored)}
+    masses: dict[tuple, Fraction] = {play: ZERO for play in enumerate_plays(game, monitored=True)}
     for ti, t in enumerate(game.types):
         p = game.prior[t]
         for s1, w1 in profile.sender.items():
@@ -203,14 +231,10 @@ def outcome_of_profile(game: SignalingGame, profile: MixedProfile, monitored: bo
             for s2, w2 in profile.receiver.items():
                 if w2 == 0:
                     continue
-                if monitored:
-                    if s2.monitor:
-                        masses[(t, m, 1, s2.on_message[msg_index[m]])] += p * w1 * w2
-                    else:
-                        masses[(t, m, 0, s2.default)] += p * w1 * w2
-                else:
-                    masses[(t, m, s2.actions[msg_index[m]])] += p * w1 * w2
-    return Outcome(masses=masses, monitored=monitored)
+                bit, a = s2.reply(msg_index[m])
+                masses[(t, m, bit, a)] += p * w1 * w2
+    mu_c = Outcome(masses=masses, monitored=True)
+    return mu_c if monitored else project_outcome(mu_c)
 
 
 def project_outcome(mu_c: Outcome) -> Outcome:
@@ -225,11 +249,11 @@ def project_outcome(mu_c: Outcome) -> Outcome:
 
 
 def outcome_distance(a: Outcome, b: Outcome) -> DistanceResult:
-    """Exact squared Euclidean distance plus a decimal rendering of its root."""
+    """Exact squared Euclidean distance; its decimal root is rendered on demand."""
     if set(a.masses) != set(b.masses):
         raise ValueError("outcomes are defined over different play sets")
     squared = sum(((a.masses[p] - b.masses[p]) ** 2 for p in a.masses), ZERO)
-    return DistanceResult(squared=squared, approx=sqrt_decimal(squared))
+    return DistanceResult(squared=squared)
 
 
 def classify_outcome(game: SignalingGame, mu: Outcome) -> str:
@@ -259,14 +283,9 @@ def expected_payoffs(game: SignalingGame, mu: Outcome, cost: Fraction = ZERO) ->
     for play, mass in mu.masses.items():
         if mass == 0:
             continue
-        if mu.monitored:
-            t, m, bit, a = play
-            base1, base2 = game.payoff[(t, m, a)]
-            u1 += mass * base1
-            u2 += mass * (base2 - cost * bit)
-        else:
-            t, m, a = play
-            base1, base2 = game.payoff[(t, m, a)]
-            u1 += mass * base1
-            u2 += mass * base2
+        t, m, a = play[0], play[1], play[-1]
+        bit = play[2] if len(play) == 4 else 0
+        base1, base2 = game.payoff[(t, m, a)]
+        u1 += mass * base1
+        u2 += mass * (base2 - cost * bit)
     return u1, u2

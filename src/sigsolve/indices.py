@@ -22,6 +22,7 @@ from fractions import Fraction
 from .equilibrium import (
     Component,
     MixedEquilibrium,
+    _positive_shift,
     enumerate_extreme_equilibria,
     solve_components,
 )
@@ -88,12 +89,6 @@ class ContainmentEntry:
 class ContainmentReport:
     entries: tuple[ContainmentEntry, ...]
     ok: bool
-
-
-def _positive_shift(matrix):
-    low = min(min(row) for row in matrix)
-    shift = ONE - low
-    return [[v + shift for v in row] for row in matrix]
 
 
 def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:

@@ -9,17 +9,11 @@ payoff).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .game import (
-    ReceiverStrategy,
-    ReceiverStrategyC,
-    SenderStrategy,
-    SignalingGame,
-)
+from .game import ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
 
 ZERO = Fraction(0)
 
@@ -27,6 +21,9 @@ Cell = tuple[Fraction, Fraction]
 
 MONITOR = "monitor"
 NO_MONITOR = "no-monitor"
+
+# The positive cost at which reduced_sgcm_at_zero fixes the class structure.
+REFERENCE_COST = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
@@ -77,13 +74,20 @@ class StrategyClass:
     partition: str | None = None
 
     @property
-    def label(self) -> str:
+    def masked(self) -> object:
+        """The representative with the choices that never reach play shown as
+        '*': the default of a monitoring class, the per-message actions of a
+        non-monitoring one."""
         rep = self.representative
-        if self.partition == MONITOR and isinstance(rep, ReceiverStrategyC):
-            return f"1{''.join(rep.on_message)}*"
-        if self.partition == NO_MONITOR and isinstance(rep, ReceiverStrategyC):
-            return f"0{'*' * len(rep.on_message)}{rep.default}"
-        return label_of(rep)
+        if self.partition is None or not isinstance(rep, ReceiverStrategyC):
+            return rep
+        if rep.monitor:
+            return replace(rep, default="*")
+        return replace(rep, on_message=("*",) * len(rep.on_message))
+
+    @property
+    def label(self) -> str:
+        return label_of(self.masked)
 
 
 @dataclass(frozen=True)
@@ -123,47 +127,33 @@ def deep_representative(label: object) -> object:
     return label
 
 
-def strategy_spaces(game: SignalingGame) -> tuple[tuple[SenderStrategy, ...], tuple[ReceiverStrategy, ...]]:
-    """All pure strategies of both players in lexicographic order."""
-    senders = tuple(
-        SenderStrategy(messages=combo)
-        for combo in itertools.product(game.messages, repeat=len(game.types))
-    )
-    receivers = tuple(
-        ReceiverStrategy(actions=combo)
-        for combo in itertools.product(game.actions, repeat=len(game.messages))
-    )
-    return senders, receivers
+def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple, cost: Fraction) -> tuple:
+    """Expected payoffs, receiver rows by sender columns.
 
-
-def strategy_spaces_c(game: SignalingGame) -> tuple[ReceiverStrategyC, ...]:
-    """Receiver strategies of the monitored game: (bit, per-message actions, default)."""
-    return tuple(
-        ReceiverStrategyC(monitor=bit, on_message=combo, default=default)
-        for bit in (0, 1)
-        for combo in itertools.product(game.actions, repeat=len(game.messages))
-        for default in game.actions
-    )
+    A receiver strategy monitors after every message or after none, so the
+    bit of any reply tells whether its row pays `cost`.
+    """
+    cells = []
+    for s2 in receivers:
+        replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
+        row = []
+        for s1 in senders:
+            u1 = u2 = ZERO
+            for t, m in zip(game.types, s1.messages):
+                bit, a = replies[m]
+                p1, p2 = game.payoff[(t, m, a)]
+                u1 += game.prior[t] * p1
+                u2 += game.prior[t] * p2
+            row.append((u1, u2 - cost * bit))
+        cells.append(tuple(row))
+    return tuple(cells)
 
 
 def build_normal_form(game: SignalingGame) -> BimatrixGame:
     """Expected-payoff bimatrix of the base signaling game."""
     senders, receivers = strategy_spaces(game)
-    msg_index = {m: i for i, m in enumerate(game.messages)}
-    cells = []
-    for s2 in receivers:
-        row = []
-        for s1 in senders:
-            u1 = u2 = ZERO
-            for ti, t in enumerate(game.types):
-                m = s1.messages[ti]
-                a = s2.actions[msg_index[m]]
-                p1, p2 = game.payoff[(t, m, a)]
-                u1 += game.prior[t] * p1
-                u2 += game.prior[t] * p2
-            row.append((u1, u2))
-        cells.append(tuple(row))
-    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=tuple(cells))
+    cells = _payoff_cells(game, senders, receivers, ZERO)
+    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells)
 
 
 def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
@@ -172,22 +162,9 @@ def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
         raise ValueError(f"monitoring cost must be nonnegative, got {cost}")
     senders, _ = strategy_spaces(game)
     receivers = strategy_spaces_c(game)
-    msg_index = {m: i for i, m in enumerate(game.messages)}
-    cells = []
-    for s2 in receivers:
-        row = []
-        for s1 in senders:
-            u1 = u2 = ZERO
-            for ti, t in enumerate(game.types):
-                m = s1.messages[ti]
-                a = s2.on_message[msg_index[m]] if s2.monitor else s2.default
-                p1, p2 = game.payoff[(t, m, a)]
-                u1 += game.prior[t] * p1
-                u2 += game.prior[t] * p2
-            row.append((u1, u2 - cost * s2.monitor))
-        cells.append(tuple(row))
     meta = CostMeta(cost=cost, monitor_flags=tuple(bool(s2.monitor) for s2 in receivers))
-    return BimatrixGame(row_labels=tuple(receivers), col_labels=senders, cells=tuple(cells), cost_meta=meta)
+    cells = _payoff_cells(game, senders, receivers, cost)
+    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells, cost_meta=meta)
 
 
 def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
@@ -272,16 +249,14 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     return reduced, row_classes + col_classes
 
 
-def reduced_sgcm_at_zero(game: SignalingGame, reference_cost: Fraction = Fraction(1, 20)) -> BimatrixGame:
-    """The reduced monitored form with its class structure frozen at a positive
-    cost, then repriced at cost zero.
+def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
+    """The reduced monitored form with its class structure frozen at the
+    positive REFERENCE_COST, then repriced at cost zero.
 
     At cost zero this game is no longer purely reduced: each non-monitoring
     class duplicates the constant monitoring class with the same action.
     """
-    if reference_cost <= 0:
-        raise ValueError("reference cost must be positive")
-    reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, reference_cost))
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, REFERENCE_COST))
     return with_cost(reduced, ZERO)
 
 

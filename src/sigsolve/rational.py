@@ -9,6 +9,8 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+SIGNIFICANT_DIGITS = 12
+
 
 def parse_rational(token: str) -> Fraction:
     """Parse 'p/q', an integer, or a decimal literal into a Fraction."""
@@ -16,11 +18,6 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {token!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical 'p/q' (or bare integer) rendering."""
-    return str(value)
 
 
 def format_compact(value: Fraction) -> str:
@@ -47,13 +44,13 @@ def format_compact(value: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-def sqrt_decimal(square: Fraction, significant: int = 12) -> str:
-    """Decimal rendering of sqrt(square) with the given significant digits."""
+def sqrt_decimal(square: Fraction) -> str:
+    """Decimal rendering of sqrt(square) to SIGNIFICANT_DIGITS digits."""
     if square < 0:
         raise ValueError("square root of a negative rational")
     if square == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = significant + 20
+        ctx.prec = SIGNIFICANT_DIGITS + 20
         root = (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
-    return format(root, f".{significant}g")
+    return format(root, f".{SIGNIFICANT_DIGITS}g")

@@ -55,7 +55,6 @@ class SweepConfig:
     c_max: Fraction
     steps: int
     base_component_id: str
-    epsilon: Fraction | None = None
 
     def __post_init__(self):
         if not (0 <= self.c_min < self.c_max):
@@ -215,6 +214,8 @@ def survival_threshold(
     with an open bracket; one that never survives raises NoSurvivalError with
     the grid records attached.
     """
+    if bracket_tolerance <= 0:
+        raise ValueError(f"bracket tolerance must be positive, got {bracket_tolerance}")
     base = resolve_base_component(game, base_component_id)
     grid = [c_max / 2**i for i in range(grid_steps)]
     records = []

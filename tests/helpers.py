@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import sympy
 
+from sigsolve.catalog import random_bimatrix
 from sigsolve.equilibrium import enumerate_extreme_equilibria
 from sigsolve.normalform import BimatrixGame
 
@@ -47,21 +48,6 @@ TABLE_THREE = {
     "0F**": (TABLE_ONE["FF"], False),
     "0N**": (TABLE_ONE["NN"], False),
 }
-
-
-def random_bimatrix(rng: random.Random, rows: int, cols: int) -> BimatrixGame:
-    """Integer payoffs drawn without replacement per player, so no ties."""
-    u1 = rng.sample(range(1000), rows * cols)
-    u2 = rng.sample(range(1000), rows * cols)
-    cells = tuple(
-        tuple((F(u1[r * cols + c]), F(u2[r * cols + c])) for c in range(cols))
-        for r in range(rows)
-    )
-    return BimatrixGame(
-        row_labels=tuple(f"r{i}" for i in range(rows)),
-        col_labels=tuple(f"c{j}" for j in range(cols)),
-        cells=cells,
-    )
 
 
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sigsolve import sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT
 from sigsolve.cli import (
     GameFileSemanticError,
@@ -181,6 +182,16 @@ def test_threshold_command(beerquiche_file):
     hi = F(result.summary["first_failing"])
     assert lo <= F(1, 10) <= hi
     assert hi - lo <= F(1, 1000)
+
+
+def test_threshold_command_rejects_zero_tolerance(beerquiche_file, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a cost was evaluated")
+
+    monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
+    result = run_command(["threshold", beerquiche_file, "--component", "C0", "--tolerance", "0"])
+    assert result.status == 1
+    assert "tolerance must be positive" in result.text
 
 
 def test_threshold_command_reports_quiche_failure(beerquiche_file):

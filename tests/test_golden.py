@@ -1,0 +1,47 @@
+"""Byte-for-byte CLI output on the bundled fixtures.
+
+Each case compares `run_command` text (and the sweep CSV) with a file under
+tests/golden/, named after the fixture and the case.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sigsolve.cli import run_command
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = ("beerquiche", "three_types")
+CASES = {
+    "nf": ["nf"],
+    "nf_reduce": ["nf", "--reduce"],
+    "sgcm": ["sgcm", "--cost", "1/20"],
+    "sgcm_reduce_symbolic": ["sgcm", "--cost", "1/20", "--reduce", "--symbolic"],
+    "sgcm_zero_reduce": ["sgcm", "--cost", "0", "--reduce"],
+    "solve_components": ["solve", "--components"],
+    "solve_cost_components": ["solve", "--cost", "1/20", "--components"],
+    "sweep": ["sweep", "--component", "C0", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
+}
+
+
+def game_path(fixture: str) -> str:
+    return str(ROOT / "games" / f"{fixture}.sg")
+
+
+def run_case(fixture: str, case: str) -> str:
+    """Run one case in the current directory; the sweep writes sweep.csv there."""
+    argv = CASES[case]
+    result = run_command([argv[0], game_path(fixture), *argv[1:]])
+    assert result.status == 0, result.text
+    return result.text + "\n"
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden(fixture, case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_case(fixture, case) == (GOLDEN / f"{fixture}.{case}.txt").read_text(encoding="utf-8")
+    if case == "sweep":
+        csv_text = (tmp_path / "sweep.csv").read_bytes()
+        assert csv_text == (GOLDEN / f"{fixture}.sweep.csv").read_bytes()

@@ -1,0 +1,26 @@
+"""Smoke runs of the scripts in a fresh interpreter, as a user starts them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/random_game_audit.py", "--games", "5"],
+        ["scripts/beerquiche_pipeline.py", "--help"],
+    ],
+)
+def test_script_exits_cleanly(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

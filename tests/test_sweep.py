@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
 from sigsolve.cli import render_label
 from sigsolve.game import SignalingGame
@@ -160,3 +161,14 @@ def test_threshold_honors_custom_tolerance(game):
     result = survival_threshold(game, BEER, bracket_tolerance=F(1, 64))
     assert result.bracket_width <= F(1, 64)
     assert result.last_surviving <= F(1, 10) <= result.first_failing
+
+
+@pytest.mark.parametrize("tolerance", [F(0), F(-1)])
+def test_threshold_rejects_nonpositive_tolerance(game, tolerance, monkeypatch):
+    # a bracket cannot shrink below a non-positive width, so bisection would never stop
+    def unreachable(*args):
+        raise AssertionError("a cost was evaluated")
+
+    monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
+    with pytest.raises(ValueError, match="positive"):
+        survival_threshold(game, BEER, bracket_tolerance=tolerance)
