@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from sigsolve.catalog import beer_quiche
-from sigsolve.cli import render_table, write_sweep_csv
+from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import PerturbationConfig, component_index, duplicate_containment_check
 from sigsolve.normalform import (
@@ -37,6 +37,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=PerturbationConfig().seed)
     parser.add_argument("--cost", default="1/20", help="showcase cost for the reduced table")
     args = parser.parse_args()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     game = beer_quiche()
     cost = Fraction(args.cost)
@@ -55,13 +57,8 @@ def main() -> None:
     for cid, comp in zip(component_ids(components), components):
         report = component_outcome(game, comp)
         index = component_index(gamma, comp, cfg)
-        outcome = " + ".join(
-            f"{m}*({','.join(p)})"
-            for p, m in report.outcome.masses.items()
-            if m > 0
-        )
         print(
-            f"{cid}: {report.classification}, outcome {outcome}, payoffs "
+            f"{cid}: {report.classification}, outcome {render_outcome(report.outcome)}, payoffs "
             f"({report.payoffs[0]}, {report.payoffs[1]}), "
             f"index {index.value:+d} (agreement {index.agreement})"
         )
@@ -80,7 +77,7 @@ def main() -> None:
         c_min=Fraction(0), c_max=Fraction(1, 8), steps=8, base_component_id="C0"
     )
     records = cost_sweep(game, sweep_cfg)
-    out_path = Path(args.out_dir) / "sweep.csv"
+    out_path = out_dir / "sweep.csv"
     write_sweep_csv(records, str(out_path), classic=True)
     for rec in records:
         print(

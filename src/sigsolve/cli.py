@@ -342,7 +342,7 @@ def _cmd_solve(args) -> CommandResult:
         total = 0
         indices = []
         for cid, comp in zip(ids, components):
-            report = component_outcome(game, comp, projection=cost is not None, cost=cost or Fraction(0))
+            report = component_outcome(game, comp)
             lines.append(f"component {cid}:")
             lines.append(f"  sender support: {', '.join(render_label(l, classic) for l in comp.col_support())}")
             lines.append(f"  receiver support: {', '.join(render_label(l, classic) for l in comp.row_support())}")

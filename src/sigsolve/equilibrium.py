@@ -3,9 +3,12 @@ grouping into maximal Nash subsets and connected components, and the
 constant-outcome check on components.
 
 The enumeration walks every vertex of the two best-response polytopes (all
-square subsystems of tight constraints, solved exactly) and keeps the
-completely labeled vertex pairs. This captures degenerate games too: the
-extreme points of every equilibrium segment are themselves vertex pairs.
+square subsystems of tight constraints, solved exactly), labels each vertex
+once with its zero coordinates and tight constraints, and keeps the vertex
+pairs whose labels cover every pure strategy. This captures degenerate games
+too: the extreme points of every equilibrium segment are themselves vertex
+pairs. Maximal Nash subsets come from intersecting the extreme row mixes'
+sets of compatible col mixes, with each pair checked at most once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .game import (
     ReceiverStrategyC,
     SignalingGame,
     classify_outcome,
-    expected_payoffs,
     outcome_of_profile,
     project_outcome,
 )
@@ -138,17 +140,17 @@ def _positive_shift(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[v + shift for v in row] for row in matrix]
 
 
-def _polytope_vertices(rows: list[list[Fraction]], rhs: list[Fraction], dim: int):
-    """Vertices of {x >= 0 : rows . x <= rhs}.
+def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, str]):
+    """Vertices of {x >= 0 : rows . x <= 1}, each mapped to its labels.
 
     A basis is a set of free coordinates plus equally many tight payoff
     constraints (the remaining coordinates are pinned at zero), so only small
-    square systems over the free coordinates ever get solved. Returns
-    (vertices, degenerate) where `degenerate` flags a vertex with more than
-    `dim` tight constraints.
+    square systems over the free coordinates ever get solved. A vertex's
+    labels are its zero coordinates, tagged `sides[0]`, and its tight
+    constraints, tagged `sides[1]`; more than `dim` labels make it degenerate.
     """
-    vertices: dict[tuple[Fraction, ...], None] = {}
-    degenerate = False
+    zero_side, tight_side = sides
+    vertices: dict[tuple[Fraction, ...], frozenset] = {}
     count = len(rows)
     for size in range(min(dim, count) + 1):
         for free in itertools.combinations(range(dim), size):
@@ -157,37 +159,41 @@ def _polytope_vertices(rows: list[list[Fraction]], rhs: list[Fraction], dim: int
                     solution = []
                 else:
                     matrix = [[rows[c][f] for f in free] for c in chosen]
-                    solution = linalg.solve_square(matrix, [rhs[c] for c in chosen])
+                    solution = linalg.solve_square(matrix, [ONE] * size)
                     if solution is None:
                         continue
                 point = [ZERO] * dim
                 for f, v in zip(free, solution):
                     point[f] = v
-                if any(v < 0 for v in point):
+                if any(v < 0 for v in point) or tuple(point) in vertices:
                     continue
-                feasible = True
-                tight = dim - size + sum(1 for v in solution if v == 0)
+                tight = []
                 for r in range(count):
                     value = sum(rows[r][f] * point[f] for f in free)
-                    if value > rhs[r]:
-                        feasible = False
+                    if value > 1:
                         break
-                    if value == rhs[r]:
-                        tight += 1
-                if not feasible:
-                    continue
-                if tight > dim:
-                    degenerate = True
-                vertices.setdefault(tuple(point))
-    return list(vertices), degenerate
+                    if value == 1:
+                        tight.append((tight_side, r))
+                else:
+                    zeros = [(zero_side, i) for i, v in enumerate(point) if v == 0]
+                    vertices[tuple(point)] = frozenset(zeros + tight)
+    return vertices
+
+
+def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
+    """The mix pair with its expected (sender, receiver) payoffs in `gamma`."""
+    m, n = gamma.shape
+    u1 = sum(row_mix[i] * col_mix[j] * gamma.sender_payoff(i, j) for i in range(m) for j in range(n))
+    u2 = sum(row_mix[i] * col_mix[j] * gamma.receiver_payoff(i, j) for i in range(m) for j in range(n))
+    return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
 
 
 def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     """All extreme Nash equilibria, exactly, in deterministic order.
 
     Build the best-response polytopes of both players (payoffs shifted
-    positive, which changes no best response), enumerate their vertices, and
-    keep the pairs whose tight-constraint labels jointly cover every pure
+    positive, which changes no best response), enumerate their labeled
+    vertices, and keep the pairs whose labels jointly cover every pure
     strategy. Normalizing those vertex pairs yields precisely the extreme
     equilibria.
     """
@@ -199,110 +205,60 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     p_rows = [[sender[i][j] for i in range(m)] for j in range(n)]
     # Q = {y >= 0, A y <= 1} in R^n
     q_rows = [[receiver[i][j] for j in range(n)] for i in range(m)]
-    ones_p = [ONE] * n
-    ones_q = [ONE] * m
+    p_vertices = _polytope_vertices(p_rows, m, ("row", "col"))
+    q_vertices = _polytope_vertices(q_rows, n, ("col", "row"))
+    degenerate = any(len(labels) > m for labels in p_vertices.values()) or any(
+        len(labels) > n for labels in q_vertices.values()
+    )
 
-    p_vertices, p_degenerate = _polytope_vertices(p_rows, ones_p, m)
-    q_vertices, q_degenerate = _polytope_vertices(q_rows, ones_q, n)
-
-    def p_labels(x):
-        labels = {("row", i) for i in range(m) if x[i] == 0}
-        for j in range(n):
-            if sum(sender[i][j] * x[i] for i in range(m)) == 1:
-                labels.add(("col", j))
-        return labels
-
-    def q_labels(y):
-        labels = {("col", j) for j in range(n) if y[j] == 0}
-        for i in range(m):
-            if sum(receiver[i][j] * y[j] for j in range(n)) == 1:
-                labels.add(("row", i))
-        return labels
-
-    full = {("row", i) for i in range(m)} | {("col", j) for j in range(n)}
     found: dict[tuple[Mix, Mix], MixedEquilibrium] = {}
-    q_labeled = [(y, q_labels(y)) for y in q_vertices if any(y)]
-    for x in p_vertices:
+    q_labeled = [(y, ly) for y, ly in q_vertices.items() if any(y)]
+    for x, lx in p_vertices.items():
         if not any(x):
             continue
-        lx = p_labels(x)
-        missing = full - lx
         for y, ly in q_labeled:
-            if missing <= ly:
+            if len(lx | ly) == m + n:
                 xs = sum(x, ZERO)
                 ys = sum(y, ZERO)
                 row_mix = tuple(v / xs for v in x)
                 col_mix = tuple(v / ys for v in y)
-                key = (row_mix, col_mix)
-                if key not in found:
-                    u1 = sum(
-                        row_mix[i] * col_mix[j] * gamma.sender_payoff(i, j)
-                        for i in range(m)
-                        for j in range(n)
-                    )
-                    u2 = sum(
-                        row_mix[i] * col_mix[j] * gamma.receiver_payoff(i, j)
-                        for i in range(m)
-                        for j in range(n)
-                    )
-                    found[key] = MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
+                if (row_mix, col_mix) not in found:
+                    found[(row_mix, col_mix)] = _priced(gamma, row_mix, col_mix)
     ordered = tuple(sorted(found.values(), key=MixedEquilibrium.sort_key))
-    return EquilibriumSet(equilibria=ordered, degenerate=p_degenerate or q_degenerate)
+    return EquilibriumSet(equilibria=ordered, degenerate=degenerate)
 
 
 def maximal_nash_subsets(gamma: BimatrixGame, extremes: EquilibriumSet | tuple) -> tuple[NashSubset, ...]:
     """Maximal products X x Y of extreme mixes whose every pair is an equilibrium.
 
     These are the maximal bicliques of the compatibility graph between extreme
-    row mixes and extreme col mixes, found by closure from every subset of the
-    smaller side (feasible because extreme mixes are few at desk scale).
+    row mixes and extreme col mixes. Their col sides are exactly the nonempty
+    intersections of the rows' neighborhoods, built one row at a time as in
+    the clique step of lrsnash; each side's rows are the rows whose
+    neighborhood contains it.
     """
-    eqs = tuple(extremes)
-    if not eqs:
-        return ()
-    row_mixes = sorted({eq.row_mix for eq in eqs})
-    col_mixes = sorted({eq.col_mix for eq in eqs})
-    pairs = {(eq.row_mix, eq.col_mix) for eq in eqs}
-
-    def compatible(x: Mix, y: Mix) -> bool:
-        if (x, y) in pairs:
-            return True
-        return is_equilibrium(gamma, (x, y)).ok
-
-    payoff_cache = {(eq.row_mix, eq.col_mix): eq for eq in eqs}
-
-    def as_equilibrium(x: Mix, y: Mix) -> MixedEquilibrium:
-        if (x, y) not in payoff_cache:
-            m, n = gamma.shape
-            u1 = sum(x[i] * y[j] * gamma.sender_payoff(i, j) for i in range(m) for j in range(n))
-            u2 = sum(x[i] * y[j] * gamma.receiver_payoff(i, j) for i in range(m) for j in range(n))
-            payoff_cache[(x, y)] = MixedEquilibrium(x, y, (u1, u2))
-        return payoff_cache[(x, y)]
-
-    seed_side, other_side, seeded_rows = (
-        (row_mixes, col_mixes, True) if len(row_mixes) <= len(col_mixes) else (col_mixes, row_mixes, False)
+    known = {(eq.row_mix, eq.col_mix): eq for eq in extremes}
+    row_mixes = sorted({x for x, _ in known})
+    col_mixes = sorted({y for _, y in known})
+    fits = {
+        x: frozenset(y for y in col_mixes if (x, y) in known or is_equilibrium(gamma, (x, y)).ok)
+        for x in row_mixes
+    }
+    col_sides: set[frozenset] = set()
+    for x in row_mixes:
+        col_sides |= {side & fits[x] for side in col_sides} | {fits[x]}
+    bicliques = sorted(
+        (tuple(x for x in row_mixes if side <= fits[x]), tuple(sorted(side))) for side in col_sides if side
     )
-    bicliques: dict[tuple[tuple[Mix, ...], tuple[Mix, ...]], None] = {}
-    for size in range(1, len(seed_side) + 1):
-        for seed in itertools.combinations(seed_side, size):
-            if seeded_rows:
-                cols = tuple(y for y in other_side if all(compatible(x, y) for x in seed))
-                if not cols:
-                    continue
-                rows = tuple(x for x in row_mixes if all(compatible(x, y) for y in cols))
-            else:
-                rows = tuple(x for x in other_side if all(compatible(x, y) for y in seed))
-                if not rows:
-                    continue
-                cols = tuple(y for y in col_mixes if all(compatible(x, y) for x in rows))
-            bicliques.setdefault((rows, cols))
-    subsets = []
-    for rows, cols in sorted(bicliques):
-        cross = tuple(
-            sorted((as_equilibrium(x, y) for x in rows for y in cols), key=MixedEquilibrium.sort_key)
+    # rows and cols are sorted, so their product comes out in sort_key order
+    return tuple(
+        NashSubset(
+            row_face=rows,
+            col_face=cols,
+            extremes=tuple(known.get((x, y)) or _priced(gamma, x, y) for x in rows for y in cols),
         )
-        subsets.append(NashSubset(row_face=rows, col_face=cols, extremes=cross))
-    return tuple(subsets)
+        for rows, cols in bicliques
+    )
 
 
 def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame) -> tuple[Component, ...]:
@@ -378,31 +334,23 @@ def profile_of_equilibrium(gamma: BimatrixGame, eq: MixedEquilibrium) -> MixedPr
     )
 
 
-def component_outcome(
-    game: SignalingGame, component: Component, projection: bool = False, cost: Fraction = ZERO
-) -> OutcomeReport:
+def component_outcome(game: SignalingGame, component: Component) -> OutcomeReport:
     """The common outcome of a component, or a non-constant report.
 
     Every extreme equilibrium of the component induces an outcome through its
     representative strategies; since the outcome map is bilinear, constancy on
-    the extremes implies constancy on the whole component. For monitored
-    forms, `projection` first sums out the monitor bit.
+    the extremes implies constancy on the whole component. Monitored outcomes
+    are compared after summing out the monitor bit. The payoffs are those the
+    bimatrix priced the first extreme at, monitoring cost included.
     """
     witnessed: list[tuple[MixedEquilibrium, Outcome]] = []
-    outcomes: list[Outcome] = []
-    payoffs: list[tuple[Fraction, Fraction]] = []
     for eq in component.extremes:
         sender = _collapse_to_strategies(component.col_labels, eq.col_mix)
         receiver = _collapse_to_strategies(component.row_labels, eq.row_mix)
         monitored = any(isinstance(s, ReceiverStrategyC) for s in receiver)
         mu = outcome_of_profile(game, MixedProfile(sender=sender, receiver=receiver), monitored=monitored)
-        pays = expected_payoffs(game, mu, cost=cost)
-        if monitored and projection:
-            mu = project_outcome(mu)
-        witnessed.append((eq, mu))
-        outcomes.append(mu)
-        payoffs.append(pays)
-    first = outcomes[0]
+        witnessed.append((eq, project_outcome(mu) if monitored else mu))
+    first = witnessed[0][1]
     for eq, mu in witnessed[1:]:
         if mu.masses != first.masses:
             return OutcomeReport(
@@ -412,11 +360,10 @@ def component_outcome(
                 classification=None,
                 witnesses=(witnessed[0], (eq, mu)),
             )
-    classification = classify_outcome(game, first) if not first.monitored else None
     return OutcomeReport(
         constant=True,
         outcome=first,
-        payoffs=payoffs[0],
-        classification=classification,
+        payoffs=component.extremes[0].payoffs,
+        classification=classify_outcome(game, first),
         witnesses=(),
     )

@@ -109,12 +109,6 @@ class Outcome:
     masses: Mapping[tuple, Fraction]
     monitored: bool
 
-    def support(self) -> tuple:
-        return tuple(play for play, mass in self.masses.items() if mass > 0)
-
-    def total(self) -> Fraction:
-        return sum(self.masses.values(), ZERO)
-
 
 @dataclass(frozen=True)
 class DistanceResult:

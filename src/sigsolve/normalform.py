@@ -186,14 +186,7 @@ def _group_equal(vectors: list[tuple]) -> list[list[int]]:
     groups: dict[tuple, list[int]] = {}
     for idx, vec in enumerate(vectors):
         groups.setdefault(vec, []).append(idx)
-    # preserve first-appearance order
-    seen: list[list[int]] = []
-    order: dict[tuple, int] = {}
-    for idx, vec in enumerate(vectors):
-        if vec not in order:
-            order[vec] = len(seen)
-            seen.append(groups[vec])
-    return seen
+    return list(groups.values())
 
 
 def _partition_tag(gamma: BimatrixGame, member_indices: list[int]) -> str | None:

@@ -35,6 +35,8 @@ from .normalform import (
 from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
+# survival_threshold scans c_max, c_max/2, ..., c_max/2**11 before bisecting
+THRESHOLD_GRID_STEPS = 12
 
 
 class NoSurvivalError(RuntimeError):
@@ -205,7 +207,6 @@ def survival_threshold(
     base_component_id: str,
     bracket_tolerance: Fraction = Fraction(1, 1000),
     c_max: Fraction = Fraction(1, 4),
-    grid_steps: int = 12,
 ) -> ThresholdResult:
     """Bisect the cost at which the component's payoffs stop being supported.
 
@@ -217,7 +218,7 @@ def survival_threshold(
     if bracket_tolerance <= 0:
         raise ValueError(f"bracket tolerance must be positive, got {bracket_tolerance}")
     base = resolve_base_component(game, base_component_id)
-    grid = [c_max / 2**i for i in range(grid_steps)]
+    grid = [c_max / 2**i for i in range(THRESHOLD_GRID_STEPS)]
     records = []
     surviving = None
     failing = None

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 from sigsolve.catalog import coordination_2x2, matching_pennies
@@ -144,6 +146,45 @@ def test_subsets_cover_extremes_and_components_partition_subsets(beerquiche):
         seen = [subset for component in components for subset in component.subsets]
         assert len(seen) == len(subsets)
         assert set(seen) == set(subsets)
+
+
+def test_nash_subsets_match_their_definition_on_degenerate_games():
+    # payoffs from range(3) tie often, so most of these games are degenerate
+    rng = random.Random(2)
+    degenerate = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        cells = tuple(
+            tuple((F(rng.randrange(3)), F(rng.randrange(3))) for _ in range(cols)) for _ in range(rows)
+        )
+        gamma = BimatrixGame(tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols)), cells)
+        extremes = enumerate_extreme_equilibria(gamma)
+        degenerate += extremes.degenerate
+        subsets = maximal_nash_subsets(gamma, extremes)
+        row_mixes = {eq.row_mix for eq in extremes}
+        col_mixes = {eq.col_mix for eq in extremes}
+
+        def fits(x, y):
+            return is_equilibrium(gamma, (x, y)).ok
+
+        for subset in subsets:
+            cross = {(x, y) for x in subset.row_face for y in subset.col_face}
+            assert all(fits(x, y) for x, y in cross)
+            assert {(eq.row_mix, eq.col_mix) for eq in subset.extremes} == cross
+            assert not any(all(fits(x, y) for y in subset.col_face) for x in row_mixes - set(subset.row_face))
+            assert not any(all(fits(x, y) for x in subset.row_face) for y in col_mixes - set(subset.col_face))
+        covered = {(eq.row_mix, eq.col_mix) for subset in subsets for eq in subset.extremes}
+        assert {(eq.row_mix, eq.col_mix) for eq in extremes} <= covered
+        faces = [(subset.row_face, subset.col_face) for subset in subsets]
+        assert len(set(faces)) == len(faces)
+        # complete: closing any set of row mixes gives one of the subsets
+        for size in range(1, len(row_mixes) + 1):
+            for seed in itertools.combinations(sorted(row_mixes), size):
+                cols = tuple(y for y in sorted(col_mixes) if all(fits(x, y) for x in seed))
+                if cols:
+                    rows = tuple(x for x in sorted(row_mixes) if all(fits(x, y) for y in cols))
+                    assert (rows, cols) in faces
+    assert degenerate >= 20
 
 
 def test_beer_quiche_components(beerquiche):

@@ -176,7 +176,8 @@ def test_random_small_games_have_odd_regular_equilibrium_sets():
 def test_full_pipeline_runs_on_random_games(game, cost_num):
     """Components of the base and monitored forms always resolve to a clean
     constant-outcome report or an explicit non-generic witness pair."""
-    from sigsolve.equilibrium import component_outcome, solve_components
+    from sigsolve.equilibrium import component_outcome, profile_of_equilibrium, solve_components
+    from sigsolve.game import expected_payoffs
     from sigsolve.normalform import build_normal_form
 
     # enumeration is exponential; keep both strategy spaces at desk scale
@@ -189,9 +190,12 @@ def test_full_pipeline_runs_on_random_games(game, cost_num):
         components = solve_components(gamma)
         assert components
         for component in components:
-            report = component_outcome(game, component, projection=monitored, cost=cost)
+            report = component_outcome(game, component)
             if report.constant:
                 assert sum(report.outcome.masses.values()) == 1
+                first = profile_of_equilibrium(gamma, component.extremes[0])
+                unprojected = outcome_of_profile(game, first, monitored=monitored)
+                assert report.payoffs == expected_payoffs(game, unprojected, cost)
             else:
                 (eq_a, out_a), (eq_b, out_b) = report.witnesses
                 assert out_a.masses != out_b.masses

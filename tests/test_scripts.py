@@ -18,9 +18,20 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_cleanly(argv):
+    result = run_script(argv)
+    assert result.returncode == 0, result.stderr
+
+
+def test_pipeline_creates_missing_out_dir(tmp_path):
+    out_dir = tmp_path / "new" / "dir"
+    result = run_script(["scripts/beerquiche_pipeline.py", "--out-dir", str(out_dir)])
+    assert result.returncode == 0, result.stderr
+    assert (out_dir / "sweep.csv").is_file()
+
+
+def run_script(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
-    assert result.returncode == 0, result.stderr
