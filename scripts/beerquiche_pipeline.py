@@ -38,7 +38,10 @@ def main() -> None:
     parser.add_argument("--cost", default="1/20", help="showcase cost for the reduced table")
     args = parser.parse_args()
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out-dir {args.out_dir}: {exc.strerror}")
 
     game = beer_quiche()
     cost = Fraction(args.cost)

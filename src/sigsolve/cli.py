@@ -22,7 +22,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibrium import component_outcome, enumerate_extreme_equilibria, solve_components
+from .equilibrium import (
+    component_outcome,
+    enumerate_extreme_equilibria,
+    group_components,
+    maximal_nash_subsets,
+)
 from .game import (
     Outcome,
     ReceiverStrategy,
@@ -30,7 +35,7 @@ from .game import (
     SignalingGame,
     validate_game,
 )
-from .indices import PerturbationConfig, component_index
+from .indices import DegenerateDrawsError, PerturbationConfig, component_index
 from .normalform import (
     BimatrixGame,
     StrategyClass,
@@ -335,7 +340,7 @@ def _cmd_solve(args) -> CommandResult:
             f" | payoffs ({eq.payoffs[0]}, {eq.payoffs[1]})"
         )
     if args.components or args.index:
-        components = solve_components(gamma)
+        components = group_components(maximal_nash_subsets(gamma, equilibria), gamma)
         ids = component_ids(components)
         summary["components"] = len(components)
         cfg = PerturbationConfig(seed=args.seed)
@@ -533,7 +538,7 @@ def run_command(argv: list[str]) -> CommandResult:
         return CommandResult(2, f"usage error: {exc}", {"error": str(exc)})
     except GameFileError as exc:
         return CommandResult(1, f"game file error: {exc}", {"error": str(exc)})
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenerateDrawsError) as exc:
         return CommandResult(1, f"error: {exc}", {"error": str(exc)})
 
 

@@ -37,6 +37,10 @@ class DegenerateEquilibriumError(ValueError):
     """Raised when the determinant index is asked about a non-regular equilibrium."""
 
 
+class DegenerateDrawsError(RuntimeError):
+    """Raised when every perturbation draw of a replication gives a degenerate game."""
+
+
 @dataclass(frozen=True)
 class PerturbationConfig:
     """Sampling parameters for the component index.
@@ -187,7 +191,7 @@ def component_index(
                 continue
             break
         if total is None:
-            raise RuntimeError("all perturbation draws hit degenerate games; lower the magnitude")
+            raise DegenerateDrawsError("all perturbation draws hit degenerate games; lower the magnitude")
         sums.append(total)
     counts = Counter(sums)
     value, hits = max(counts.items(), key=lambda item: (item[1], -abs(item[0])))

@@ -1,5 +1,5 @@
-"""Exact linear algebra over Fractions: square solves, determinants, a small
-two-phase simplex, and max-norm distance from a point to a convex hull.
+"""Exact linear algebra over Fractions: determinants, a small two-phase
+simplex, and max-norm distance from a point to a convex hull.
 
 Everything here works on plain lists of Fractions. Problem sizes in this
 package are tiny (a handful of strategies), so clarity beats sparsity.
@@ -23,25 +23,6 @@ class InfeasibleProgram(ValueError):
 
 class UnboundedProgram(ValueError):
     pass
-
-
-def solve_square(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
-    """Solve M x = b exactly; None when M is singular."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -1,6 +1,7 @@
-"""Shared test utilities: random game generation and an independent
-brute-force equilibrium oracle built on sympy (deliberately not the package's
-own linear algebra)."""
+"""Shared test utilities: random game generation and two independent
+equilibrium oracles. One is a brute-force support enumeration built on sympy
+(deliberately not the package's own linear algebra); the other is the
+exhaustive basis search that `equilibrium._polytope_vertices` replaced."""
 
 from __future__ import annotations
 
@@ -118,3 +119,62 @@ def brute_force_equilibria(gamma: BimatrixGame) -> set:
                 )
                 found.add(key)
     return found
+
+
+def solve_square(matrix, rhs):
+    """Solve M x = b exactly over Fractions; None when M is singular."""
+    n = len(matrix)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def exhaustive_polytope_vertices(rows, dim, sides):
+    """`equilibrium._polytope_vertices` by solving every square basis system.
+
+    A basis is a set of free coordinates plus equally many tight payoff
+    constraints (the remaining coordinates are pinned at zero). Each feasible
+    solution is a vertex, labeled with its zero coordinates (`sides[0]`) and
+    tight constraints (`sides[1]`).
+    """
+    zero_side, tight_side = sides
+    vertices = {}
+    count = len(rows)
+    for size in range(min(dim, count) + 1):
+        for free in itertools.combinations(range(dim), size):
+            for chosen in itertools.combinations(range(count), size):
+                if size == 0:
+                    solution = []
+                else:
+                    matrix = [[rows[c][f] for f in free] for c in chosen]
+                    solution = solve_square(matrix, [F(1)] * size)
+                    if solution is None:
+                        continue
+                point = [F(0)] * dim
+                for f, v in zip(free, solution):
+                    point[f] = v
+                if any(v < 0 for v in point) or tuple(point) in vertices:
+                    continue
+                tight = []
+                for r in range(count):
+                    value = sum(rows[r][f] * point[f] for f in free)
+                    if value > 1:
+                        break
+                    if value == 1:
+                        tight.append((tight_side, r))
+                else:
+                    zeros = [(zero_side, i) for i, v in enumerate(point) if v == 0]
+                    vertices[tuple(point)] = frozenset(zeros + tight)
+    return vertices
+

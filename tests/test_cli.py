@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from sigsolve import sweep
+from sigsolve import indices, sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT
+from sigsolve.equilibrium import EquilibriumSet
 from sigsolve.cli import (
     GameFileSemanticError,
     GameFileSyntaxError,
@@ -227,3 +228,12 @@ def test_unknown_subcommand_is_usage_error():
 def test_missing_file_is_computation_error():
     result = run_command(["nf", "/nonexistent/game.sg"])
     assert result.status == 1
+
+
+def test_all_degenerate_perturbation_draws_are_a_computation_error(beerquiche_file, monkeypatch):
+    monkeypatch.setattr(
+        indices, "enumerate_extreme_equilibria", lambda gamma: EquilibriumSet(equilibria=(), degenerate=True)
+    )
+    result = run_command(["solve", beerquiche_file, "--index"])
+    assert result.status == 1
+    assert result.text == "error: all perturbation draws hit degenerate games; lower the magnitude"

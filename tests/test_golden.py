@@ -12,7 +12,6 @@ from sigsolve.cli import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = ("beerquiche", "three_types")
 CASES = {
     "nf": ["nf"],
     "nf_reduce": ["nf", "--reduce"],
@@ -23,6 +22,8 @@ CASES = {
     "solve_cost_components": ["solve", "--cost", "1/20", "--components"],
     "sweep": ["sweep", "--component", "C0", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
 }
+SOLVE_CASES = ("solve_components", "solve_cost_components")
+FIXTURES = {"beerquiche": CASES, "three_types": CASES, "two_types_three_messages": SOLVE_CASES}
 
 
 def game_path(fixture: str) -> str:
@@ -37,8 +38,9 @@ def run_case(fixture: str, case: str) -> str:
     return result.text + "\n"
 
 
-@pytest.mark.parametrize("fixture", FIXTURES)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize(
+    "case, fixture", [(case, fixture) for case in CASES for fixture, cases in FIXTURES.items() if case in cases]
+)
 def test_cli_output_matches_golden(fixture, case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_case(fixture, case) == (GOLDEN / f"{fixture}.{case}.txt").read_text(encoding="utf-8")

@@ -2,12 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import solve_square
+
 from sigsolve.linalg import (
     InfeasibleProgram,
     determinant,
     linf_distance_to_hull,
     simplex_minimize,
-    solve_square,
 )
 from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
 

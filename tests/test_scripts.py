@@ -29,6 +29,15 @@ def test_pipeline_creates_missing_out_dir(tmp_path):
     assert (out_dir / "sweep.csv").is_file()
 
 
+def test_pipeline_rejects_out_dir_that_is_a_file(tmp_path):
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    result = run_script(["scripts/beerquiche_pipeline.py", "--out-dir", str(out_file)])
+    assert result.returncode == 2
+    assert "--out-dir" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def run_script(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
