@@ -2,14 +2,14 @@
 grouping into maximal Nash subsets and connected components, and the
 constant-outcome check on components.
 
-The enumeration walks every vertex of the two best-response polytopes (by
-lexicographic pivoting on integer tableaux, which visits only the feasible
-bases), labels each vertex once with its zero coordinates and tight
-constraints, and keeps the vertex pairs whose labels cover every pure
-strategy. This captures degenerate games too: the extreme points of every
-equilibrium segment are themselves vertex pairs. Maximal Nash subsets come
-from intersecting the extreme row mixes' sets of compatible col mixes, with
-each pair checked at most once.
+The enumeration walks every vertex of the two best-response polytopes by
+lexicographic pivoting on `linalg.Tableau`, the package's one integer pivot
+kernel, which visits only the feasible bases. It labels each vertex once
+with its zero coordinates and tight constraints, and keeps the vertex pairs
+whose labels cover every pure strategy. This captures degenerate games too:
+the extreme points of every equilibrium segment are themselves vertex pairs.
+Maximal Nash subsets come from intersecting the extreme row mixes' sets of
+compatible col mixes, with each pair checked at most once.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .game import (
     outcome_of_profile,
     project_outcome,
 )
+from .linalg import Tableau
 from .normalform import BimatrixGame, deep_representative
 
 ZERO = Fraction(0)
@@ -143,59 +144,19 @@ def _positive_shift(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, str]):
     """Vertices of {x >= 0 : rows . x <= 1}, each mapped to its labels.
 
-    Variable v < dim is the coordinate x_v and variable dim + r the slack of
-    row r. The walk starts at the all-slack basis, the origin, and follows
-    every entering variable out of each basis, leaving by the lexicographic
-    min-ratio test over [rhs | slack columns]. That visits exactly the
-    lexicographically feasible bases: the vertices of a perturbed simple
-    polytope whose connected graph projects onto every vertex of this one.
-    Bases already seen are skipped; keying them by vertex instead would prune
-    the walk at degenerate vertices. The tableau holds integers scaled by the
-    basis determinant and pivots fraction-free (Bareiss), so every division
-    is exact. A vertex's labels are its zero variables: zero coordinates,
-    tagged `sides[0]`, and tight constraints, tagged `sides[1]`; more than
-    `dim` labels make it degenerate.
+    The walk starts at the all-slack basis of a `linalg.Tableau`, the origin,
+    and follows every entering variable out of each basis, leaving by the
+    lexicographic min-ratio test. That visits exactly the lexicographically
+    feasible bases: the vertices of a perturbed simple polytope whose
+    connected graph projects onto every vertex of this one. Bases already
+    seen are skipped; keying them by vertex instead would prune the walk at
+    degenerate vertices. A vertex's labels are its zero variables: zero
+    coordinates, tagged `sides[0]`, and tight constraints, tagged `sides[1]`;
+    more than `dim` labels make it degenerate.
     """
     count = len(rows)
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    # row r: [rhs | x_0 .. x_{dim-1} | slack_0 .. slack_{count-1}]; variable v is column v + 1
-    tableau = [
-        [scale] + [int(v * scale) for v in row] + [int(k == r) for k in range(count)]
-        for r, row in enumerate(rows)
-    ]
-    basis = list(range(dim, dim + count))
-    lex_columns = [0] + list(range(dim + 1, dim + count + 1))
-    det = 1
-
-    def pivot(r: int, v: int) -> int:
-        """Bring variable v into the basis at row r; return the new determinant."""
-        pivot_row = tableau[r]
-        p = pivot_row[v + 1]
-        for i, row in enumerate(tableau):
-            if i != r:
-                a = row[v + 1]
-                tableau[i] = [(x * p - a * y) // det for x, y in zip(row, pivot_row)]
-        basis[r] = v
-        return p
-
-    def leaving_row(v: int) -> int:
-        """The row that the lexicographic min-ratio test picks for entering variable v."""
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[v + 1]
-            if a <= 0:
-                continue
-            if best is not None:
-                b = tableau[best][v + 1]
-                for k in lex_columns:
-                    diff = row[k] * b - tableau[best][k] * a
-                    if diff:
-                        break
-                if diff > 0:
-                    continue
-            best = i
-        return best
-
+    tableau = Tableau(rows, [ONE] * count, dim)
+    basis = tableau.basis
     zero_side, tight_side = sides
     labeled: dict[tuple[int, ...], frozenset] = {}  # (denominator, *numerators) -> labels
 
@@ -203,14 +164,14 @@ def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, s
         """Label the current vertex if it is new; return the nonbasic variables."""
         numerators = [0] * dim
         positive = set()
-        for row, v in zip(tableau, basis):
+        for row, v in zip(tableau.rows, basis):
             if row[0]:
                 positive.add(v)
                 if v < dim:
                     numerators[v] = row[0]
         # the point is numerators / det; dividing out their gcd makes the key canonical
-        g = math.gcd(det, *numerators)
-        key = (det // g, *(x // g for x in numerators))
+        g = math.gcd(tableau.det, *numerators)
+        key = (tableau.det // g, *(x // g for x in numerators))
         if key not in labeled:
             labeled[key] = frozenset(
                 (zero_side, v) if v < dim else (tight_side, v - dim)
@@ -224,19 +185,19 @@ def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, s
     pending = [iter(record())]
     while pending:
         for v in pending[-1]:
-            r = leaving_row(v)
+            r = tableau.leaving_row(v)
             key = sum(1 << b for b in basis) ^ (1 << basis[r]) ^ (1 << v)
             if key in seen:
                 continue
             seen.add(key)
             undo.append((r, basis[r]))
-            det = pivot(r, v)
+            tableau.pivot(r, v)
             pending.append(iter(record()))
             break
         else:
             pending.pop()
             if undo:
-                det = pivot(*undo.pop())
+                tableau.pivot(*undo.pop())
     return {tuple(Fraction(x, key[0]) for x in key[1:]): labels for key, labels in labeled.items()}
 
 

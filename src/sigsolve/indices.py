@@ -160,18 +160,20 @@ def component_index(
     gamma: BimatrixGame,
     component: Component,
     cfg: PerturbationConfig = PerturbationConfig(),
-    method: str = "auto",
 ) -> IndexResult:
-    """Index of a component, by determinant when it is a single regular
-    equilibrium (unless `method='perturbation'` forces sampling)."""
-    if method not in ("auto", "perturbation"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and len(component.extremes) == 1:
+    """Index of a component: the determinant index when it is a single
+    regular equilibrium, the perturbation index otherwise."""
+    if len(component.extremes) == 1:
         try:
             return equilibrium_index(gamma, component.extremes[0])
         except DegenerateEquilibriumError:
             pass
+    return _perturbation_index(gamma, component, cfg)
 
+
+def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: PerturbationConfig) -> IndexResult:
+    """The modal sum, over replications, of the determinant indices of the
+    perturbed equilibria within `cfg.neighborhood` of the component."""
     sums = []
     for rep in range(cfg.replications):
         total = None

@@ -1,163 +1,157 @@
-"""Exact linear algebra over Fractions: determinants, a small two-phase
-simplex, and max-norm distance from a point to a convex hull.
+"""Exact linear algebra on one integer pivot kernel.
 
-Everything here works on plain lists of Fractions. Problem sizes in this
-package are tiny (a handful of strategies), so clarity beats sparsity.
+`Tableau` holds a polyhedron {x >= 0 : rows . x <= rhs} with rhs >= 0 as
+integers and pivots fraction-free (Bareiss), leaving by the lexicographic
+min-ratio test; this is the pivoting of lrs/lrsnash. The vertex walk in
+`equilibrium`, the determinant and the max-norm distance from a point to a
+convex hull are all built on it. No Fraction is divided during pivoting;
+values are read off exactly as Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
-
-Vector = list[Fraction]
-Matrix = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class InfeasibleProgram(ValueError):
-    pass
+class Tableau:
+    """{x >= 0 : rows . x <= rhs}, rhs >= 0, as an integer tableau.
 
+    Variable v < dim is the coordinate x_v and variable dim + r the slack of
+    row r. Row r of `rows` is [value | coefficient of each variable] for the
+    variable `basis[r]`; variable v is column v + 1. Entries are scaled by the
+    common denominator of the inputs and then by `det`, the determinant of the
+    current basis, so a coordinate x_v = rows[r][0] / det where basis[r] = v
+    (a slack's value carries the common denominator too), and every Bareiss
+    division is exact. The start is the all-slack basis, the origin.
+    An `objective` c of a maximization rides along as one extra last row, in
+    which a negative entry marks a variable whose increase raises c . x; it
+    pivots with the others and is never a pivot row.
+    """
 
-class UnboundedProgram(ValueError):
-    pass
+    def __init__(
+        self,
+        rows: Sequence[Sequence[Fraction]],
+        rhs: Sequence[Fraction],
+        dim: int,
+        objective: Sequence[Fraction] | None = None,
+    ):
+        count = len(rows)
+        entries = [v for row in rows for v in row] + list(rhs) + list(objective or ())
+        scale = math.lcm(*(v.denominator for v in entries))
+        # row r: [rhs | x_0 .. x_{dim-1} | slack_0 .. slack_{count-1}]
+        self.rows = [
+            [int(b * scale)] + [int(v * scale) for v in row] + [int(k == r) for k in range(count)]
+            for r, (row, b) in enumerate(zip(rows, rhs))
+        ]
+        if objective is not None:
+            self.rows.append([0] + [-int(v * scale) for v in objective] + [0] * count)
+        self.count = count
+        self.scale = scale
+        self.basis = list(range(dim, dim + count))
+        self.det = 1
+        self._lex_columns = [0] + list(range(dim + 1, dim + count + 1))
+
+    def pivot(self, r: int, v: int) -> None:
+        """Bring variable v into the basis at row r."""
+        rows = self.rows
+        pivot_row = rows[r]
+        p = pivot_row[v + 1]
+        det = self.det
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[v + 1]
+                rows[i] = [(x * p - a * y) // det for x, y in zip(row, pivot_row)]
+        self.basis[r] = v
+        self.det = p
+
+    def leaving_row(self, v: int) -> int | None:
+        """The row the lexicographic min-ratio test over [rhs | slack columns]
+        picks for entering variable v; None when no row bounds v."""
+        rows = self.rows
+        best = None
+        for i in range(self.count):
+            row = rows[i]
+            a = row[v + 1]
+            if a <= 0:
+                continue
+            if best is not None:
+                b = rows[best][v + 1]
+                for k in self._lex_columns:
+                    diff = row[k] * b - rows[best][k] * a
+                    if diff:
+                        break
+                if diff > 0:
+                    continue
+            best = i
+        return best
+
+    def value(self, v: int) -> Fraction:
+        """The exact value of coordinate x_v (v < dim) at the current basis."""
+        if v not in self.basis:
+            return ZERO
+        return Fraction(self.rows[self.basis.index(v)][0], self.det)
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / inv
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+    """Exact determinant: pivot each column into a row that still holds a slack.
 
-
-def _pivot(tableau: Matrix, basis: list[int], row: int, col: int) -> None:
-    inv = tableau[row][col]
-    tableau[row] = [v / inv for v in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
-    basis[row] = col
-
-
-def _optimize(tableau: Matrix, basis: list[int], costs: Vector, n_vars: int) -> Fraction:
-    """Run simplex with Bland's rule on [A | b] rows; returns objective value."""
-    m = len(tableau)
-    # reduced costs: z_j = c_j - c_B . column_j
-    while True:
-        cb = [costs[b] for b in basis]
-        entering = None
-        for j in range(n_vars):
-            if j in basis:
-                continue
-            reduced = costs[j] - sum(cb[r] * tableau[r][j] for r in range(m))
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for r in range(m):
-            coef = tableau[r][entering]
-            if coef > 0:
-                ratio = tableau[r][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
-        if leaving is None:
-            raise UnboundedProgram("objective unbounded below")
-        _pivot(tableau, basis, leaving, entering)
-    cb = [costs[b] for b in basis]
-    return sum(cb[r] * tableau[r][-1] for r in range(m))
-
-
-def simplex_minimize(
-    objective: Sequence[Fraction],
-    eq_rows: Sequence[Sequence[Fraction]],
-    eq_rhs: Sequence[Fraction],
-) -> tuple[Fraction, Vector]:
-    """Minimize c.x subject to A x = b, x >= 0. Exact two-phase simplex.
-
-    Bland's rule guarantees termination on degenerate inputs.
+    The final basis matrix is the matrix scaled to integers by `scale`, with
+    its columns permuted by the basis, so the carried determinant is
+    scale^n * det(matrix) times that permutation's sign.
     """
-    m = len(eq_rows)
-    n = len(objective)
-    tableau: Matrix = []
-    for i in range(m):
-        row = list(eq_rows[i])
-        b = eq_rhs[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        tableau.append(row + [ZERO] * m + [b])
-    for i in range(m):
-        tableau[i][n + i] = ONE
-    basis = [n + i for i in range(m)]
-
-    phase1 = [ZERO] * n + [ONE] * m
-    value = _optimize(tableau, basis, phase1, n + m)
-    if value != 0:
-        raise InfeasibleProgram("no feasible point")
-    # drive leftover artificials out of the basis; drop redundant rows
-    for r in range(m - 1, -1, -1):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
-            if col is None:
-                del tableau[r]
-                del basis[r]
-            else:
-                _pivot(tableau, basis, r, col)
-    tableau = [row[:n] + [row[-1]] for row in tableau]
-    phase2 = list(objective)
-    value = _optimize(tableau, basis, phase2, n)
-    solution = [ZERO] * n
-    for r, b in enumerate(basis):
-        solution[b] = tableau[r][-1]
-    return value, solution
+    n = len(matrix)
+    tableau = Tableau(matrix, [ZERO] * n, n)
+    for col in range(n):
+        row = next(
+            (r for r, v in enumerate(tableau.basis) if v >= n and tableau.rows[r][col + 1] != 0),
+            None,
+        )
+        if row is None:
+            return ZERO
+        tableau.pivot(row, col)
+    inversions = sum(a > b for a, b in combinations(tableau.basis, 2))
+    return Fraction((-1) ** inversions * tableau.det, tableau.scale**n)
 
 
 def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact max-norm distance from a point to conv(vertices).
 
-    Solved as a small LP: minimize t with |point - sum_k lambda_k v_k| <= t
-    componentwise and lambda on the simplex.
+    Solved as the LP: minimize t with |point - sum_k lambda_k v_k| <= t
+    componentwise and lambda on the simplex. Substituting
+    lambda_0 = 1 - sum_{k>=1} lambda_k and t = T0 - u, with
+    T0 = max_i |point_i - v0_i| (the distance at lambda = e_0), makes every
+    right-hand side nonnegative, so the all-slack basis is feasible and no
+    phase 1 is needed. The two rows of any coordinate add up to u <= T0, so
+    maximizing u is bounded. Entering the first improving column and leaving
+    by the lexicographic rule cannot cycle.
     """
     if not vertices:
         raise ValueError("empty vertex set")
-    dim = len(point)
-    count = len(vertices)
-    # variables: lambda_0..lambda_{K-1}, t, upper slacks s+_i, lower slacks s-_i
-    n_vars = count + 1 + 2 * dim
-    rows: Matrix = []
-    rhs: Vector = []
-    for i in range(dim):
-        row = [v[i] for v in vertices] + [-ONE] + [ZERO] * (2 * dim)
-        row[count + 1 + i] = ONE
-        rows.append(row)
-        rhs.append(point[i])
-        row = [v[i] for v in vertices] + [ONE] + [ZERO] * (2 * dim)
-        row[count + 1 + dim + i] = -ONE
-        rows.append(row)
-        rhs.append(point[i])
-    rows.append([ONE] * count + [ZERO] * (1 + 2 * dim))
+    first, *rest = vertices
+    gaps = [p - v for p, v in zip(point, first)]
+    top = max(abs(gap) for gap in gaps)
+    # variables: lambda_1 .. lambda_{K-1}, then u
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, gap in enumerate(gaps):
+        spread = [v[i] - first[i] for v in rest]
+        rows.append([-w for w in spread] + [ONE])
+        rhs.append(top - gap)
+        rows.append(spread + [ONE])
+        rhs.append(top + gap)
+    rows.append([ONE] * len(rest) + [ZERO])
     rhs.append(ONE)
-    objective = [ZERO] * count + [ONE] + [ZERO] * (2 * dim)
-    value, _ = simplex_minimize(objective, rows, rhs)
-    return value
+    u = len(rest)
+    tableau = Tableau(rows, rhs, u + 1, objective=[ZERO] * u + [ONE])
+    while True:
+        costs = tableau.rows[-1]
+        entering = next((v for v in range(len(costs) - 1) if costs[v + 1] < 0), None)
+        if entering is None:
+            return top - tableau.value(u)
+        tableau.pivot(tableau.leaving_row(entering), entering)

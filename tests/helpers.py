@@ -1,7 +1,10 @@
-"""Shared test utilities: random game generation and two independent
-equilibrium oracles. One is a brute-force support enumeration built on sympy
-(deliberately not the package's own linear algebra); the other is the
-exhaustive basis search that `equilibrium._polytope_vertices` replaced."""
+"""Shared test utilities: random game generation and independent oracles.
+
+Two oracles cross-check equilibria: a brute-force support enumeration built on
+sympy (deliberately not the package's own linear algebra), and the exhaustive
+basis search that `equilibrium._polytope_vertices` replaced. A Fraction
+two-phase simplex, the LP engine that `linalg.Tableau` replaced, is the oracle
+for `linalg.linf_distance_to_hull`."""
 
 from __future__ import annotations
 
@@ -178,3 +181,121 @@ def exhaustive_polytope_vertices(rows, dim, sides):
                     vertices[tuple(point)] = frozenset(zeros + tight)
     return vertices
 
+
+
+class InfeasibleProgram(ValueError):
+    pass
+
+
+class UnboundedProgram(ValueError):
+    pass
+
+
+def _pivot(tableau, basis, row, col):
+    inv = tableau[row][col]
+    tableau[row] = [v / inv for v in tableau[row]]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            factor = tableau[r][col]
+            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
+    basis[row] = col
+
+
+def _optimize(tableau, basis, costs, n_vars):
+    """Run simplex with Bland's rule on [A | b] rows; returns objective value."""
+    m = len(tableau)
+    # reduced costs: z_j = c_j - c_B . column_j
+    while True:
+        cb = [costs[b] for b in basis]
+        entering = None
+        for j in range(n_vars):
+            if j in basis:
+                continue
+            reduced = costs[j] - sum(cb[r] * tableau[r][j] for r in range(m))
+            if reduced < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for r in range(m):
+            coef = tableau[r][entering]
+            if coef > 0:
+                ratio = tableau[r][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best = ratio
+                    leaving = r
+        if leaving is None:
+            raise UnboundedProgram("objective unbounded below")
+        _pivot(tableau, basis, leaving, entering)
+    cb = [costs[b] for b in basis]
+    return sum(cb[r] * tableau[r][-1] for r in range(m))
+
+
+def simplex_minimize(objective, eq_rows, eq_rhs):
+    """Minimize c.x subject to A x = b, x >= 0. Exact two-phase simplex.
+
+    Bland's rule guarantees termination on degenerate inputs.
+    """
+    m = len(eq_rows)
+    n = len(objective)
+    tableau = []
+    for i in range(m):
+        row = list(eq_rows[i])
+        b = eq_rhs[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        tableau.append(row + [F(0)] * m + [b])
+    for i in range(m):
+        tableau[i][n + i] = F(1)
+    basis = [n + i for i in range(m)]
+
+    phase1 = [F(0)] * n + [F(1)] * m
+    value = _optimize(tableau, basis, phase1, n + m)
+    if value != 0:
+        raise InfeasibleProgram("no feasible point")
+    # drive leftover artificials out of the basis; drop redundant rows
+    for r in range(m - 1, -1, -1):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is None:
+                del tableau[r]
+                del basis[r]
+            else:
+                _pivot(tableau, basis, r, col)
+    tableau = [row[:n] + [row[-1]] for row in tableau]
+    phase2 = list(objective)
+    value = _optimize(tableau, basis, phase2, n)
+    solution = [F(0)] * n
+    for r, b in enumerate(basis):
+        solution[b] = tableau[r][-1]
+    return value, solution
+
+
+def simplex_distance_to_hull(point, vertices):
+    """`linalg.linf_distance_to_hull` by the two-phase simplex.
+
+    Minimize t with |point - sum_k lambda_k v_k| <= t componentwise and
+    lambda on the simplex, as equality rows with slacks.
+    """
+    dim = len(point)
+    count = len(vertices)
+    # variables: lambda_0..lambda_{K-1}, t, upper slacks s+_i, lower slacks s-_i
+    rows = []
+    rhs = []
+    for i in range(dim):
+        row = [v[i] for v in vertices] + [F(-1)] + [F(0)] * (2 * dim)
+        row[count + 1 + i] = F(1)
+        rows.append(row)
+        rhs.append(point[i])
+        row = [v[i] for v in vertices] + [F(1)] + [F(0)] * (2 * dim)
+        row[count + 1 + dim + i] = F(-1)
+        rows.append(row)
+        rhs.append(point[i])
+    rows.append([F(1)] * count + [F(0)] * (1 + 2 * dim))
+    rhs.append(F(1))
+    objective = [F(0)] * count + [F(1)] + [F(0)] * (2 * dim)
+    value, _ = simplex_minimize(objective, rows, rhs)
+    return value

@@ -27,7 +27,7 @@ from sigsolve.equilibrium import (
 )
 from sigsolve.indices import (
     PerturbationConfig,
-    component_index,
+    _perturbation_index,
     duplicate_containment_check,
     equilibrium_index,
 )
@@ -142,7 +142,7 @@ def test_criterion_05_component_indices(game):
     cfg = PerturbationConfig()
     assert cfg.replications == 20
     results = {
-        render_label(c.col_support()[0], True): component_index(gamma, c, cfg, method="perturbation")
+        render_label(c.col_support()[0], True): _perturbation_index(gamma, c, cfg)
         for c in components
     }
     assert results["BB"].value == 1

@@ -10,6 +10,7 @@ from sigsolve.equilibrium import enumerate_extreme_equilibria, solve_components
 from sigsolve.indices import (
     DegenerateEquilibriumError,
     PerturbationConfig,
+    _perturbation_index,
     component_index,
     duplicate_containment_check,
     equilibrium_index,
@@ -76,7 +77,7 @@ def test_singleton_component_matches_determinant_index():
     gamma = matching_pennies()
     component = solve_components(gamma)[0]
     fast = component_index(gamma, component, CFG)
-    sampled = component_index(gamma, component, CFG, method="perturbation")
+    sampled = _perturbation_index(gamma, component, CFG)
     eq = component.extremes[0]
     assert fast.value == sampled.value == equilibrium_index(gamma, eq).value == 1
 
@@ -130,7 +131,7 @@ def test_perturbation_magnitude_below_grid_rejected():
     component = solve_components(gamma)[0]
     cfg = PerturbationConfig(magnitude=F(1, 10**7))
     with pytest.raises(ValueError):
-        component_index(gamma, component, cfg, method="perturbation")
+        _perturbation_index(gamma, component, cfg)
 
 
 def test_perturbation_config_validation():

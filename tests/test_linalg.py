@@ -1,15 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from helpers import solve_square
+from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimize, solve_square
 
-from sigsolve.linalg import (
-    InfeasibleProgram,
-    determinant,
-    linf_distance_to_hull,
-    simplex_minimize,
-)
+from sigsolve.linalg import determinant, linf_distance_to_hull
 from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
 
 
@@ -55,6 +52,72 @@ def test_hull_distance_inside_and_outside():
 
 def test_hull_distance_to_single_point():
     assert linf_distance_to_hull((F(1), F(5)), [(F(0), F(1))]) == F(4)
+
+
+def square_matrices(seed):
+    """Seeded n x n matrices, n = 1..6: plain ones, singular ones (for n > 1,
+    the last row a combination of earlier ones) and ones whose leading entry
+    is 0, which forces the first column into a later row."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        for kind in ("plain", "singular", "zero lead") * 20:
+            rows = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 7))) for _ in range(n)] for _ in range(n)]
+            if kind == "singular":
+                a, b = F(rng.randint(-2, 2)), F(rng.randint(-2, 2))
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
+            elif kind == "zero lead":
+                rows[0][0] = F(0)
+            yield rows
+
+
+def test_determinant_matches_sympy():
+    singular = 0
+    for matrix in square_matrices(11):
+        expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in matrix]).det()
+        assert determinant(matrix) == F(int(expected.p), int(expected.q)), matrix
+        singular += expected == 0
+    assert singular >= 40
+
+
+def hull_cases(seed):
+    """Seeded (point, vertices) pairs: dimension 1-6 and 1-8 vertices, plain,
+    repeated or collinear; the point a convex combination of the vertices or
+    a free draw; entries small integers or, as `indices._perturbed_game`
+    draws them, offsets on the 1/10^6 grid."""
+    rng = random.Random(seed)
+    for _ in range(120):
+        dim = rng.randint(1, 6)
+        fine = rng.random() < 0.5
+
+        def draw():
+            if fine:
+                return tuple(F(rng.randint(0, 2)) + F(rng.randint(-1000, 1000), 10**6) for _ in range(dim))
+            return tuple(F(rng.randint(-3, 3)) for _ in range(dim))
+
+        size = rng.randint(1, 8)
+        vertices = [draw() for _ in range(size)]
+        kind = rng.choice(("plain", "repeated", "collinear"))
+        if kind == "repeated":
+            vertices = [rng.choice(vertices[: max(1, size // 2)]) for _ in range(size)]
+        elif kind == "collinear":
+            a, b = vertices[0], draw()
+            steps = [F(rng.randint(-4, 8), 4) for _ in range(size)]
+            vertices = [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in steps]
+        if rng.random() < 0.5:
+            weights = [F(rng.randint(1, 5)) for _ in vertices]
+            point = tuple(sum(w * v[i] for w, v in zip(weights, vertices)) / sum(weights) for i in range(dim))
+        else:
+            point = draw()
+        yield point, vertices
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hull_distance_matches_simplex_oracle(seed):
+    distances = []
+    for point, vertices in hull_cases(seed):
+        distances.append(linf_distance_to_hull(point, vertices))
+        assert distances[-1] == simplex_distance_to_hull(point, vertices), (point, vertices)
+    assert 0 in distances and max(distances) > 0
 
 
 def test_parse_and_render_rationals():

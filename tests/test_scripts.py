@@ -15,11 +15,13 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/random_game_audit.py", "--games", "5"],
         ["scripts/beerquiche_pipeline.py", "--help"],
+        # the benchmark's tracer contract: exact call counts through every binding
+        ["perfbench/selftest.py"],
     ],
 )
 def test_script_exits_cleanly(argv):
     result = run_script(argv)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_pipeline_creates_missing_out_dir(tmp_path):
