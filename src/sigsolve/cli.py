@@ -42,6 +42,7 @@ from .normalform import (
     build_normal_form,
     build_sgcm_normal_form,
     label_of,
+    monitor_bit,
     reduce_normal_form,
 )
 from .rational import format_compact, parse_rational
@@ -206,11 +207,12 @@ def render_table(gamma: BimatrixGame, classic: bool, symbolic: bool = False) -> 
     row_names = [render_label(lbl, classic) for lbl in gamma.row_labels]
     rows = []
     for i in range(len(gamma.row_labels)):
+        pays_cost = symbolic and monitor_bit(gamma.row_labels[i])
         cells = []
         for j in range(len(gamma.col_labels)):
             u1, u2 = gamma.cells[i][j]
-            if symbolic and gamma.cost_meta is not None and gamma.cost_meta.monitor_flags[i]:
-                base = u2 + gamma.cost_meta.cost
+            if pays_cost:
+                base = u2 + gamma.cost
                 shown = "-c" if base == 0 else f"{format_compact(base)}-c"
                 cells.append(f"({format_compact(u1)}, {shown})")
             else:

@@ -343,7 +343,7 @@ def _collapse_to_strategies(labels, mix) -> dict:
     return out
 
 
-def profile_of_equilibrium(gamma: BimatrixGame, eq: MixedEquilibrium) -> MixedProfile:
+def profile_of_equilibrium(gamma: BimatrixGame | Component, eq: MixedEquilibrium) -> MixedProfile:
     """Translate a bimatrix equilibrium back into game strategies.
 
     Strategy classes contribute through their representatives; class members
@@ -355,6 +355,15 @@ def profile_of_equilibrium(gamma: BimatrixGame, eq: MixedEquilibrium) -> MixedPr
     )
 
 
+def outcome_of_equilibrium(game: SignalingGame, gamma: BimatrixGame | Component, eq: MixedEquilibrium) -> Outcome:
+    """The outcome of an equilibrium of a base or monitored form (or of one of
+    its components), with the monitor bit summed out."""
+    profile = profile_of_equilibrium(gamma, eq)
+    monitored = any(isinstance(s, ReceiverStrategyC) for s in profile.receiver)
+    mu = outcome_of_profile(game, profile, monitored=monitored)
+    return project_outcome(mu) if monitored else mu
+
+
 def component_outcome(game: SignalingGame, component: Component) -> OutcomeReport:
     """The common outcome of a component, or a non-constant report.
 
@@ -364,13 +373,7 @@ def component_outcome(game: SignalingGame, component: Component) -> OutcomeRepor
     are compared after summing out the monitor bit. The payoffs are those the
     bimatrix priced the first extreme at, monitoring cost included.
     """
-    witnessed: list[tuple[MixedEquilibrium, Outcome]] = []
-    for eq in component.extremes:
-        sender = _collapse_to_strategies(component.col_labels, eq.col_mix)
-        receiver = _collapse_to_strategies(component.row_labels, eq.row_mix)
-        monitored = any(isinstance(s, ReceiverStrategyC) for s in receiver)
-        mu = outcome_of_profile(game, MixedProfile(sender=sender, receiver=receiver), monitored=monitored)
-        witnessed.append((eq, project_outcome(mu) if monitored else mu))
+    witnessed = [(eq, outcome_of_equilibrium(game, component, eq)) for eq in component.extremes]
     first = witnessed[0][1]
     for eq, mu in witnessed[1:]:
         if mu.masses != first.masses:

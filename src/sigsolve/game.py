@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .rational import sqrt_decimal
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -108,16 +106,6 @@ class Outcome:
 
     masses: Mapping[tuple, Fraction]
     monitored: bool
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    squared: Fraction
-
-    @property
-    def approx(self) -> str:
-        """Decimal rendering of the distance itself."""
-        return sqrt_decimal(self.squared)
 
 
 def validate_game(game: SignalingGame) -> list[str]:
@@ -242,12 +230,11 @@ def project_outcome(mu_c: Outcome) -> Outcome:
     return Outcome(masses=masses, monitored=False)
 
 
-def outcome_distance(a: Outcome, b: Outcome) -> DistanceResult:
-    """Exact squared Euclidean distance; its decimal root is rendered on demand."""
+def outcome_distance(a: Outcome, b: Outcome) -> Fraction:
+    """Exact squared Euclidean distance; `rational.sqrt_decimal` renders its root."""
     if set(a.masses) != set(b.masses):
         raise ValueError("outcomes are defined over different play sets")
-    squared = sum(((a.masses[p] - b.masses[p]) ** 2 for p in a.masses), ZERO)
-    return DistanceResult(squared=squared)
+    return sum(((a.masses[p] - b.masses[p]) ** 2 for p in a.masses), ZERO)
 
 
 def classify_outcome(game: SignalingGame, mu: Outcome) -> str:

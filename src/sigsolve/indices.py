@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .equilibrium import (
@@ -66,7 +66,6 @@ class IndexResult:
     method: str
     replications: int
     agreement: Fraction
-    config: PerturbationConfig | None = None
 
     @property
     def indeterminate(self) -> bool:
@@ -153,7 +152,7 @@ def _perturbed_game(gamma: BimatrixGame, rng: random.Random, magnitude: Fraction
         )
         for row in gamma.cells
     )
-    return BimatrixGame(gamma.row_labels, gamma.col_labels, cells, gamma.cost_meta)
+    return replace(gamma, cells=cells)
 
 
 def component_index(
@@ -202,7 +201,6 @@ def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: Perturba
         method="perturbation",
         replications=cfg.replications,
         agreement=Fraction(hits, cfg.replications),
-        config=cfg,
     )
 
 

@@ -19,27 +19,19 @@ ZERO = Fraction(0)
 
 Cell = tuple[Fraction, Fraction]
 
-MONITOR = "monitor"
-NO_MONITOR = "no-monitor"
-
 # The positive cost at which reduced_sgcm_at_zero fixes the class structure.
 REFERENCE_COST = Fraction(1, 20)
 
 
 @dataclass(frozen=True)
-class CostMeta:
-    """Monitoring cost and the per-row monitor flag of an SGCM normal form."""
-
-    cost: Fraction
-    monitor_flags: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class BimatrixGame:
+    """`cost` is the monitoring cost of an SGCM form, None for a base form;
+    which rows pay it is read off their labels by `monitor_bit`."""
+
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
     cells: tuple[tuple[Cell, ...], ...]
-    cost_meta: CostMeta | None = None
+    cost: Fraction | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,25 +55,23 @@ class StrategyClass:
     """A set of strategically equivalent strategies collapsed to one row/column.
 
     `representative` is the lexicographically least underlying strategy, with
-    nested classes flattened. `partition` tags receiver classes of an SGCM by
-    their monitor bit; it is None for other classes (including zero-cost games
-    where the two partitions merge).
+    nested classes flattened.
     """
 
     representative: object
     members: tuple[object, ...]
     side: str
-    partition: str | None = None
 
     @property
     def masked(self) -> object:
         """The representative with the choices that never reach play shown as
         '*': the default of a monitoring class, the per-message actions of a
-        non-monitoring one."""
+        non-monitoring one. Classes without a common monitor bit show it whole."""
         rep = self.representative
-        if self.partition is None or not isinstance(rep, ReceiverStrategyC):
+        bit = monitor_bit(self)
+        if bit is None:
             return rep
-        if rep.monitor:
+        if bit:
             return replace(rep, default="*")
         return replace(rep, on_message=("*",) * len(rep.on_message))
 
@@ -119,6 +109,16 @@ class Elimination:
 
 def label_of(obj: object) -> str:
     return getattr(obj, "label", str(obj))
+
+
+def monitor_bit(label: object) -> int | None:
+    """Whether a row of a monitored form pays the cost: the bit of a monitored
+    receiver strategy, or the bit all members of a (nested) class share.
+    None for classes whose members disagree and for every other label."""
+    if isinstance(label, StrategyClass):
+        bits = {monitor_bit(member) for member in label.members}
+        return bits.pop() if len(bits) == 1 else None
+    return label.monitor if isinstance(label, ReceiverStrategyC) else None
 
 
 def deep_representative(label: object) -> object:
@@ -162,24 +162,27 @@ def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
         raise ValueError(f"monitoring cost must be nonnegative, got {cost}")
     senders, _ = strategy_spaces(game)
     receivers = strategy_spaces_c(game)
-    meta = CostMeta(cost=cost, monitor_flags=tuple(bool(s2.monitor) for s2 in receivers))
     cells = _payoff_cells(game, senders, receivers, cost)
-    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells, cost_meta=meta)
+    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells, cost=cost)
 
 
 def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
-    """Reprice an SGCM form at a different cost; only monitoring rows change."""
-    if gamma.cost_meta is None:
-        raise ValueError("game carries no cost metadata")
+    """Reprice an SGCM form at a different cost; only monitoring rows change.
+
+    Raises ValueError when a row class mixes monitoring and non-monitoring
+    strategies: they were payoff-equal only at the old cost.
+    """
+    if gamma.cost is None:
+        raise ValueError("game carries no monitoring cost")
     if new_cost < 0:
         raise ValueError(f"monitoring cost must be nonnegative, got {new_cost}")
-    delta = gamma.cost_meta.cost - new_cost
-    cells = tuple(
-        tuple((u1, u2 + delta) if flag else (u1, u2) for (u1, u2) in row)
-        for row, flag in zip(gamma.cells, gamma.cost_meta.monitor_flags)
-    )
-    meta = CostMeta(cost=new_cost, monitor_flags=gamma.cost_meta.monitor_flags)
-    return BimatrixGame(gamma.row_labels, gamma.col_labels, cells, meta)
+    bits = [monitor_bit(label) for label in gamma.row_labels]
+    if None in bits:
+        mixed = gamma.row_labels[bits.index(None)]
+        raise ValueError(f"row {label_of(mixed)} mixes monitor bits; reprice before reducing")
+    delta = gamma.cost - new_cost
+    cells = tuple(tuple((u1, u2 + delta * bit) for (u1, u2) in row) for row, bit in zip(gamma.cells, bits))
+    return replace(gamma, cells=cells, cost=new_cost)
 
 
 def _group_equal(vectors: list[tuple]) -> list[list[int]]:
@@ -187,17 +190,6 @@ def _group_equal(vectors: list[tuple]) -> list[list[int]]:
     for idx, vec in enumerate(vectors):
         groups.setdefault(vec, []).append(idx)
     return list(groups.values())
-
-
-def _partition_tag(gamma: BimatrixGame, member_indices: list[int]) -> str | None:
-    if gamma.cost_meta is None:
-        return None
-    flags = {gamma.cost_meta.monitor_flags[i] for i in member_indices}
-    if flags == {True}:
-        return MONITOR
-    if flags == {False}:
-        return NO_MONITOR
-    return None
 
 
 def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[StrategyClass, ...]]:
@@ -217,7 +209,6 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
             representative=deep_representative(gamma.row_labels[group[0]]),
             members=tuple(gamma.row_labels[i] for i in group),
             side="row",
-            partition=_partition_tag(gamma, group),
         )
         for group in row_groups
     )
@@ -232,13 +223,7 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     cells = tuple(
         tuple(gamma.cells[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups
     )
-    meta = None
-    if gamma.cost_meta is not None:
-        meta = CostMeta(
-            cost=gamma.cost_meta.cost,
-            monitor_flags=tuple(gamma.cost_meta.monitor_flags[g[0]] for g in row_groups),
-        )
-    reduced = BimatrixGame(row_labels=row_classes, col_labels=col_classes, cells=cells, cost_meta=meta)
+    reduced = BimatrixGame(row_labels=row_classes, col_labels=col_classes, cells=cells, cost=gamma.cost)
     return reduced, row_classes + col_classes
 
 
@@ -261,7 +246,7 @@ def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
     monitoring classes fail to be in bijection with the base strategies; both
     signal a construction bug or a mismatched game pair.
     """
-    if gamma0.cost_meta is None or gamma0.cost_meta.cost != 0:
+    if gamma0.cost != 0:
         raise ValueError("first argument must be an SGCM form evaluated at cost zero")
     n_rows0, n_cols0 = gamma0.shape
     n_rows, _ = gamma.shape
@@ -280,13 +265,14 @@ def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
     monitor_to_base: dict[StrategyClass, object] = {}
     duplicate_to_base: dict[StrategyClass, object] = {}
     for r, lbl in enumerate(gamma0.row_labels):
-        if not isinstance(lbl, StrategyClass) or lbl.partition is None:
-            raise ValueError(f"row {label_of(lbl)} carries no monitor partition tag")
+        bit = monitor_bit(lbl)
+        if bit is None:
+            raise ValueError(f"row {label_of(lbl)} carries no single monitor bit")
         column = tuple(gamma0.cells[r])
         base = base_rows.get(column)
         if base is None:
-            raise ValueError(f"no base strategy matches the payoffs of class {lbl.label}")
-        if lbl.partition == MONITOR:
+            raise ValueError(f"no base strategy matches the payoffs of class {label_of(lbl)}")
+        if bit:
             monitor_to_base[lbl] = base
         else:
             duplicate_to_base[lbl] = base
@@ -344,13 +330,10 @@ def dominance_filter(
         cols = [c for c in cols if c not in doomed_cols]
         if not iterate:
             break
-    meta = None
-    if gamma.cost_meta is not None:
-        meta = CostMeta(gamma.cost_meta.cost, tuple(gamma.cost_meta.monitor_flags[r] for r in rows))
     filtered = BimatrixGame(
         row_labels=tuple(gamma.row_labels[r] for r in rows),
         col_labels=tuple(gamma.col_labels[c] for c in cols),
         cells=tuple(tuple(gamma.cells[r][c] for c in cols) for r in rows),
-        cost_meta=meta,
+        cost=gamma.cost,
     )
     return filtered, tuple(trace)

@@ -6,8 +6,14 @@ Survival at cost c means the reduced monitored form has an equilibrium whose
 expected payoffs exactly equal the base component's payoffs. Along a family
 of equilibria that converges to the component as the cost vanishes, on-path
 indifference pins the payoffs to the component values, and the family
-disappears exactly at the threshold cost, so this criterion is both exact and
-bisectable.
+disappears exactly at the threshold cost, so this criterion is bisectable.
+
+It is exact only for families that stop monitoring on path. A family that
+keeps the outcome by monitoring with probability one pays c on every play:
+its payoffs are (u1, u2 - c), so payoff equality misses it. On
+games/three_types.sg the hybrid component C0 has such an equilibrium at
+squared outcome distance 0 at every sampled cost, yet `survival_threshold`
+reports that it survives at no sampled cost.
 """
 
 from __future__ import annotations
@@ -20,16 +26,16 @@ from .equilibrium import (
     MixedEquilibrium,
     component_outcome,
     enumerate_extreme_equilibria,
-    profile_of_equilibrium,
+    outcome_of_equilibrium,
     solve_components,
 )
-from .game import Outcome, SignalingGame, outcome_distance, outcome_of_profile, project_outcome
+from .game import Outcome, SignalingGame, outcome_distance
 from .indices import IndexResult, PerturbationConfig, component_index
 from .normalform import (
-    MONITOR,
     BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
+    monitor_bit,
     reduce_normal_form,
 )
 from .rational import sqrt_decimal
@@ -76,7 +82,6 @@ class SweepRecord:
     found: bool
     nearest: MixedEquilibrium | None
     monitor_probability: Fraction
-    projected_outcome: Outcome
     squared_distance: Fraction
     payoffs: tuple[Fraction, Fraction]
     sender_support: tuple[object, ...]
@@ -156,43 +161,20 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
     the base component's outcome."""
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, cost))
     equilibria = enumerate_extreme_equilibria(reduced)
-    best = None
-    found = False
-    for eq in equilibria:
-        projected = project_outcome(
-            outcome_of_profile(game, profile_of_equilibrium(reduced, eq), monitored=True)
-        )
-        squared = outcome_distance(projected, base.outcome).squared
-        key = (squared, eq.sort_key())
-        if best is None or key < best[0]:
-            best = (key, eq, projected, squared)
-        if eq.payoffs == base.payoffs:
-            found = True
-    _, eq, projected, squared = best
-    monitor_probability = sum(
-        (
-            eq.row_mix[i]
-            for i, label in enumerate(reduced.row_labels)
-            if getattr(label, "partition", None) == MONITOR
-        ),
-        ZERO,
+    squared, eq = min(
+        ((outcome_distance(outcome_of_equilibrium(game, reduced, e), base.outcome), e) for e in equilibria),
+        key=lambda pair: (pair[0], pair[1].sort_key()),
     )
-    sender_support = tuple(
-        label for j, label in enumerate(reduced.col_labels) if eq.col_mix[j] > 0
-    )
-    receiver_support = tuple(
-        label for i, label in enumerate(reduced.row_labels) if eq.row_mix[i] > 0
-    )
+    rows = list(zip(reduced.row_labels, eq.row_mix))
     return SweepRecord(
         c=cost,
-        found=found,
+        found=any(e.payoffs == base.payoffs for e in equilibria),
         nearest=eq,
-        monitor_probability=monitor_probability,
-        projected_outcome=projected,
+        monitor_probability=sum((w for label, w in rows if monitor_bit(label)), ZERO),
         squared_distance=squared,
         payoffs=eq.payoffs,
-        sender_support=sender_support,
-        receiver_support=receiver_support,
+        sender_support=tuple(label for label, w in zip(reduced.col_labels, eq.col_mix) if w > 0),
+        receiver_support=tuple(label for label, w in rows if w > 0),
     )
 
 

@@ -9,6 +9,7 @@ from sigsolve.equilibrium import (
     enumerate_extreme_equilibria,
     is_equilibrium,
     maximal_nash_subsets,
+    outcome_of_equilibrium,
     solve_components,
 )
 from sigsolve.game import SignalingGame
@@ -231,6 +232,21 @@ def test_component_outcomes_and_payoffs(beerquiche):
     assert quiche.payoffs == (F(21, 10), F(9, 10))
     assert quiche.outcome.masses[("S", "Q", "N")] == F(9, 10)
     assert quiche.outcome.masses[("W", "Q", "N")] == F(1, 10)
+
+
+def test_outcomes_read_through_forms_and_components_agree(beerquiche):
+    base = build_normal_form(beerquiche)
+    for component in solve_components(base):
+        report = component_outcome(beerquiche, component)
+        for eq in component.extremes:
+            assert outcome_of_equilibrium(beerquiche, base, eq) == report.outcome
+            assert outcome_of_equilibrium(beerquiche, component, eq) == report.outcome
+    # monitored forms give the projected outcome, on (type, message, action)
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
+    for eq in enumerate_extreme_equilibria(reduced):
+        mu = outcome_of_equilibrium(beerquiche, reduced, eq)
+        assert not mu.monitored
+        assert sum(mu.masses.values()) == 1
 
 
 def test_receiver_indifference_yields_non_constant_component():

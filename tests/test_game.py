@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from sigsolve.rational import sqrt_decimal
 from sigsolve.game import (
     MixedProfile,
     Outcome,
@@ -150,8 +151,8 @@ def test_distance_of_outcome_to_itself_is_zero(beerquiche):
         beerquiche, pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
     )
     result = outcome_distance(mu, mu)
-    assert result.squared == 0
-    assert result.approx == "0"
+    assert result == 0
+    assert sqrt_decimal(result) == "0"
 
 
 def test_distance_of_disjoint_unit_masses(beerquiche):
@@ -161,7 +162,7 @@ def test_distance_of_disjoint_unit_masses(beerquiche):
     b = dict(plays)
     b[("S", "Q", "N")] = F(1)
     result = outcome_distance(Outcome(a, False), Outcome(b, False))
-    assert result.squared == 2
+    assert result == 2
 
 
 def test_distance_rejects_mismatched_play_sets(beerquiche):
@@ -187,7 +188,7 @@ def test_distance_squared_scales_with_cost_squared(beerquiche):
             },
         )
         mu = project_outcome(outcome_of_profile(beerquiche, profile, monitored=True))
-        assert outcome_distance(mu, base).squared == F(3, 2) * c * c
+        assert outcome_distance(mu, base) == F(3, 2) * c * c
 
 
 def outcome_from_masses(beerquiche, positive):

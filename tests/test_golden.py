@@ -18,12 +18,20 @@ CASES = {
     "sgcm": ["sgcm", "--cost", "1/20"],
     "sgcm_reduce_symbolic": ["sgcm", "--cost", "1/20", "--reduce", "--symbolic"],
     "sgcm_zero_reduce": ["sgcm", "--cost", "0", "--reduce"],
+    "sgcm_zero_reduce_symbolic": ["sgcm", "--cost", "0", "--reduce", "--symbolic"],
     "solve_components": ["solve", "--components"],
     "solve_cost_components": ["solve", "--cost", "1/20", "--components"],
     "sweep": ["sweep", "--component", "C0", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
+    "theorem": ["theorem", "--component", "C0", "--epsilon", "1/20"],
+    "threshold": ["threshold", "--component", "C0"],
 }
 SOLVE_CASES = ("solve_components", "solve_cost_components")
-FIXTURES = {"beerquiche": CASES, "three_types": CASES, "two_types_three_messages": SOLVE_CASES}
+# three_types' C0 keeps its outcome only by monitoring, so `threshold` exits 1 on it
+FIXTURES = {
+    "beerquiche": tuple(CASES),
+    "three_types": tuple(case for case in CASES if case != "threshold"),
+    "two_types_three_messages": SOLVE_CASES,
+}
 
 
 def game_path(fixture: str) -> str:

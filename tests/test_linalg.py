@@ -6,7 +6,7 @@ import sympy
 
 from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimize, solve_square
 
-from sigsolve.linalg import determinant, linf_distance_to_hull
+from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
 from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
 
 
@@ -25,6 +25,21 @@ def test_determinant_values():
     assert determinant([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
     assert determinant([[F(0), F(1)], [F(1), F(0)]]) == F(-1)
     assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, first_row, expected",
+    [
+        ([[1, 0], [1, 1], [0, 1]], [1, 2, 1], 0, 1),
+        ([[1, 1], [2, 0], [0, 2]], [2, 2, 2], 1, 2),
+    ],
+)
+def test_leaving_row_breaks_ratio_ties_lexicographically(rows, rhs, first_row, expected):
+    # after x0 enters, two rows tie on the rhs ratio for x1; the slack columns
+    # decide, once in favour of the earlier row and once of the later one
+    tableau = Tableau([[F(v) for v in row] for row in rows], [F(b) for b in rhs], 2)
+    tableau.pivot(first_row, 0)
+    assert tableau.leaving_row(1) == expected
 
 
 def test_simplex_on_a_transport_toy():

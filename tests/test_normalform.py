@@ -7,12 +7,11 @@ from helpers import TABLE_ONE, TABLE_THREE, TABLE_TWO
 from sigsolve.cli import render_label
 from sigsolve.game import SignalingGame
 from sigsolve.normalform import (
-    MONITOR,
-    NO_MONITOR,
     build_normal_form,
     build_sgcm_normal_form,
     dominance_filter,
     embed_map,
+    monitor_bit,
     reduce_normal_form,
     reduced_sgcm_at_zero,
     strategy_spaces,
@@ -144,11 +143,18 @@ def test_reduced_cells_match_printed_values(beerquiche):
             assert reduced.cells[idx[label]][j] == expected
 
 
-def test_partition_tags_cover_all_classes(beerquiche):
+def test_monitor_bits_cover_all_classes(beerquiche):
     reduced, classes = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
-    tags = [c.partition for c in classes if c.side == "row"]
-    assert sorted(t for t in tags if t == MONITOR) == [MONITOR] * 4
-    assert sorted(t for t in tags if t == NO_MONITOR) == [NO_MONITOR] * 2
+    bits = [monitor_bit(c) for c in classes if c.side == "row"]
+    assert sorted(bits) == [0] * 2 + [1] * 4
+    nested, _ = reduce_normal_form(reduced)
+    assert [monitor_bit(c) for c in nested.row_labels] == [monitor_bit(c) for c in reduced.row_labels]
+    # classes merging both bits, sender classes and base strategies carry none
+    _, zero_classes = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
+    bits = {render_label(c, classic=True): monitor_bit(c) for c in zero_classes if c.side == "row"}
+    assert bits == {"0FFF": None, "0NFF": None, "C*NF": 1, "C*FN": 1}
+    assert all(monitor_bit(c) is None for c in classes if c.side == "col")
+    assert monitor_bit(build_normal_form(beerquiche).row_labels[0]) is None
 
 
 def test_base_game_has_no_merges(beerquiche):
@@ -191,7 +197,17 @@ def test_repricing_changes_only_monitoring_rows(beerquiche):
             du1 = b.cells[i][j][0] - a.cells[i][j][0]
             du2 = b.cells[i][j][1] - a.cells[i][j][1]
             assert du1 == 0
-            assert du2 == (delta if a.cost_meta.monitor_flags[i] else 0)
+            assert du2 == (delta if monitor_bit(a.row_labels[i]) else 0)
+
+
+def test_repricing_refuses_classes_that_mix_monitor_bits(beerquiche):
+    # at cost zero the monitoring CFFF and CNFF join the free class 0FFF, so
+    # the zero-cost reduction cannot be repriced; reducing at 1/20 gives 6 rows
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
+    with pytest.raises(ValueError, match="reprice before reducing"):
+        with_cost(reduced, F(1, 20))
+    repriced_first, _ = reduce_normal_form(with_cost(build_sgcm_normal_form(beerquiche, F(0)), F(1, 20)))
+    assert len(repriced_first.row_labels) == 6
 
 
 def test_unreached_information_sets_never_matter(beerquiche):

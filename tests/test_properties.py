@@ -136,9 +136,9 @@ def test_distance_axioms(data):
         mus.append(outcome_of_profile(game, profile))
     a, b, c = mus
     ab, ba = outcome_distance(a, b), outcome_distance(b, a)
-    assert ab.squared == ba.squared
-    assert (ab.squared == 0) == (a.masses == b.masses)
-    root = lambda d: math.sqrt(float(d.squared))
+    assert ab == ba
+    assert (ab == 0) == (a.masses == b.masses)
+    root = lambda d: math.sqrt(float(d))
     assert root(outcome_distance(a, c)) <= root(ab) + root(outcome_distance(b, c)) + 1e-12
 
 
