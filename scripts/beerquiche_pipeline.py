@@ -88,7 +88,7 @@ def main() -> None:
             f"distance={rec.distance_decimal}"
         )
     scaling = distance_scaling(records)
-    print(f"squared distance / c^2 = {scaling.constant}")
+    print(f"squared distance / c^2 = {scaling}")
     print(f"sweep written to {out_path}")
 
     print("\n== survival threshold of the beer component ==")

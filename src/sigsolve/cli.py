@@ -35,7 +35,7 @@ from .game import (
     SignalingGame,
     validate_game,
 )
-from .indices import DegenerateDrawsError, PerturbationConfig, component_index
+from .indices import DegenerateDrawsError, PerturbationConfig, component_index, index_sum_ok
 from .normalform import (
     BimatrixGame,
     StrategyClass,
@@ -47,6 +47,7 @@ from .normalform import (
 )
 from .rational import format_compact, parse_rational
 from .sweep import (
+    BRACKET_TOLERANCE,
     NoSurvivalError,
     SweepConfig,
     SweepRecord,
@@ -346,8 +347,7 @@ def _cmd_solve(args) -> CommandResult:
         ids = component_ids(components)
         summary["components"] = len(components)
         cfg = PerturbationConfig(seed=args.seed)
-        total = 0
-        indices = []
+        results = []
         for cid, comp in zip(ids, components):
             report = component_outcome(game, comp)
             lines.append(f"component {cid}:")
@@ -364,16 +364,16 @@ def _cmd_solve(args) -> CommandResult:
                 lines.append("  outcome: NOT CONSTANT (game is not generic)")
             if args.index:
                 result = component_index(gamma, comp, cfg)
-                indices.append(result.value)
-                total += result.value
+                results.append(result)
                 flag = " INDETERMINATE" if result.indeterminate else ""
                 lines.append(
                     f"  index: {result.value:+d} ({result.method}, R={result.replications},"
                     f" agreement={result.agreement}, seed={cfg.seed}){flag}"
                 )
         if args.index:
-            lines.append(f"index sum: {total:+d} ({'ok' if total == 1 else 'UNEXPECTED'})")
-            summary["indices"] = indices
+            total = sum(r.value for r in results)
+            lines.append(f"index sum: {total:+d} ({'ok' if index_sum_ok(results) else 'UNEXPECTED'})")
+            summary["indices"] = [r.value for r in results]
             summary["index_sum"] = total
     return CommandResult(0, "\n".join(lines), summary)
 
@@ -391,23 +391,23 @@ def _cmd_sweep(args) -> CommandResult:
     write_sweep_csv(records, args.out, classic)
     lines = [f"wrote {len(records)} records to {args.out}"]
     scaling = distance_scaling(records)
-    if scaling.constant is not None:
-        lines.append(f"distance scaling: squared_distance = {scaling.constant} * c^2")
+    if scaling is not None:
+        lines.append(f"distance scaling: squared_distance = {scaling} * c^2")
         if args.check_coefficient is not None:
             expected = parse_rational(args.check_coefficient)
-            if scaling.constant == expected:
+            if scaling == expected:
                 lines.append(f"scaling coefficient matches {expected}")
             else:
                 lines.append(
                     "DISCREPANCY: measured squared-distance coefficient "
-                    f"{scaling.constant} differs from the stated {expected}"
+                    f"{scaling} differs from the stated {expected}"
                 )
     else:
         lines.append("distance scaling: not a constant multiple of c^2 over this grid")
     summary = {
         "records": len(records),
         "out": args.out,
-        "scaling_constant": str(scaling.constant) if scaling.constant is not None else None,
+        "scaling_constant": str(scaling) if scaling is not None else None,
     }
     return CommandResult(0, "\n".join(lines), summary)
 
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisect the survival threshold of a component")
     p.add_argument("game")
     p.add_argument("--component", required=True)
-    p.add_argument("--tolerance", default="1/1000")
+    p.add_argument("--tolerance", default=str(BRACKET_TOLERANCE))
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("theorem", help="epsilon-closeness evidence for small costs")

@@ -5,11 +5,14 @@ two support-restricted payoff determinants (payoffs shifted positive), times
 (-1)^(k+1) for support size k. The sign convention makes every pure strict
 equilibrium +1 and the indices of a nondegenerate game sum to +1.
 
-Components get a sampling index: perturb all payoffs by small rationals,
-re-enumerate, and sum the determinant indices of the perturbed equilibria
-that stay within a max-norm ball around the component. Components with
-non-zero index are essential, so the replication sums agree for small enough
-perturbations; disagreement is reported, never papered over.
+Components get a sampling index by one fixed procedure: in each of 20
+replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
+[-1/1000, 1/1000], re-enumerate, and sum the determinant indices of the
+perturbed equilibria within max-norm distance 1/20 of the component. A draw
+whose game or nearby equilibria are degenerate is redrawn, up to 16 draws per
+replication. Only the seed is settable. Components with non-zero index are
+essential, so the replication sums agree for small enough perturbations;
+disagreement is reported, never papered over.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import ClassVar
 
 from .equilibrium import (
     Component,
@@ -43,21 +47,19 @@ class DegenerateDrawsError(RuntimeError):
 
 @dataclass(frozen=True)
 class PerturbationConfig:
-    """Sampling parameters for the component index.
+    """Sampling parameters for the component index; only `seed` is settable.
 
     `magnitude` bounds each payoff perturbation, `neighborhood` is the
     max-norm radius around the component within which perturbed equilibria
-    are attributed to it, `replications` the number of independent draws.
+    are attributed to it, `replications` the number of independent draws and
+    `attempts` the draws a replication may spend on degenerate games.
     """
 
-    magnitude: Fraction = Fraction(1, 1000)
-    neighborhood: Fraction = Fraction(1, 20)
-    replications: int = 20
+    magnitude: ClassVar[Fraction] = Fraction(1, 1000)
+    neighborhood: ClassVar[Fraction] = Fraction(1, 20)
+    replications: ClassVar[int] = 20
+    attempts: ClassVar[int] = 16
     seed: int = 1729
-
-    def __post_init__(self):
-        if self.magnitude <= 0 or self.neighborhood <= 0 or self.replications < 1:
-            raise ValueError("perturbation config out of range")
 
 
 @dataclass(frozen=True)
@@ -137,11 +139,9 @@ def _distance_to_component(eq: MixedEquilibrium, component: Component) -> Fracti
     return best
 
 
-def _perturbed_game(gamma: BimatrixGame, rng: random.Random, magnitude: Fraction) -> BimatrixGame:
+def _perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
     scale = 10**6
-    bound = int(magnitude * scale)
-    if bound < 1:
-        raise ValueError("magnitude below the 1/10^6 perturbation grid")
+    bound = int(PerturbationConfig.magnitude * scale)
     cells = tuple(
         tuple(
             (
@@ -176,9 +176,9 @@ def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: Perturba
     sums = []
     for rep in range(cfg.replications):
         total = None
-        for attempt in range(16):
+        for attempt in range(cfg.attempts):
             rng = random.Random(f"{cfg.seed}:{rep}:{attempt}")
-            perturbed = _perturbed_game(gamma, rng, cfg.magnitude)
+            perturbed = _perturbed_game(gamma, rng)
             result = enumerate_extreme_equilibria(perturbed)
             if result.degenerate:
                 continue
@@ -192,7 +192,9 @@ def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: Perturba
                 continue
             break
         if total is None:
-            raise DegenerateDrawsError("all perturbation draws hit degenerate games; lower the magnitude")
+            raise DegenerateDrawsError(
+                f"replication {rep}: all {cfg.attempts} perturbation draws hit degenerate games"
+            )
         sums.append(total)
     counts = Counter(sums)
     value, hits = max(counts.items(), key=lambda item: (item[1], -abs(item[0])))
@@ -204,13 +206,16 @@ def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: Perturba
     )
 
 
+def index_sum_ok(results) -> bool:
+    """The verdict on a game's component indices: all determinate, summing to +1."""
+    return sum(r.value for r in results) == 1 and not any(r.indeterminate for r in results)
+
+
 def index_sum_check(gamma: BimatrixGame, cfg: PerturbationConfig = PerturbationConfig()) -> IndexSumReport:
     """Component indices must sum to +1 over the whole game."""
     components = solve_components(gamma)
     results = tuple(component_index(gamma, comp, cfg) for comp in components)
-    total = sum(r.value for r in results)
-    ok = total == 1 and all(not r.indeterminate for r in results)
-    return IndexSumReport(per_component=results, total=total, ok=ok)
+    return IndexSumReport(per_component=results, total=sum(r.value for r in results), ok=index_sum_ok(results))
 
 
 def duplicate_containment_check(

@@ -1,6 +1,6 @@
 """Normal forms: the base bimatrix game, its costly-monitoring variant, pure
-reduction by strategic equivalence, the zero-cost embedding, and pure-strategy
-dominance.
+reduction by strategic equivalence, the zero-cost embedding, and the core
+left by removing strictly dominated pure strategies.
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .game import ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
 
@@ -97,14 +96,6 @@ class EmbedMap:
         if label in self.duplicate_to_base:
             return self.duplicate_to_base[label]
         raise KeyError(f"no embedding recorded for {label}")
-
-
-@dataclass(frozen=True)
-class Elimination:
-    side: str
-    eliminated: object
-    dominator: object
-    round: int
 
 
 def label_of(obj: object) -> str:
@@ -282,58 +273,29 @@ def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
     return EmbedMap(monitor_to_base=monitor_to_base, duplicate_to_base=duplicate_to_base)
 
 
-def _dominates(a: Sequence[Fraction], b: Sequence[Fraction], mode: str) -> bool:
-    """Does payoff vector a dominate b?"""
-    if mode == "strict":
-        return all(x > y for x, y in zip(a, b))
-    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
-
-
-def dominance_filter(
-    gamma: BimatrixGame, mode: str = "strict", iterate: bool = False
-) -> tuple[BimatrixGame, tuple[Elimination, ...]]:
-    """Remove pure strategies dominated by another pure strategy.
-
-    Each round marks every strategy dominated by some strategy alive at the
-    round's start (the recorded dominator is the first such in label order),
-    removes them all, and repeats when `iterate` is set.
-    """
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"unknown dominance mode {mode!r}")
+def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
+    """The strict-dominance core: drop, round after round, every pure
+    strategy that another surviving pure strategy strictly beats against all
+    surviving opponent strategies, until none is left. No Nash equilibrium
+    plays a strictly dominated strategy, so the core's equilibria, padded
+    with zeros, are the game's."""
     rows = list(range(len(gamma.row_labels)))
     cols = list(range(len(gamma.col_labels)))
-    trace: list[Elimination] = []
-    round_no = 0
     while True:
-        round_no += 1
-        row_payoff = {r: [gamma.receiver_payoff(r, c) for c in cols] for r in rows}
-        col_payoff = {c: [gamma.sender_payoff(r, c) for r in rows] for c in cols}
-        doomed_rows = {}
-        for r in rows:
-            for other in rows:
-                if other != r and _dominates(row_payoff[other], row_payoff[r], mode):
-                    doomed_rows[r] = other
-                    break
-        doomed_cols = {}
-        for c in cols:
-            for other in cols:
-                if other != c and _dominates(col_payoff[other], col_payoff[c], mode):
-                    doomed_cols[c] = other
-                    break
-        if not doomed_rows and not doomed_cols:
+        kept_rows = [
+            r for r in rows
+            if not any(all(gamma.receiver_payoff(o, c) > gamma.receiver_payoff(r, c) for c in cols) for o in rows)
+        ]
+        kept_cols = [
+            c for c in cols
+            if not any(all(gamma.sender_payoff(r, o) > gamma.sender_payoff(r, c) for r in rows) for o in cols)
+        ]
+        if (kept_rows, kept_cols) == (rows, cols):
             break
-        for r, dom in doomed_rows.items():
-            trace.append(Elimination("row", gamma.row_labels[r], gamma.row_labels[dom], round_no))
-        for c, dom in doomed_cols.items():
-            trace.append(Elimination("col", gamma.col_labels[c], gamma.col_labels[dom], round_no))
-        rows = [r for r in rows if r not in doomed_rows]
-        cols = [c for c in cols if c not in doomed_cols]
-        if not iterate:
-            break
-    filtered = BimatrixGame(
+        rows, cols = kept_rows, kept_cols
+    return BimatrixGame(
         row_labels=tuple(gamma.row_labels[r] for r in rows),
         col_labels=tuple(gamma.col_labels[c] for c in cols),
         cells=tuple(tuple(gamma.cells[r][c] for c in cols) for r in rows),
         cost=gamma.cost,
     )
-    return filtered, tuple(trace)

@@ -41,8 +41,12 @@ from .normalform import (
 from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
-# survival_threshold scans c_max, c_max/2, ..., c_max/2**11 before bisecting
+# `threshold` scans C_MAX, C_MAX/2, ..., C_MAX/2**11 before bisecting to
+# BRACKET_TOLERANCE by default; `theorem` samples C_MAX/2**9, ..., C_MAX
+C_MAX = Fraction(1, 4)
 THRESHOLD_GRID_STEPS = 12
+THEOREM_GRID_STEPS = 10
+BRACKET_TOLERANCE = Fraction(1, 1000)
 
 
 class NoSurvivalError(RuntimeError):
@@ -69,11 +73,6 @@ class SweepConfig:
             raise ValueError("need 0 <= c_min < c_max")
         if self.steps < 1:
             raise ValueError("need at least one step")
-
-    def grid(self) -> list[Fraction]:
-        """Halving grid from c_max down, floored at c_min, ascending order."""
-        values = [self.c_max / 2**i for i in range(self.steps)]
-        return sorted(v for v in values if v >= self.c_min)
 
 
 @dataclass(frozen=True)
@@ -114,21 +113,17 @@ class TheoremEvidence:
 
 
 @dataclass(frozen=True)
-class ScalingReport:
-    """Squared distance divided by c^2 at every sampled cost."""
-
-    ratios: tuple[tuple[Fraction, Fraction], ...]
-    constant: Fraction | None
-
-
-@dataclass(frozen=True)
 class BaseContext:
     gamma: BimatrixGame
     components: tuple[Component, ...]
-    component_id: str
     component: Component
     outcome: Outcome
     payoffs: tuple[Fraction, Fraction]
+
+
+def halving_grid(c_max: Fraction, steps: int) -> list[Fraction]:
+    """c_max, c_max/2, ..., c_max/2**(steps-1), descending."""
+    return [c_max / 2**i for i in range(steps)]
 
 
 def component_ids(components: tuple[Component, ...]) -> list[str]:
@@ -149,7 +144,6 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
     return BaseContext(
         gamma=gamma,
         components=components,
-        component_id=component_id,
         component=component,
         outcome=report.outcome,
         payoffs=report.payoffs,
@@ -181,30 +175,29 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
 def cost_sweep(game: SignalingGame, cfg: SweepConfig) -> list[SweepRecord]:
     """One record per grid cost, ascending."""
     base = resolve_base_component(game, cfg.base_component_id)
-    return [evaluate_cost(game, base, c) for c in cfg.grid()]
+    grid = sorted(c for c in halving_grid(cfg.c_max, cfg.steps) if c >= cfg.c_min)
+    return [evaluate_cost(game, base, c) for c in grid]
 
 
 def survival_threshold(
     game: SignalingGame,
     base_component_id: str,
-    bracket_tolerance: Fraction = Fraction(1, 1000),
-    c_max: Fraction = Fraction(1, 4),
+    bracket_tolerance: Fraction = BRACKET_TOLERANCE,
 ) -> ThresholdResult:
     """Bisect the cost at which the component's payoffs stop being supported.
 
-    Scans a halving grid for a surviving/failing pair first. A component that
-    survives the whole grid (monitoring may simply be worthless) is reported
-    with an open bracket; one that never survives raises NoSurvivalError with
-    the grid records attached.
+    Scans the halving grid from C_MAX down for a surviving/failing pair
+    first. A component that survives the whole grid (monitoring may simply be
+    worthless) is reported with an open bracket; one that never survives
+    raises NoSurvivalError with the grid records attached.
     """
     if bracket_tolerance <= 0:
         raise ValueError(f"bracket tolerance must be positive, got {bracket_tolerance}")
     base = resolve_base_component(game, base_component_id)
-    grid = [c_max / 2**i for i in range(THRESHOLD_GRID_STEPS)]
     records = []
     surviving = None
     failing = None
-    for c in grid:  # descending
+    for c in halving_grid(C_MAX, THRESHOLD_GRID_STEPS):
         record = evaluate_cost(game, base, c)
         records.append(record)
         if record.found:
@@ -231,11 +224,10 @@ def verify_theorem_bound(
     game: SignalingGame,
     base_component_id: str,
     epsilon: Fraction,
-    c_max: Fraction = Fraction(1, 4),
-    steps: int = 10,
     index_cfg: PerturbationConfig = PerturbationConfig(),
 ) -> TheoremEvidence:
-    """Largest grid cost below which every sampled cost stays epsilon-close.
+    """Largest grid cost below which every sampled cost stays epsilon-close,
+    over the halving grid from C_MAX.
 
     Closeness is exact: squared distance < epsilon^2. The bound only carries
     the survival guarantee for components of non-zero index, so the component
@@ -246,14 +238,12 @@ def verify_theorem_bound(
     base = resolve_base_component(game, base_component_id)
     index_result = component_index(base.gamma, base.component, index_cfg)
     index_warning = index_result.value == 0 or index_result.indeterminate
-    cfg = SweepConfig(c_min=ZERO, c_max=c_max, steps=steps, base_component_id=base_component_id)
-    records = [evaluate_cost(game, base, c) for c in cfg.grid()]
-    target = epsilon * epsilon
+    records = [evaluate_cost(game, base, c) for c in reversed(halving_grid(C_MAX, THEOREM_GRID_STEPS))]
     c_epsilon = None
-    for candidate in (r.c for r in records):  # ascending, so the last hit is the max
-        below = [r for r in records if r.c < candidate]
-        if below and all(r.squared_distance < target for r in below):
-            c_epsilon = candidate
+    for lower, upper in zip(records, records[1:]):  # ascending
+        if lower.squared_distance >= epsilon * epsilon:
+            break
+        c_epsilon = upper.c
     return TheoremEvidence(
         c_epsilon=c_epsilon,
         epsilon=epsilon,
@@ -263,12 +253,8 @@ def verify_theorem_bound(
     )
 
 
-def distance_scaling(records: list[SweepRecord]) -> ScalingReport:
-    """How the squared outcome distance of the surviving family scales with
-    the squared cost; records where the component already failed are ignored."""
-    ratios = tuple(
-        (r.c, r.squared_distance / (r.c * r.c)) for r in records if r.c > 0 and r.found
-    )
-    values = {ratio for _, ratio in ratios}
-    constant = values.pop() if len(values) == 1 else None
-    return ScalingReport(ratios=ratios, constant=constant)
+def distance_scaling(records: list[SweepRecord]) -> Fraction | None:
+    """The constant k with squared distance = k c^2 at every positive sampled
+    cost where the component survives, or None if there is no such constant."""
+    ratios = {r.squared_distance / (r.c * r.c) for r in records if r.c > 0 and r.found}
+    return ratios.pop() if len(ratios) == 1 else None

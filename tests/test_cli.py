@@ -1,9 +1,10 @@
 import csv
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from sigsolve import indices, sweep
+from sigsolve import cli, indices, sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT
 from sigsolve.equilibrium import EquilibriumSet
 from sigsolve.cli import (
@@ -101,6 +102,22 @@ def test_solve_command_components_and_indices(beerquiche_file):
     assert result.summary["indices"] == [1, 0]
     assert result.summary["index_sum"] == 1
     assert "index sum: +1 (ok)" in result.text
+
+
+def test_index_sum_with_an_indeterminate_component_is_unexpected(beerquiche_file, monkeypatch):
+    # the sum is still +1, but a component whose replications disagree leaves it unconfirmed
+    component_index = cli.component_index
+
+    def half_agreeing(gamma, component, cfg):
+        result = component_index(gamma, component, cfg)
+        return replace(result, agreement=F(1, 2)) if result.value == 0 else result
+
+    monkeypatch.setattr(cli, "component_index", half_agreeing)
+    result = run_command(["solve", beerquiche_file, "--index"])
+    assert result.status == 0
+    assert result.text.count("INDETERMINATE") == 1
+    assert result.summary["index_sum"] == 1
+    assert result.text.endswith("\nindex sum: +1 (UNEXPECTED)")
 
 
 def test_solve_command_is_byte_deterministic(beerquiche_file):
@@ -236,4 +253,4 @@ def test_all_degenerate_perturbation_draws_are_a_computation_error(beerquiche_fi
     )
     result = run_command(["solve", beerquiche_file, "--index"])
     assert result.status == 1
-    assert result.text == "error: all perturbation draws hit degenerate games; lower the magnitude"
+    assert result.text == "error: replication 0: all 16 perturbation draws hit degenerate games"

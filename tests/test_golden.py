@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output on the bundled fixtures.
 
 Each case compares `run_command` text (and the sweep CSV) with a file under
-tests/golden/, named after the fixture and the case.
+tests/golden/, named after the fixture and the case, and checks the exit
+status the fixture's case table expects.
 """
 
 from pathlib import Path
@@ -26,11 +27,12 @@ CASES = {
     "threshold": ["threshold", "--component", "C0"],
 }
 SOLVE_CASES = ("solve_components", "solve_cost_components")
-# three_types' C0 keeps its outcome only by monitoring, so `threshold` exits 1 on it
+# expected exit status per fixture and case
 FIXTURES = {
-    "beerquiche": tuple(CASES),
-    "three_types": tuple(case for case in CASES if case != "threshold"),
-    "two_types_three_messages": SOLVE_CASES,
+    "beerquiche": dict.fromkeys(CASES, 0),
+    # C0 keeps its outcome only by monitoring, so `threshold` finds no surviving cost
+    "three_types": {**dict.fromkeys(CASES, 0), "threshold": 1},
+    "two_types_three_messages": dict.fromkeys(SOLVE_CASES, 0),
 }
 
 
@@ -42,7 +44,7 @@ def run_case(fixture: str, case: str) -> str:
     """Run one case in the current directory; the sweep writes sweep.csv there."""
     argv = CASES[case]
     result = run_command([argv[0], game_path(fixture), *argv[1:]])
-    assert result.status == 0, result.text
+    assert result.status == FIXTURES[fixture][case], result.text
     return result.text + "\n"
 
 

@@ -126,21 +126,6 @@ def test_duplicate_containment_for_beer_quiche(beerquiche):
     assert {render_label(l, True) for l in entry.image_cols} == {"BB"}
 
 
-def test_perturbation_magnitude_below_grid_rejected():
-    gamma = matching_pennies()
-    component = solve_components(gamma)[0]
-    cfg = PerturbationConfig(magnitude=F(1, 10**7))
-    with pytest.raises(ValueError):
-        _perturbation_index(gamma, component, cfg)
-
-
-def test_perturbation_config_validation():
-    with pytest.raises(ValueError):
-        PerturbationConfig(replications=0)
-    with pytest.raises(ValueError):
-        PerturbationConfig(magnitude=F(0))
-
-
 def test_duplicate_containment_for_synthetic_duplicate_row():
     # unique strict equilibrium (top, left) plus an exact copy of the top row
     base_cells = (

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from helpers import TABLE_ONE, TABLE_THREE, TABLE_TWO
 
-from sigsolve.cli import render_label
+from sigsolve.cli import load_game, render_label
+from sigsolve.equilibrium import enumerate_extreme_equilibria
 from sigsolve.game import SignalingGame
 from sigsolve.normalform import (
+    BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
     dominance_filter,
@@ -263,31 +267,61 @@ def test_embedding_rejects_positive_cost_form(beerquiche):
 
 def test_never_monitoring_strictly_dominates_monitoring_the_constant_way(beerquiche):
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
-    filtered, trace = dominance_filter(reduced, mode="strict")
-    eliminated = {
-        (render_label(e.eliminated, classic=True), render_label(e.dominator, classic=True))
-        for e in trace
-        if e.side == "row"
-    }
-    assert ("0F**", "0N**") in eliminated
-
-
-def test_base_game_weak_dominance_trace(beerquiche):
-    gamma = build_normal_form(beerquiche)
-    filtered, trace = dominance_filter(gamma, mode="weak")
-    rows = {
-        (render_label(e.eliminated, classic=True), render_label(e.dominator, classic=True))
-        for e in trace
-        if e.side == "row"
-    }
-    # FF loses to the constant-N row everywhere; no other base row is dominated
-    assert rows == {("FF", "NN")}
+    filtered = dominance_filter(reduced)
+    assert {render_label(label, classic=True) for label in filtered.row_labels} == {"0N**", "C*NF", "C*FN"}
+    assert filtered.col_labels == reduced.col_labels
+    assert filtered.cost == F(1, 20)
 
 
 def test_dominance_leaves_clean_games_alone():
     from sigsolve.catalog import matching_pennies
 
     gamma = matching_pennies()
-    filtered, trace = dominance_filter(gamma, mode="weak", iterate=True)
-    assert trace == ()
+    filtered = dominance_filter(gamma)
     assert filtered.shape == gamma.shape
+
+
+def random_games(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        high = rng.choice((2, 3, 4, 1000))
+        cells = tuple(
+            tuple((F(rng.randrange(high)), F(rng.randrange(high))) for _ in range(cols)) for _ in range(rows)
+        )
+        yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
+
+
+def fixture_forms():
+    """Base forms and reduced monitored forms of the bundled games, down to
+    costs at which a monitoring row loses to a free one by only c."""
+    for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg")):
+        game = load_game(str(path))
+        yield build_normal_form(game)
+        for cost in (F(0), F(1, 20), F(1, 4), F(1, 4 * 2**11)):
+            yield reduce_normal_form(build_sgcm_normal_form(game, cost))[0]
+
+
+def padded_core_equilibria(gamma):
+    core = dominance_filter(gamma)
+    row_at = [gamma.row_labels.index(label) for label in core.row_labels]
+    col_at = [gamma.col_labels.index(label) for label in core.col_labels]
+    padded = []
+    for eq in enumerate_extreme_equilibria(core):
+        row_mix = [F(0)] * len(gamma.row_labels)
+        col_mix = [F(0)] * len(gamma.col_labels)
+        for i, weight in zip(row_at, eq.row_mix):
+            row_mix[i] = weight
+        for j, weight in zip(col_at, eq.col_mix):
+            col_mix[j] = weight
+        padded.append((tuple(row_mix), tuple(col_mix), eq.payoffs))
+    return sorted(padded)
+
+
+@pytest.mark.parametrize(
+    "forms", [lambda: random_games(31), lambda: random_games(37), fixture_forms], ids=["random-31", "random-37", "fixtures"]
+)
+def test_strict_core_keeps_every_extreme_equilibrium(forms):
+    for gamma in forms():
+        full = sorted((tuple(eq.row_mix), tuple(eq.col_mix), eq.payoffs) for eq in enumerate_extreme_equilibria(gamma))
+        assert padded_core_equilibria(gamma) == full, gamma

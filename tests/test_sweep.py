@@ -89,9 +89,13 @@ def test_sweep_grid_and_invariants(game):
 
 def test_distance_scaling_constant(game):
     cfg = SweepConfig(c_min=F(0), c_max=F(1, 100), steps=3, base_component_id=BEER)
-    report = distance_scaling(cost_sweep(game, cfg))
-    assert report.constant == F(3, 2)
-    assert [c for c, _ in report.ratios] == [F(1, 400), F(1, 200), F(1, 100)]
+    assert distance_scaling(cost_sweep(game, cfg)) == F(3, 2)
+
+
+def test_distance_scaling_ignores_costs_where_the_component_failed(game):
+    records = cost_sweep(game, SweepConfig(F(0), F(1, 4), 6, BEER))
+    assert [r.c for r in records if not r.found] == [F(1, 8), F(1, 4)]
+    assert distance_scaling(records) == F(3, 2)
 
 
 def test_threshold_brackets_one_tenth(game):
@@ -130,9 +134,9 @@ def test_message_blind_receiver_survives_every_cost():
     game = message_blind_receiver_game()
     base = resolve_base_component(game, "C0")
     assert len(base.components) == 1
-    result = survival_threshold(game, "C0", c_max=F(4))
+    result = survival_threshold(game, "C0")
     assert result.first_failing is None
-    assert result.last_surviving == F(4)
+    assert result.last_surviving == sweep.C_MAX
 
 
 def test_theorem_bound_for_beer_component(game):
@@ -153,7 +157,7 @@ def test_theorem_bound_fails_for_quiche_component(game):
 
 
 def test_theorem_bound_trivial_for_huge_epsilon(game):
-    evidence = verify_theorem_bound(game, BEER, F(50), steps=4)
+    evidence = verify_theorem_bound(game, BEER, F(50))
     assert evidence.c_epsilon == F(1, 4)
 
 

@@ -62,7 +62,7 @@ def perturbed_forms(seed):
     reduced = reduce_normal_form(build_sgcm_normal_form(beer_quiche(), F(1, 20)))[0]
     for gamma in (base, reduced, random_bimatrix(rng, 4, 5), random_bimatrix(rng, 5, 4)):
         for _ in range(3):
-            yield _perturbed_game(gamma, rng, F(1, 1000))
+            yield _perturbed_game(gamma, rng)
 
 
 @pytest.mark.parametrize(
