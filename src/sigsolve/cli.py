@@ -428,7 +428,7 @@ def _cmd_threshold(args) -> CommandResult:
             )
         return CommandResult(1, "\n".join(lines), {"survives": False})
     if result.first_failing is None:
-        text = f"survives the whole grid; last checked cost {result.last_surviving}"
+        text = f"survives at c = {result.last_surviving}, the largest grid cost; smaller costs were not checked"
     else:
         text = (
             f"last surviving c = {result.last_surviving}\n"

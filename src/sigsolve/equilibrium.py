@@ -2,12 +2,14 @@
 grouping into maximal Nash subsets and connected components, and the
 constant-outcome check on components.
 
-The enumeration walks every vertex of the two best-response polytopes by
-lexicographic pivoting on `linalg.Tableau`, the package's one integer pivot
-kernel, which visits only the feasible bases. It labels each vertex once
-with its zero coordinates and tight constraints, and keeps the vertex pairs
-whose labels cover every pure strategy. This captures degenerate games too:
-the extreme points of every equilibrium segment are themselves vertex pairs.
+The enumeration scales each payoff matrix to integers once and walks every
+vertex of the two best-response polytopes by lexicographic pivoting on
+`linalg.Tableau`, the package's one integer pivot kernel, which visits only
+the feasible bases, one pivot per step. It labels each vertex once with the
+bit mask of its zero coordinates and tight constraints, and keeps the vertex
+pairs whose masks cover every pure strategy; only those become `Fraction`s.
+This captures degenerate games too: the extreme points of every equilibrium
+segment are themselves vertex pairs.
 Maximal Nash subsets come from intersecting the extreme row mixes' sets of
 compatible col mixes, with each pair checked at most once.
 """
@@ -31,7 +33,6 @@ from .linalg import Tableau
 from .normalform import BimatrixGame, deep_representative
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Mix = tuple[Fraction, ...]
 
@@ -135,14 +136,14 @@ def is_equilibrium(gamma: BimatrixGame, profile: tuple[Mix, Mix]) -> Equilibrium
     return EquilibriumCheck(ok=not deviations, deviations=tuple(deviations))
 
 
-def _positive_shift(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    low = min(min(row) for row in matrix)
-    shift = ONE - low
-    return [[v + shift for v in row] for row in matrix]
+def _integer_matrix(matrix: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """The matrix times the common denominator of its entries, and that denominator."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
 
 
-def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, str]):
-    """Vertices of {x >= 0 : rows . x <= 1}, each mapped to its labels.
+def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...], int]:
+    """Vertices of {x >= 0 : rows . x <= 1} for integer rows, each mapped to its labels.
 
     The walk starts at the all-slack basis of a `linalg.Tableau`, the origin,
     and follows every entering variable out of each basis, leaving by the
@@ -150,55 +151,57 @@ def _polytope_vertices(rows: list[list[Fraction]], dim: int, sides: tuple[str, s
     feasible bases: the vertices of a perturbed simple polytope whose
     connected graph projects onto every vertex of this one. Bases already
     seen are skipped; keying them by vertex instead would prune the walk at
-    degenerate vertices. A vertex's labels are its zero variables: zero
-    coordinates, tagged `sides[0]`, and tight constraints, tagged `sides[1]`;
-    more than `dim` labels make it degenerate.
+    degenerate vertices. Each step costs one pivot: the path stack keeps
+    every basis's (rows, basis, det) to return to, and a shallow copy of the
+    rows is a snapshot because `Tableau.pivot` replaces rows and never
+    changes one in place.
+
+    A vertex is keyed (den, *nums), the point nums / den in lowest terms with
+    den > 0. Its labels are the bit mask of its zero variables: bit v < dim
+    for a zero coordinate, bit dim + r for a tight row r; more than `dim`
+    labels make it degenerate.
     """
     count = len(rows)
-    tableau = Tableau(rows, [ONE] * count, dim)
-    basis = tableau.basis
-    zero_side, tight_side = sides
-    labeled: dict[tuple[int, ...], frozenset] = {}  # (denominator, *numerators) -> labels
+    tableau = Tableau(rows, [1] * count, dim)
+    labeled: dict[tuple[int, ...], int] = {}
 
-    def record() -> list[int]:
-        """Label the current vertex if it is new; return the nonbasic variables."""
+    def record(basic: int):
+        """Label the current vertex if it is new; yield the nonbasic variables."""
         numerators = [0] * dim
-        positive = set()
-        for row, v in zip(tableau.rows, basis):
+        positive = 0
+        for row, v in zip(tableau.rows, tableau.basis):
             if row[0]:
-                positive.add(v)
+                positive |= 1 << v
                 if v < dim:
                     numerators[v] = row[0]
-        # the point is numerators / det; dividing out their gcd makes the key canonical
+        # every pivot element is positive, so det > 0; dividing out the gcd makes the key canonical
         g = math.gcd(tableau.det, *numerators)
         key = (tableau.det // g, *(x // g for x in numerators))
         if key not in labeled:
-            labeled[key] = frozenset(
-                (zero_side, v) if v < dim else (tight_side, v - dim)
-                for v in range(dim + count)
-                if v not in positive
-            )
-        return [v for v in range(dim + count) if v not in basis]
+            labeled[key] = everything & ~positive
+        return (v for v in range(dim + count) if not basic >> v & 1)
 
-    seen = {sum(1 << v for v in basis)}  # each basis as a bit mask of its variables
-    undo: list[tuple[int, int]] = []  # (row, variable it held) for each pivot on the path
-    pending = [iter(record())]
-    while pending:
-        for v in pending[-1]:
+    everything = (1 << (dim + count)) - 1
+    basic = sum(1 << v for v in tableau.basis)  # each basis as a bit mask of its variables
+    seen = {basic}
+    path = []  # (entering variables left, rows, basis, det, basic) of each basis on the path
+    entering = record(basic)
+    while True:
+        for v in entering:
             r = tableau.leaving_row(v)
-            key = sum(1 << b for b in basis) ^ (1 << basis[r]) ^ (1 << v)
-            if key in seen:
+            child = basic ^ (1 << tableau.basis[r]) ^ (1 << v)
+            if child in seen:
                 continue
-            seen.add(key)
-            undo.append((r, basis[r]))
+            seen.add(child)
+            path.append((entering, list(tableau.rows), list(tableau.basis), tableau.det, basic))
             tableau.pivot(r, v)
-            pending.append(iter(record()))
+            basic = child
+            entering = record(basic)
             break
         else:
-            pending.pop()
-            if undo:
-                tableau.pivot(*undo.pop())
-    return {tuple(Fraction(x, key[0]) for x in key[1:]): labels for key, labels in labeled.items()}
+            if not path:
+                return labeled
+            entering, tableau.rows, tableau.basis, tableau.det, basic = path.pop()
 
 
 def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
@@ -209,44 +212,65 @@ def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium
     return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
 
 
+def _bilinear(matrix: list[list[int]], x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """x . matrix . y over the supports of x and y."""
+    return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
+
+
 def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     """All extreme Nash equilibria, exactly, in deterministic order.
 
-    Build the best-response polytopes of both players (payoffs shifted
-    positive, which changes no best response), enumerate their labeled
+    Build the best-response polytopes of both players from the payoffs
+    scaled to integers by their common denominator and shifted positive
+    (neither changes a label or a normalized vertex), enumerate their labeled
     vertices, and keep the pairs whose labels jointly cover every pure
     strategy. Normalizing those vertex pairs yields precisely the extreme
-    equilibria.
+    equilibria. Everything stays in integers until a pair matches: row i is
+    label bit i and col j bit m + j, so a pair matches when the col vertex
+    holds every label the row vertex lacks (a superset test, as degenerate
+    vertices carry extra labels), and its payoffs are integer sums over the
+    mix totals and the payoff denominator.
     """
     m, n = gamma.shape
-    receiver = _positive_shift(gamma.receiver_matrix())  # row player payoffs A
-    sender = _positive_shift(gamma.sender_matrix())  # col player payoffs B
+    receiver, receiver_scale = _integer_matrix(gamma.receiver_matrix())  # row player payoffs A
+    sender, sender_scale = _integer_matrix(gamma.sender_matrix())  # col player payoffs B
+    a_shift = 1 - min(min(row) for row in receiver)
+    b_shift = 1 - min(min(row) for row in sender)
 
-    # P = {x >= 0, B^T x <= 1} in R^m, labels: row i tight-at-zero, col j tight-at-one
-    p_rows = [[sender[i][j] for i in range(m)] for j in range(n)]
-    # Q = {y >= 0, A y <= 1} in R^n
-    q_rows = [[receiver[i][j] for j in range(n)] for i in range(m)]
-    p_vertices = _polytope_vertices(p_rows, m, ("row", "col"))
-    q_vertices = _polytope_vertices(q_rows, n, ("col", "row"))
-    degenerate = any(len(labels) > m for labels in p_vertices.values()) or any(
-        len(labels) > n for labels in q_vertices.values()
+    # P = {x >= 0, B^T x <= 1} in R^m: bit i says row i is at zero, bit m + j that col j is tight
+    p_rows = [[sender[i][j] + b_shift for i in range(m)] for j in range(n)]
+    # Q = {y >= 0, A y <= 1} in R^n: bit j says col j is at zero, bit n + i that row i is tight
+    q_rows = [[receiver[i][j] + a_shift for j in range(n)] for i in range(m)]
+    p_vertices = _polytope_vertices(p_rows, m)
+    q_vertices = _polytope_vertices(q_rows, n)
+    degenerate = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
+        ly.bit_count() > n for ly in q_vertices.values()
     )
 
-    found: dict[tuple[Mix, Mix], MixedEquilibrium] = {}
-    q_labeled = [(y, ly) for y, ly in q_vertices.items() if any(y)]
-    for x, lx in p_vertices.items():
-        if not any(x):
+    full = (1 << (m + n)) - 1
+    cols = (1 << n) - 1
+    q_labeled = [(key[1:], (ly >> n) | (ly & cols) << m) for key, ly in q_vertices.items()]  # P's bit order
+    found = []
+    for key, lx in p_vertices.items():
+        x = key[1:]
+        if not any(x):  # the origin matches only the other origin, which is no equilibrium
             continue
+        need = full & ~lx
         for y, ly in q_labeled:
-            if len(lx | ly) == m + n:
-                xs = sum(x, ZERO)
-                ys = sum(y, ZERO)
-                row_mix = tuple(v / xs for v in x)
-                col_mix = tuple(v / ys for v in y)
-                if (row_mix, col_mix) not in found:
-                    found[(row_mix, col_mix)] = _priced(gamma, row_mix, col_mix)
-    ordered = tuple(sorted(found.values(), key=MixedEquilibrium.sort_key))
-    return EquilibriumSet(equilibria=ordered, degenerate=degenerate)
+            if ly & need == need:
+                sx, sy = sum(x), sum(y)
+                found.append(
+                    MixedEquilibrium(
+                        row_mix=tuple(Fraction(v, sx) for v in x),
+                        col_mix=tuple(Fraction(v, sy) for v in y),
+                        payoffs=(
+                            Fraction(_bilinear(sender, x, y), sx * sy * sender_scale),
+                            Fraction(_bilinear(receiver, x, y), sx * sy * receiver_scale),
+                        ),
+                    )
+                )
+    found.sort(key=MixedEquilibrium.sort_key)
+    return EquilibriumSet(equilibria=tuple(found), degenerate=degenerate)
 
 
 def maximal_nash_subsets(gamma: BimatrixGame, extremes: EquilibriumSet | tuple) -> tuple[NashSubset, ...]:

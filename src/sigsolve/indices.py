@@ -26,7 +26,6 @@ from typing import ClassVar
 from .equilibrium import (
     Component,
     MixedEquilibrium,
-    _positive_shift,
     enumerate_extreme_equilibria,
     solve_components,
 )
@@ -94,6 +93,12 @@ class ContainmentEntry:
 class ContainmentReport:
     entries: tuple[ContainmentEntry, ...]
     ok: bool
+
+
+def _positive_shift(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    low = min(min(row) for row in matrix)
+    shift = ONE - low
+    return [[v + shift for v in row] for row in matrix]
 
 
 def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:

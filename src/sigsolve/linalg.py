@@ -4,8 +4,10 @@
 integers and pivots fraction-free (Bareiss), leaving by the lexicographic
 min-ratio test; this is the pivoting of lrs/lrsnash. The vertex walk in
 `equilibrium`, the determinant and the max-norm distance from a point to a
-convex hull are all built on it. No Fraction is divided during pivoting;
-values are read off exactly as Fractions.
+convex hull are all built on it. Its input may be ints or Fractions; each
+entry is scaled to an integer by the common denominator, numerator times
+cofactor, with no Fraction arithmetic. No Fraction is divided during
+pivoting; values are read off exactly as Fractions.
 """
 
 from __future__ import annotations
@@ -36,21 +38,23 @@ class Tableau:
 
     def __init__(
         self,
-        rows: Sequence[Sequence[Fraction]],
-        rhs: Sequence[Fraction],
+        rows: Sequence[Sequence[Fraction | int]],
+        rhs: Sequence[Fraction | int],
         dim: int,
-        objective: Sequence[Fraction] | None = None,
+        objective: Sequence[Fraction | int] | None = None,
     ):
         count = len(rows)
         entries = [v for row in rows for v in row] + list(rhs) + list(objective or ())
         scale = math.lcm(*(v.denominator for v in entries))
         # row r: [rhs | x_0 .. x_{dim-1} | slack_0 .. slack_{count-1}]
         self.rows = [
-            [int(b * scale)] + [int(v * scale) for v in row] + [int(k == r) for k in range(count)]
+            [b.numerator * (scale // b.denominator)]
+            + [v.numerator * (scale // v.denominator) for v in row]
+            + [int(k == r) for k in range(count)]
             for r, (row, b) in enumerate(zip(rows, rhs))
         ]
         if objective is not None:
-            self.rows.append([0] + [-int(v * scale) for v in objective] + [0] * count)
+            self.rows.append([0] + [-v.numerator * (scale // v.denominator) for v in objective] + [0] * count)
         self.count = count
         self.scale = scale
         self.basis = list(range(dim, dim + count))

@@ -187,9 +187,10 @@ def survival_threshold(
     """Bisect the cost at which the component's payoffs stop being supported.
 
     Scans the halving grid from C_MAX down for a surviving/failing pair
-    first. A component that survives the whole grid (monitoring may simply be
-    worthless) is reported with an open bracket; one that never survives
-    raises NoSurvivalError with the grid records attached.
+    first, stopping at the first surviving cost. A component that survives at
+    C_MAX itself (monitoring may simply be worthless) is reported with an open
+    bracket after that one evaluation; one that never survives raises
+    NoSurvivalError with the grid records attached.
     """
     if bracket_tolerance <= 0:
         raise ValueError(f"bracket tolerance must be positive, got {bracket_tolerance}")

@@ -1,10 +1,11 @@
 """Shared test utilities: random game generation and independent oracles.
 
 Two oracles cross-check equilibria: a brute-force support enumeration built on
-sympy (deliberately not the package's own linear algebra), and the exhaustive
-basis search that `equilibrium._polytope_vertices` replaced. A Fraction
-two-phase simplex, the LP engine that `linalg.Tableau` replaced, is the oracle
-for `linalg.linf_distance_to_hull`."""
+sympy (deliberately not the package's own linear algebra), and a `Fraction`
+enumerator on the exhaustive basis search that `equilibrium._polytope_vertices`
+replaced, which shifts the payoffs, crosses label sets and prices each pair in
+`Fraction`s. A Fraction two-phase simplex, the LP engine that `linalg.Tableau`
+replaced, is the oracle for `linalg.linf_distance_to_hull`."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from fractions import Fraction
 import sympy
 
 from sigsolve.catalog import random_bimatrix
-from sigsolve.equilibrium import enumerate_extreme_equilibria
+from sigsolve.equilibrium import EquilibriumSet, MixedEquilibrium, _priced, enumerate_extreme_equilibria
+from sigsolve.game import SignalingGame
+from sigsolve.indices import _positive_shift
 from sigsolve.normalform import BimatrixGame
 
 F = Fraction
@@ -67,6 +70,25 @@ def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):
             continue
         produced += 1
         yield gamma, result
+
+
+def message_blind_receiver_game():
+    """One type only, so the receiver's best reply never depends on the
+    message: monitoring is worthless and the base equilibrium replicates at
+    every cost through the never-monitor strategy."""
+    payoff = {
+        ("t", "m1", "good"): (F(2), F(1)),
+        ("t", "m1", "bad"): (F(2), F(0)),
+        ("t", "m2", "good"): (F(1), F(1)),
+        ("t", "m2", "bad"): (F(1), F(0)),
+    }
+    return SignalingGame(
+        types=("t",),
+        messages=("m1", "m2"),
+        actions=("good", "bad"),
+        prior={"t": F(1)},
+        payoff=payoff,
+    )
 
 
 def _to_sympy(value: Fraction):
@@ -181,6 +203,33 @@ def exhaustive_polytope_vertices(rows, dim, sides):
                     vertices[tuple(point)] = frozenset(zeros + tight)
     return vertices
 
+
+def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
+    """`equilibrium.enumerate_extreme_equilibria` over Fractions.
+
+    Shift each payoff matrix so its least entry is 1, take every labeled vertex
+    of both best-response polytopes from the exhaustive basis search, and
+    keep the pairs whose label sets together cover all m + n strategies.
+    """
+    m, n = gamma.shape
+    receiver = _positive_shift(gamma.receiver_matrix())
+    sender = _positive_shift(gamma.sender_matrix())
+    p_rows = [[sender[i][j] for i in range(m)] for j in range(n)]
+    q_rows = [[receiver[i][j] for j in range(n)] for i in range(m)]
+    p_vertices = exhaustive_polytope_vertices(p_rows, m, ("row", "col"))
+    q_vertices = exhaustive_polytope_vertices(q_rows, n, ("col", "row"))
+    degenerate = any(len(labels) > m for labels in p_vertices.values()) or any(
+        len(labels) > n for labels in q_vertices.values()
+    )
+    found = {}
+    for x, lx in p_vertices.items():
+        for y, ly in q_vertices.items():
+            if any(x) and any(y) and len(lx | ly) == m + n:
+                row_mix = tuple(v / sum(x) for v in x)
+                col_mix = tuple(v / sum(y) for v in y)
+                found[(row_mix, col_mix)] = _priced(gamma, row_mix, col_mix)
+    ordered = tuple(sorted(found.values(), key=MixedEquilibrium.sort_key))
+    return EquilibriumSet(equilibria=ordered, degenerate=degenerate)
 
 
 class InfeasibleProgram(ValueError):

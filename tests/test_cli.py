@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import message_blind_receiver_game
+
 from sigsolve import cli, indices, sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT
 from sigsolve.equilibrium import EquilibriumSet
@@ -216,6 +218,16 @@ def test_threshold_command_reports_quiche_failure(beerquiche_file):
     result = run_command(["threshold", beerquiche_file, "--component", "C1"])
     assert result.status == 1
     assert "survives at no sampled cost" in result.text
+
+
+def test_threshold_command_claims_only_the_cost_it_checked(tmp_path):
+    # the first grid cost C_MAX already survives, so no smaller cost is evaluated
+    path = tmp_path / "blind.sg"
+    path.write_text(serialize_game(message_blind_receiver_game()))
+    result = run_command(["threshold", str(path), "--component", "C0"])
+    assert result.status == 0
+    assert result.text == "survives at c = 1/4, the largest grid cost; smaller costs were not checked"
+    assert result.summary == {"last_surviving": "1/4", "first_failing": None}
 
 
 def test_theorem_command(beerquiche_file):

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["scripts/random_game_audit.py", "--games", "5"],
         ["scripts/beerquiche_pipeline.py", "--help"],
+        ["scripts/bench.py", "--help"],
         # the benchmark's tracer contract: exact call counts through every binding
         ["perfbench/selftest.py"],
     ],

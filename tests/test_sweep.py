@@ -2,10 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import message_blind_receiver_game
+
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
 from sigsolve.cli import render_label
-from sigsolve.game import SignalingGame
 from sigsolve.sweep import (
     NoSurvivalError,
     SweepConfig,
@@ -109,25 +110,6 @@ def test_quiche_component_never_survives(game):
     with pytest.raises(NoSurvivalError) as err:
         survival_threshold(game, QUICHE)
     assert all(not record.found for record in err.value.records)
-
-
-def message_blind_receiver_game():
-    """One type only, so the receiver's best reply never depends on the
-    message: monitoring is worthless and the base equilibrium replicates at
-    every cost through the never-monitor strategy."""
-    payoff = {
-        ("t", "m1", "good"): (F(2), F(1)),
-        ("t", "m1", "bad"): (F(2), F(0)),
-        ("t", "m2", "good"): (F(1), F(1)),
-        ("t", "m2", "bad"): (F(1), F(0)),
-    }
-    return SignalingGame(
-        types=("t",),
-        messages=("m1", "m2"),
-        actions=("good", "bad"),
-        prior={"t": F(1)},
-        payoff=payoff,
-    )
 
 
 def test_message_blind_receiver_survives_every_cost():

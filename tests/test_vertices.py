@@ -2,8 +2,9 @@
 
 Every polytope that `enumerate_extreme_equilibria` builds must get the same
 {vertex: labels} map from both, and the whole `EquilibriumSet` must print the
-same. Small payoff ranges and monitored forms make most of these polytopes
-degenerate, which is where a pivoting walk can lose vertices.
+same as the `Fraction` reference enumerator's. Small payoff ranges and
+monitored forms make most of these polytopes degenerate, which is where a
+pivoting walk can lose vertices and an exact label match can lose pairs.
 """
 
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import exhaustive_polytope_vertices
+from helpers import exhaustive_polytope_vertices, reference_extreme_equilibria
 
 from sigsolve import equilibrium
 from sigsolve.catalog import beer_quiche, random_bimatrix
@@ -27,6 +28,24 @@ def random_games(seed):
         high = rng.choice((2, 3, 4, 1000))
         cells = tuple(
             tuple((F(rng.randrange(high)), F(rng.randrange(high))) for _ in range(cols)) for _ in range(rows)
+        )
+        yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
+
+
+def rational_games(seed):
+    """Non-square games with negative payoffs over mixed denominators."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        while rows == cols:
+            cols = rng.randint(1, 5)
+        high = rng.choice((2, 3, 1000))
+        cells = tuple(
+            tuple(
+                tuple(F(rng.randrange(-high, high), rng.choice((1, 3, 7, 10))) for _ in range(2))
+                for _ in range(cols)
+            )
+            for _ in range(rows)
         )
         yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
 
@@ -65,20 +84,31 @@ def perturbed_forms(seed):
             yield _perturbed_game(gamma, rng)
 
 
+def as_points(vertices, dim):
+    """The walk's {(den, *nums): label bits} as {Fraction point: label set}."""
+    return {
+        tuple(F(x, key[0]) for x in key[1:]): frozenset(
+            ("zero", v) if v < dim else ("tight", v - dim) for v in range(mask.bit_length()) if mask >> v & 1
+        )
+        for key, mask in vertices.items()
+    }
+
+
 @pytest.mark.parametrize(
     "family, seed",
-    [(random_games, 11), (random_games, 19), (monitored_forms, 23), (perturbed_forms, 29)],
+    [(random_games, 11), (random_games, 19), (rational_games, 17), (monitored_forms, 23), (perturbed_forms, 29)],
 )
 def test_pivoting_matches_exhaustive_search(family, seed, monkeypatch):
     pivoting = equilibrium._polytope_vertices
     for gamma in family(seed):
 
-        def compared(rows, dim, sides):
-            expected = exhaustive_polytope_vertices(rows, dim, sides)
-            assert pivoting(rows, dim, sides) == expected, (gamma, sides)
-            return expected
+        def compared(rows, dim):
+            vertices = pivoting(rows, dim)
+            expected = exhaustive_polytope_vertices([[F(v) for v in row] for row in rows], dim, ("zero", "tight"))
+            assert as_points(vertices, dim) == expected, gamma
+            return vertices
 
         monkeypatch.setattr(equilibrium, "_polytope_vertices", compared)
-        expected = equilibrium.enumerate_extreme_equilibria(gamma)
+        found = equilibrium.enumerate_extreme_equilibria(gamma)
         monkeypatch.setattr(equilibrium, "_polytope_vertices", pivoting)
-        assert repr(equilibrium.enumerate_extreme_equilibria(gamma)) == repr(expected), gamma
+        assert repr(found) == repr(reference_extreme_equilibria(gamma)), gamma
