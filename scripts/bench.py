@@ -46,16 +46,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=seconds + 600)
+    try:
+        done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=seconds + 600)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no result within {seconds + 600} s"}
     lines = done.stdout.splitlines()
-    if done.returncode != 0 or len(lines) < 2:
-        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
-    detail = json.loads(lines[-2])["detail"]
-    return {
-        "result": json.loads(lines[-1]),
-        "environment": detail["environment"],
-        "calibration_s": detail["calibration_s"],
-    }
+    try:
+        if done.returncode != 0:
+            raise ValueError(f"exit {done.returncode}")
+        detail = json.loads(lines[-2])["detail"]
+        return {
+            "result": json.loads(lines[-1]),
+            "environment": detail["environment"],
+            "calibration_s": detail["calibration_s"],
+        }
+    except (ValueError, IndexError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+        return {"error": f"{exc}: {done.stderr.strip()[-500:]}"}
 
 
 def spread(values: list[float]) -> dict:
