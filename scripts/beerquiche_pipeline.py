@@ -21,6 +21,7 @@ from sigsolve.normalform import (
     reduce_normal_form,
     reduced_sgcm_at_zero,
 )
+from sigsolve.rational import parse_rational
 from sigsolve.sweep import (
     SweepConfig,
     component_ids,
@@ -37,14 +38,17 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=PerturbationConfig().seed)
     parser.add_argument("--cost", default="1/20", help="showcase cost for the reduced table")
     args = parser.parse_args()
+    game = beer_quiche()
+    try:
+        reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, parse_rational(args.cost)))
+    except ValueError as exc:
+        parser.error(f"--cost: {exc}")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"--out-dir {args.out_dir}: {exc.strerror}")
 
-    game = beer_quiche()
-    cost = Fraction(args.cost)
     cfg = PerturbationConfig(seed=args.seed)
 
     print("== base normal form ==")
@@ -52,7 +56,6 @@ def main() -> None:
     print(render_table(gamma, classic=True))
 
     print(f"\n== reduced monitored form at c={args.cost} ==")
-    reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, cost))
     print(render_table(reduced, classic=True, symbolic=True))
 
     print("\n== components of the base game ==")

@@ -103,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    except OSError as exc:
+        parser.error(f"{args.parent}: cannot read BENCHMARK.json: {exc.strerror}")
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]

@@ -21,6 +21,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-size", type=int, default=4)
     args = parser.parse_args()
+    if args.max_size < 2:
+        parser.error(f"--max-size {args.max_size}: games need at least 2 strategies a side")
 
     rng = random.Random(args.seed)
     audited = 0

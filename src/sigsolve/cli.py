@@ -343,7 +343,7 @@ def _cmd_solve(args) -> CommandResult:
             f" | payoffs ({eq.payoffs[0]}, {eq.payoffs[1]})"
         )
     if args.components or args.index:
-        components = group_components(maximal_nash_subsets(gamma, equilibria), gamma)
+        components = group_components(maximal_nash_subsets(equilibria), gamma)
         ids = component_ids(components)
         summary["components"] = len(components)
         cfg = PerturbationConfig(seed=args.seed)

@@ -10,8 +10,14 @@ bit mask of its zero coordinates and tight constraints, and keeps the vertex
 pairs whose masks cover every pure strategy; only those become `Fraction`s.
 This captures degenerate games too: the extreme points of every equilibrium
 segment are themselves vertex pairs.
-Maximal Nash subsets come from intersecting the extreme row mixes' sets of
-compatible col mixes, with each pair checked at most once.
+
+The extreme equilibria are the edges of a bipartite graph between extreme
+row mixes and extreme col mixes (Avis, Rosenberg, Savani & von Stengel 2010,
+"Enumeration of Nash equilibria for two-player games", Economic Theory 42).
+Its maximal bicliques are the maximal Nash subsets, and its connected
+components are the components of equilibria. The label match is the only
+test of which pairs are equilibria: a Nash pair of extreme mixes is a
+completely labeled vertex pair, so the enumeration already holds it.
 """
 
 from __future__ import annotations
@@ -204,14 +210,6 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
             entering, tableau.rows, tableau.basis, tableau.det, basic = path.pop()
 
 
-def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
-    """The mix pair with its expected (sender, receiver) payoffs in `gamma`."""
-    m, n = gamma.shape
-    u1 = sum(row_mix[i] * col_mix[j] * gamma.sender_payoff(i, j) for i in range(m) for j in range(n))
-    u2 = sum(row_mix[i] * col_mix[j] * gamma.receiver_payoff(i, j) for i in range(m) for j in range(n))
-    return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
-
-
 def _bilinear(matrix: list[list[int]], x: tuple[int, ...], y: tuple[int, ...]) -> int:
     """x . matrix . y over the supports of x and y."""
     return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
@@ -273,64 +271,56 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     return EquilibriumSet(equilibria=tuple(found), degenerate=degenerate)
 
 
-def maximal_nash_subsets(gamma: BimatrixGame, extremes: EquilibriumSet | tuple) -> tuple[NashSubset, ...]:
+def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:
     """Maximal products X x Y of extreme mixes whose every pair is an equilibrium.
 
-    These are the maximal bicliques of the compatibility graph between extreme
-    row mixes and extreme col mixes. Their col sides are exactly the nonempty
-    intersections of the rows' neighborhoods, built one row at a time as in
-    the clique step of lrsnash; each side's rows are the rows whose
+    These are the maximal bicliques of the graph whose edges are the extreme
+    equilibria (Avis et al. 2010). A row mix's neighborhood is the set of col
+    mixes it is enumerated with; the col sides are exactly the nonempty
+    intersections of those neighborhoods, built one row at a time as in the
+    clique step of lrsnash, and each side's rows are the rows whose
     neighborhood contains it.
     """
     known = {(eq.row_mix, eq.col_mix): eq for eq in extremes}
-    row_mixes = sorted({x for x, _ in known})
-    col_mixes = sorted({y for _, y in known})
-    fits = {
-        x: frozenset(y for y in col_mixes if (x, y) in known or is_equilibrium(gamma, (x, y)).ok)
-        for x in row_mixes
-    }
+    neighbors: dict[Mix, set[Mix]] = {}
+    for x, y in known:
+        neighbors.setdefault(x, set()).add(y)
+    row_mixes = sorted(neighbors)
     col_sides: set[frozenset] = set()
     for x in row_mixes:
-        col_sides |= {side & fits[x] for side in col_sides} | {fits[x]}
+        col_sides |= {side & neighbors[x] for side in col_sides} | {frozenset(neighbors[x])}
     bicliques = sorted(
-        (tuple(x for x in row_mixes if side <= fits[x]), tuple(sorted(side))) for side in col_sides if side
+        (tuple(x for x in row_mixes if side <= neighbors[x]), tuple(sorted(side))) for side in col_sides if side
     )
     # rows and cols are sorted, so their product comes out in sort_key order
     return tuple(
-        NashSubset(
-            row_face=rows,
-            col_face=cols,
-            extremes=tuple(known.get((x, y)) or _priced(gamma, x, y) for x in rows for y in cols),
-        )
+        NashSubset(row_face=rows, col_face=cols, extremes=tuple(known[(x, y)] for x in rows for y in cols))
         for rows, cols in bicliques
     )
 
 
 def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame) -> tuple[Component, ...]:
-    """Connected components of the subset graph.
+    """Connected components of the graph whose edges are the extreme equilibria.
 
-    Two subsets are adjacent when their products intersect, i.e. they share an
-    extreme mix on both coordinates.
+    A union-find over the row and col mixes joins the two ends of every
+    extreme; each subset then belongs to the component of its mixes, and the
+    components keep the subsets in their given order.
     """
-    count = len(subsets)
-    parent = list(range(count))
+    parent: dict[tuple[int, Mix], tuple[int, Mix]] = {}  # row mix x is node (0, x), col mix y is (1, y)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            share_rows = set(subsets[i].row_face) & set(subsets[j].row_face)
-            share_cols = set(subsets[i].col_face) & set(subsets[j].col_face)
-            if share_rows and share_cols:
-                parent[find(i)] = find(j)
+    for subset in subsets:
+        for eq in subset.extremes:
+            parent[find((0, eq.row_mix))] = find((1, eq.col_mix))
 
-    grouped: dict[int, list[NashSubset]] = {}
-    for i, subset in enumerate(subsets):
-        grouped.setdefault(find(i), []).append(subset)
+    grouped: dict[tuple[int, Mix], list[NashSubset]] = {}
+    for subset in subsets:
+        grouped.setdefault(find((0, subset.row_face[0])), []).append(subset)
     components = []
     for members in grouped.values():
         extremes: dict[tuple[Mix, Mix], MixedEquilibrium] = {}
@@ -352,9 +342,7 @@ def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame) -> tu
 
 def solve_components(gamma: BimatrixGame) -> tuple[Component, ...]:
     """Enumerate, group into maximal Nash subsets, and connect into components."""
-    extremes = enumerate_extreme_equilibria(gamma)
-    subsets = maximal_nash_subsets(gamma, extremes)
-    return group_components(subsets, gamma)
+    return group_components(maximal_nash_subsets(enumerate_extreme_equilibria(gamma)), gamma)
 
 
 def _collapse_to_strategies(labels, mix) -> dict:

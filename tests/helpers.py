@@ -16,7 +16,7 @@ from fractions import Fraction
 import sympy
 
 from sigsolve.catalog import random_bimatrix
-from sigsolve.equilibrium import EquilibriumSet, MixedEquilibrium, _priced, enumerate_extreme_equilibria
+from sigsolve.equilibrium import EquilibriumSet, Mix, MixedEquilibrium, enumerate_extreme_equilibria
 from sigsolve.game import SignalingGame
 from sigsolve.indices import _positive_shift
 from sigsolve.normalform import BimatrixGame
@@ -202,6 +202,14 @@ def exhaustive_polytope_vertices(rows, dim, sides):
                     zeros = [(zero_side, i) for i, v in enumerate(point) if v == 0]
                     vertices[tuple(point)] = frozenset(zeros + tight)
     return vertices
+
+
+def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
+    """The mix pair with its expected (sender, receiver) payoffs in `gamma`."""
+    m, n = gamma.shape
+    u1 = sum(row_mix[i] * col_mix[j] * gamma.sender_payoff(i, j) for i in range(m) for j in range(n))
+    u2 = sum(row_mix[i] * col_mix[j] * gamma.receiver_payoff(i, j) for i in range(m) for j in range(n))
+    return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
 
 
 def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:

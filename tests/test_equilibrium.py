@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from sigsolve.catalog import coordination_2x2, matching_pennies
 from sigsolve.cli import render_label
 from sigsolve.equilibrium import (
+    MixedEquilibrium,
     component_outcome,
     enumerate_extreme_equilibria,
     is_equilibrium,
@@ -108,7 +109,7 @@ def test_every_enumerated_equilibrium_verifies(beerquiche):
 
 def test_beer_quiche_has_two_maximal_subsets(beerquiche):
     gamma = build_normal_form(beerquiche)
-    subsets = maximal_nash_subsets(gamma, enumerate_extreme_equilibria(gamma))
+    subsets = maximal_nash_subsets(enumerate_extreme_equilibria(gamma))
     assert len(subsets) == 2
     for subset in subsets:
         assert len(subset.col_face) == 1
@@ -117,7 +118,7 @@ def test_beer_quiche_has_two_maximal_subsets(beerquiche):
 
 def test_matching_pennies_single_singleton_subset():
     gamma = matching_pennies()
-    subsets = maximal_nash_subsets(gamma, enumerate_extreme_equilibria(gamma))
+    subsets = maximal_nash_subsets(enumerate_extreme_equilibria(gamma))
     assert len(subsets) == 1
     assert len(subsets[0].row_face) == len(subsets[0].col_face) == 1
 
@@ -129,7 +130,7 @@ def test_two_disjoint_strict_equilibria_give_two_subsets():
     )
     gamma = BimatrixGame(("u", "d"), ("l", "r"), cells)
     eqs = enumerate_extreme_equilibria(gamma)
-    subsets = maximal_nash_subsets(gamma, eqs)
+    subsets = maximal_nash_subsets(eqs)
     singletons = [s for s in subsets if len(s.row_face) == len(s.col_face) == 1]
     pure = {s.extremes[0].row_mix for s in singletons}
     assert {(F(1), F(0)), (F(0), F(1))} <= pure
@@ -138,7 +139,7 @@ def test_two_disjoint_strict_equilibria_give_two_subsets():
 def test_subsets_cover_extremes_and_components_partition_subsets(beerquiche):
     for gamma in (build_normal_form(beerquiche), coordination_2x2()):
         extremes = enumerate_extreme_equilibria(gamma)
-        subsets = maximal_nash_subsets(gamma, extremes)
+        subsets = maximal_nash_subsets(extremes)
         covered = {
             (eq.row_mix, eq.col_mix) for subset in subsets for eq in subset.extremes
         }
@@ -161,7 +162,7 @@ def test_nash_subsets_match_their_definition_on_degenerate_games():
         gamma = BimatrixGame(tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols)), cells)
         extremes = enumerate_extreme_equilibria(gamma)
         degenerate += extremes.degenerate
-        subsets = maximal_nash_subsets(gamma, extremes)
+        subsets = maximal_nash_subsets(extremes)
         row_mixes = {eq.row_mix for eq in extremes}
         col_mixes = {eq.col_mix for eq in extremes}
 
@@ -185,6 +186,21 @@ def test_nash_subsets_match_their_definition_on_degenerate_games():
                 if cols:
                     rows = tuple(x for x in sorted(row_mixes) if all(fits(x, y) for y in cols))
                     assert (rows, cols) in faces
+        # two extremes share a component exactly when pairs that is_equilibrium
+        # accepts join them: each component's row mixes are one closed class
+        accepted = {(x, y) for x in row_mixes for y in col_mixes if fits(x, y)}
+        components = solve_components(gamma)
+        in_components = [eq for component in components for eq in component.extremes]
+        assert sorted(in_components, key=MixedEquilibrium.sort_key) == list(extremes)
+        for component in components:
+            rows = {eq.row_mix for eq in component.extremes[:1]}
+            while True:
+                cols = {y for x, y in accepted if x in rows}
+                joined = {x for x, y in accepted if y in cols}
+                if joined == rows:
+                    break
+                rows = joined
+            assert rows == {eq.row_mix for eq in component.extremes}
     assert degenerate >= 20
 
 

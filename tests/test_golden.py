@@ -22,11 +22,13 @@ CASES = {
     "sgcm_zero_reduce_symbolic": ["sgcm", "--cost", "0", "--reduce", "--symbolic"],
     "solve_components": ["solve", "--components"],
     "solve_cost_components": ["solve", "--cost", "1/20", "--components"],
+    # index lines read each component's Nash-subset faces through the hull LPs
+    "solve_components_index": ["solve", "--components", "--index"],
     "sweep": ["sweep", "--component", "C0", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
     "theorem": ["theorem", "--component", "C0", "--epsilon", "1/20"],
     "threshold": ["threshold", "--component", "C0"],
 }
-SOLVE_CASES = ("solve_components", "solve_cost_components")
+SOLVE_CASES = ("solve_components", "solve_cost_components", "solve_components_index")
 # expected exit status per fixture and case
 FIXTURES = {
     "beerquiche": dict.fromkeys(CASES, 0),
@@ -57,3 +59,4 @@ def test_cli_output_matches_golden(fixture, case, tmp_path, monkeypatch):
     if case == "sweep":
         csv_text = (tmp_path / "sweep.csv").read_bytes()
         assert csv_text == (GOLDEN / f"{fixture}.sweep.csv").read_bytes()
+

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize(
@@ -41,9 +42,36 @@ def test_pipeline_rejects_out_dir_that_is_a_file(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def run_script(argv):
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["scripts/random_game_audit.py", "--max-size", "1"], "--max-size"),
+        (["scripts/beerquiche_pipeline.py", "--cost", "abc"], "--cost"),
+        (["scripts/beerquiche_pipeline.py", "--cost", "-1"], "--cost"),
+        # the tests directory holds no BENCHMARK.json
+        (["scripts/bench.py", "tests", ".", "--seeds", "1", "--out", "unused.json"], "BENCHMARK.json"),
+    ],
+)
+def test_script_rejects_bad_arguments_with_usage_error(argv, option):
+    result = run_script(argv)
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert option in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_beerquiche_pipeline_matches_golden(tmp_path):
+    """Stdout and sweep.csv of a run in a fresh directory with the default
+    --out-dir; this pins `duplicate_containment_check` on the zero-cost form,
+    whose components carry duplicated receiver classes."""
+    result = run_script([str(ROOT / "scripts/beerquiche_pipeline.py")], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "beerquiche_pipeline.stdout.txt").read_text(encoding="utf-8")
+    assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "beerquiche_pipeline.sweep.csv").read_bytes()
+
+
+def run_script(argv, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
