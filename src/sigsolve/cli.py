@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,14 +388,14 @@ def _cmd_sweep(args) -> CommandResult:
         steps=args.steps,
         base_component_id=args.component,
     )
+    expected = parse_rational(args.check_coefficient) if args.check_coefficient is not None else None
     records = cost_sweep(game, cfg)
     write_sweep_csv(records, args.out, classic)
     lines = [f"wrote {len(records)} records to {args.out}"]
     scaling = distance_scaling(records)
     if scaling is not None:
         lines.append(f"distance scaling: squared_distance = {scaling} * c^2")
-        if args.check_coefficient is not None:
-            expected = parse_rational(args.check_coefficient)
+        if expected is not None:
             if scaling == expected:
                 lines.append(f"scaling coefficient matches {expected}")
             else:
@@ -547,7 +548,11 @@ def run_command(argv: list[str]) -> CommandResult:
 def main(argv: list[str] | None = None) -> int:
     result = run_command(sys.argv[1:] if argv is None else argv)
     if result.text:
-        print(result.text)
+        try:
+            print(result.text, flush=True)
+        except BrokenPipeError:  # the reader left (`| head`); the exit flush must not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return result.status
 
 

@@ -142,10 +142,13 @@ def is_equilibrium(gamma: BimatrixGame, profile: tuple[Mix, Mix]) -> Equilibrium
     return EquilibriumCheck(ok=not deviations, deviations=tuple(deviations))
 
 
-def _integer_matrix(matrix: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """The matrix times the common denominator of its entries, and that denominator."""
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in matrix], scale
+def _integer_payoffs(gamma: BimatrixGame, player: int) -> tuple[list[list[int]], int, int]:
+    """One player's payoffs (0 sender, 1 receiver) times their common
+    denominator, that denominator, and the shift that lifts each to >= 1."""
+    payoffs = [[cell[player] for cell in row] for row in gamma.cells]
+    scale = math.lcm(*(v.denominator for row in payoffs for v in row))
+    matrix = [[v.numerator * (scale // v.denominator) for v in row] for row in payoffs]
+    return matrix, scale, 1 - min(min(row) for row in matrix)
 
 
 def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...], int]:
@@ -230,10 +233,8 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     mix totals and the payoff denominator.
     """
     m, n = gamma.shape
-    receiver, receiver_scale = _integer_matrix(gamma.receiver_matrix())  # row player payoffs A
-    sender, sender_scale = _integer_matrix(gamma.sender_matrix())  # col player payoffs B
-    a_shift = 1 - min(min(row) for row in receiver)
-    b_shift = 1 - min(min(row) for row in sender)
+    receiver, receiver_scale, a_shift = _integer_payoffs(gamma, 1)  # row player payoffs A
+    sender, sender_scale, b_shift = _integer_payoffs(gamma, 0)  # col player payoffs B
 
     # P = {x >= 0, B^T x <= 1} in R^m: bit i says row i is at zero, bit m + j that col j is tight
     p_rows = [[sender[i][j] + b_shift for i in range(m)] for j in range(n)]

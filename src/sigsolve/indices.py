@@ -1,9 +1,10 @@
 """Equilibrium and component indices.
 
 Regular equilibria get the determinant index: the sign of the product of the
-two support-restricted payoff determinants (payoffs shifted positive), times
-(-1)^(k+1) for support size k. The sign convention makes every pure strict
-equilibrium +1 and the indices of a nondegenerate game sum to +1.
+two support-restricted payoff determinants, read on the enumerator's integer
+payoffs shifted to at least 1, times (-1)^(k+1) for support size k. The sign
+convention makes every pure strict equilibrium +1 and the indices of a
+nondegenerate game sum to +1.
 
 Components get a sampling index by one fixed procedure: in each of 20
 replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
@@ -26,6 +27,7 @@ from typing import ClassVar
 from .equilibrium import (
     Component,
     MixedEquilibrium,
+    _integer_payoffs,
     enumerate_extreme_equilibria,
     solve_components,
 )
@@ -95,17 +97,14 @@ class ContainmentReport:
     ok: bool
 
 
-def _positive_shift(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    low = min(min(row) for row in matrix)
-    shift = ONE - low
-    return [[v + shift for v in row] for row in matrix]
-
-
 def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
     """Determinant index of a regular equilibrium.
 
     Regularity is enforced: equal support sizes, best-response sets equal to
-    the supports, and nonsingular support-restricted payoff blocks.
+    the supports, and nonsingular support-restricted payoff blocks, all on
+    the enumerator's `_integer_payoffs`. Scaling keeps the best responses;
+    at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so no positive
+    shift s changes a sign or makes a block singular (Shapley 1974).
     """
     m, n = gamma.shape
     rows = [i for i in range(m) if eq.row_mix[i] > 0]
@@ -114,18 +113,16 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
         raise DegenerateEquilibriumError(
             f"support sizes differ ({len(rows)} rows vs {len(cols)} cols); use component_index"
         )
-    receiver = gamma.receiver_matrix()
-    sender = gamma.sender_matrix()
+    receiver, _, a_shift = _integer_payoffs(gamma, 1)
+    sender, _, b_shift = _integer_payoffs(gamma, 0)
     row_values = [sum(receiver[i][j] * eq.col_mix[j] for j in range(n)) for i in range(m)]
     col_values = [sum(sender[i][j] * eq.row_mix[i] for i in range(m)) for j in range(n)]
     if set(rows) != {i for i in range(m) if row_values[i] == max(row_values)}:
         raise DegenerateEquilibriumError("row best responses extend beyond the support")
     if set(cols) != {j for j in range(n) if col_values[j] == max(col_values)}:
         raise DegenerateEquilibriumError("col best responses extend beyond the support")
-    rec_pos = _positive_shift(receiver)
-    sen_pos = _positive_shift(sender)
-    det_receiver = determinant([[rec_pos[i][j] for j in cols] for i in rows])
-    det_sender = determinant([[sen_pos[i][j] for j in cols] for i in rows])
+    det_receiver = determinant([[receiver[i][j] + a_shift for j in cols] for i in rows])
+    det_sender = determinant([[sender[i][j] + b_shift for j in cols] for i in rows])
     if det_receiver == 0 or det_sender == 0:
         raise DegenerateEquilibriumError("singular support-restricted payoff block")
     sign = 1 if det_receiver * det_sender > 0 else -1

@@ -2,6 +2,9 @@
 reduction by strategic equivalence, the zero-cost embedding, and the core
 left by removing strictly dominated pure strategies.
 
+Only `with_cost` applies the monitoring cost, so a monitored form is built
+once and repriced at every other cost.
+
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
 payoff).
@@ -41,12 +44,6 @@ class BimatrixGame:
 
     def receiver_payoff(self, row: int, col: int) -> Fraction:
         return self.cells[row][col][1]
-
-    def sender_matrix(self) -> list[list[Fraction]]:
-        return [[cell[0] for cell in row] for row in self.cells]
-
-    def receiver_matrix(self) -> list[list[Fraction]]:
-        return [[cell[1] for cell in row] for row in self.cells]
 
 
 @dataclass(frozen=True)
@@ -118,24 +115,20 @@ def deep_representative(label: object) -> object:
     return label
 
 
-def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple, cost: Fraction) -> tuple:
-    """Expected payoffs, receiver rows by sender columns.
-
-    A receiver strategy monitors after every message or after none, so the
-    bit of any reply tells whether its row pays `cost`.
-    """
+def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
+    """Expected payoffs before any monitoring cost, receiver rows by sender
+    columns; a monitored receiver strategy is priced by the actions it takes."""
     cells = []
     for s2 in receivers:
-        replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
+        replies = {m: s2.reply(i)[1] for i, m in enumerate(game.messages)}
         row = []
         for s1 in senders:
             u1 = u2 = ZERO
             for t, m in zip(game.types, s1.messages):
-                bit, a = replies[m]
-                p1, p2 = game.payoff[(t, m, a)]
+                p1, p2 = game.payoff[(t, m, replies[m])]
                 u1 += game.prior[t] * p1
                 u2 += game.prior[t] * p2
-            row.append((u1, u2 - cost * bit))
+            row.append((u1, u2))
         cells.append(tuple(row))
     return tuple(cells)
 
@@ -143,22 +136,21 @@ def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple, cost: F
 def build_normal_form(game: SignalingGame) -> BimatrixGame:
     """Expected-payoff bimatrix of the base signaling game."""
     senders, receivers = strategy_spaces(game)
-    cells = _payoff_cells(game, senders, receivers, ZERO)
-    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells)
+    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=_payoff_cells(game, senders, receivers))
 
 
 def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
-    """Bimatrix of the monitored game; the receiver pays `cost` on monitoring rows."""
-    if cost < 0:
-        raise ValueError(f"monitoring cost must be nonnegative, got {cost}")
+    """Bimatrix of the monitored game: the cost-free form repriced by
+    `with_cost`, so the receiver pays `cost` on monitoring rows."""
     senders, _ = strategy_spaces(game)
     receivers = strategy_spaces_c(game)
-    cells = _payoff_cells(game, senders, receivers, cost)
-    return BimatrixGame(row_labels=receivers, col_labels=senders, cells=cells, cost=cost)
+    free = BimatrixGame(receivers, senders, _payoff_cells(game, senders, receivers), cost=ZERO)
+    return with_cost(free, cost)
 
 
 def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
     """Reprice an SGCM form at a different cost; only monitoring rows change.
+    This is the one place the monitoring cost enters a payoff.
 
     Raises ValueError when a row class mixes monitoring and non-monitoring
     strategies: they were payoff-equal only at the old cost.

@@ -37,6 +37,7 @@ from .normalform import (
     build_sgcm_normal_form,
     monitor_bit,
     reduce_normal_form,
+    with_cost,
 )
 from .rational import sqrt_decimal
 
@@ -115,6 +116,7 @@ class TheoremEvidence:
 @dataclass(frozen=True)
 class BaseContext:
     gamma: BimatrixGame
+    monitored: BimatrixGame  # the monitored form at cost zero, repriced at every cost
     components: tuple[Component, ...]
     component: Component
     outcome: Outcome
@@ -143,6 +145,7 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
         raise ValueError(f"component {component_id} has no constant outcome; the game is not generic")
     return BaseContext(
         gamma=gamma,
+        monitored=build_sgcm_normal_form(game, ZERO),
         components=components,
         component=component,
         outcome=report.outcome,
@@ -151,9 +154,9 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
 
 
 def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
-    """Solve the reduced monitored form at one cost and face it off against
-    the base component's outcome."""
-    reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, cost))
+    """Reprice the base's monitored form at one cost, solve its reduction
+    and face it off against the base component's outcome."""
+    reduced, _ = reduce_normal_form(with_cost(base.monitored, cost))
     equilibria = enumerate_extreme_equilibria(reduced)
     squared, eq = min(
         ((outcome_distance(outcome_of_equilibrium(game, reduced, e), base.outcome), e) for e in equilibria),

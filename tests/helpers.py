@@ -18,7 +18,6 @@ import sympy
 from sigsolve.catalog import random_bimatrix
 from sigsolve.equilibrium import EquilibriumSet, Mix, MixedEquilibrium, enumerate_extreme_equilibria
 from sigsolve.game import SignalingGame
-from sigsolve.indices import _positive_shift
 from sigsolve.normalform import BimatrixGame
 
 F = Fraction
@@ -93,6 +92,26 @@ def message_blind_receiver_game():
 
 def _to_sympy(value: Fraction):
     return sympy.Rational(value.numerator, value.denominator)
+
+
+def positive_payoffs(gamma: BimatrixGame, player: int) -> list[list[Fraction]]:
+    """One player's payoffs (0 sender, 1 receiver) shifted in `Fraction`s so
+    that the least is 1; independent of the package's integer payoffs."""
+    matrix = [[cell[player] for cell in row] for row in gamma.cells]
+    shift = 1 - min(min(row) for row in matrix)
+    return [[v + shift for v in row] for row in matrix]
+
+
+def reference_determinant_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> int:
+    """`indices.equilibrium_index` of a regular equilibrium from sympy
+    determinants of both players' support blocks, shifted by `positive_payoffs`."""
+    rows = [i for i, w in enumerate(eq.row_mix) if w > 0]
+    cols = [j for j, w in enumerate(eq.col_mix) if w > 0]
+    sign = (-1) ** (len(rows) + 1)
+    for player in (0, 1):
+        shifted = positive_payoffs(gamma, player)
+        sign *= int(sympy.sign(sympy.Matrix([[_to_sympy(shifted[i][j]) for j in cols] for i in rows]).det()))
+    return sign
 
 
 def brute_force_equilibria(gamma: BimatrixGame) -> set:
@@ -220,8 +239,8 @@ def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     keep the pairs whose label sets together cover all m + n strategies.
     """
     m, n = gamma.shape
-    receiver = _positive_shift(gamma.receiver_matrix())
-    sender = _positive_shift(gamma.sender_matrix())
+    receiver = positive_payoffs(gamma, 1)
+    sender = positive_payoffs(gamma, 0)
     p_rows = [[sender[i][j] for i in range(m)] for j in range(n)]
     q_rows = [[receiver[i][j] for j in range(n)] for i in range(m)]
     p_vertices = exhaustive_polytope_vertices(p_rows, m, ("row", "col"))

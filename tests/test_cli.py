@@ -1,8 +1,12 @@
 import csv
+import tempfile
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import message_blind_receiver_game
 
@@ -187,6 +191,31 @@ def test_sweep_discrepancy_report(beerquiche_file, tmp_path):
     assert result.summary["scaling_constant"] == "3/2"
 
 
+def test_sweep_rejects_a_bad_coefficient_before_sweeping(beerquiche_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = run_command(
+        [
+            "sweep",
+            beerquiche_file,
+            "--component",
+            "C0",
+            "--cmin",
+            "0",
+            "--cmax",
+            "1/100",
+            "--steps",
+            "3",
+            "--out",
+            str(out),
+            "--check-coefficient",
+            "abc",
+        ]
+    )
+    assert result.status == 1
+    assert "not a rational" in result.text
+    assert not out.exists()
+
+
 def test_empty_record_list_gives_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     write_sweep_csv([], str(out))
@@ -266,3 +295,35 @@ def test_all_degenerate_perturbation_draws_are_a_computation_error(beerquiche_fi
     result = run_command(["solve", beerquiche_file, "--index"])
     assert result.status == 1
     assert result.text == "error: replication 0: all 16 perturbation draws hit degenerate games"
+
+
+@st.composite
+def small_game_files(draw):
+    """Game files with 1-2 types, messages and actions and payoffs in {-1, 0, 1}."""
+    types = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    messages = [f"m{i}" for i in range(draw(st.integers(1, 2)))]
+    actions = [f"a{i}" for i in range(draw(st.integers(1, 2)))]
+    first = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+    priors = [first, 1 - first] if len(types) == 2 else [F(1)]
+    lines = [
+        "types: " + " ".join(f"{t}:{p}" for t, p in zip(types, priors)),
+        "messages: " + " ".join(messages),
+        "actions: " + " ".join(actions),
+        "payoffs:",
+    ]
+    for t in types:
+        for m in messages:
+            for a in actions:
+                u1, u2 = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+                lines.append(f"{t} {m} {a} {u1} {u2}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=small_game_files())
+def test_commands_on_small_games_end_in_a_status(text):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "game.sg"
+        path.write_text(text)
+        for argv in (["solve", str(path), "--components", "--index"], ["threshold", str(path), "--component", "C0"]):
+            assert run_command(argv).status in {0, 1, 2}

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_nondegenerate_games
+from helpers import random_nondegenerate_games, reference_determinant_index
 
 from sigsolve.catalog import coordination_2x2, matching_pennies
 from sigsolve.cli import render_label
@@ -96,8 +97,16 @@ def test_index_sum_check_matching_pennies():
 
 def test_index_sum_on_random_games():
     for gamma, result in random_nondegenerate_games(15, seed=23, max_size=3):
-        total = sum(equilibrium_index(gamma, eq).value for eq in result)
-        assert total == 1
+        values = [equilibrium_index(gamma, eq).value for eq in result]
+        assert sum(values) == 1
+        assert values == [reference_determinant_index(gamma, eq) for eq in result]
+        # a negative offset and a fractional scale keep the equilibria and their indices
+        moved = replace(
+            gamma, cells=tuple(tuple(((u1 - 1000) / 7, (u2 - 1000) / 7) for u1, u2 in row) for row in gamma.cells)
+        )
+        moved_result = enumerate_extreme_equilibria(moved)
+        assert [eq.sort_key() for eq in moved_result] == [eq.sort_key() for eq in result]
+        assert [equilibrium_index(moved, eq).value for eq in moved_result] == values
 
 
 def test_component_index_invariant_under_receiver_payoff_shift(beerquiche):

@@ -69,9 +69,30 @@ def test_beerquiche_pipeline_matches_golden(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "beerquiche_pipeline.sweep.csv").read_bytes()
 
 
-def run_script(argv, cwd=ROOT):
+def test_cli_exits_quietly_when_its_reader_leaves(tmp_path):
+    """`sigsolve solve ... | head -1`: stdout closes before the command prints."""
+    stderr_path = tmp_path / "stderr.txt"
+    with open(stderr_path, "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigsolve.cli", "solve", "games/beerquiche.sg", "--components", "--index"],
+            cwd=ROOT,
+            env=script_env(),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+        )
+        proc.stdout.close()
+        status = proc.wait(timeout=120)
+    assert "Traceback" not in stderr_path.read_text()
+    assert status == 1
+
+
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(argv, cwd=ROOT):
     return subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], cwd=cwd, env=script_env(), capture_output=True, text=True, timeout=120
     )
