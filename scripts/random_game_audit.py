@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Audit the enumeration and index machinery on random bimatrix games.
 
-For each sampled nondegenerate game: every enumerated equilibrium must verify
-exactly, the count must be odd, and the determinant indices must sum to +1.
-Exits nonzero on the first violation.
+For each sampled game: every enumerated equilibrium must verify exactly, the
+count must be odd, and the determinant indices must sum to +1. A draw is
+skipped when its enumeration is `degenerate`, a flag that describes the
+game's strict-dominance core: when the core is nondegenerate, every
+equilibrium is regular in the full game too. Exits nonzero on the first
+violation.
 """
 
 import argparse

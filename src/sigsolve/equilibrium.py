@@ -36,7 +36,7 @@ from .game import (
     project_outcome,
 )
 from .linalg import Tableau
-from .normalform import BimatrixGame, deep_representative
+from .normalform import BimatrixGame, deep_representative, strict_core
 
 ZERO = Fraction(0)
 
@@ -63,7 +63,11 @@ class EquilibriumCheck:
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """Enumeration result; `degenerate` records an overlabeled polytope vertex."""
+    """Enumeration result; `degenerate` records an overlabeled vertex of a
+    best-response polytope of the game's strict-dominance core. At any
+    equilibrium each dominated strategy has weight 0 and is never a best
+    reply, so it adds exactly one label: an equilibrium is as degenerate in
+    the core as in the full game."""
 
     equilibria: tuple[MixedEquilibrium, ...]
     degenerate: bool
@@ -218,23 +222,42 @@ def _bilinear(matrix: list[list[int]], x: tuple[int, ...], y: tuple[int, ...]) -
     return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
 
 
+def _padded(point: tuple[int, ...], kept: list[int], size: int) -> Mix:
+    """The mix point / sum(point) on the kept strategies, 0 on the others."""
+    total = sum(point)
+    mix = [ZERO] * size
+    for i, v in zip(kept, point):
+        mix[i] = Fraction(v, total)
+    return tuple(mix)
+
+
 def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     """All extreme Nash equilibria, exactly, in deterministic order.
 
-    Build the best-response polytopes of both players from the payoffs
-    scaled to integers by their common denominator and shifted positive
-    (neither changes a label or a normalized vertex), enumerate their labeled
-    vertices, and keep the pairs whose labels jointly cover every pure
-    strategy. Normalizing those vertex pairs yields precisely the extreme
-    equilibria. Everything stays in integers until a pair matches: row i is
-    label bit i and col j bit m + j, so a pair matches when the col vertex
-    holds every label the row vertex lacks (a superset test, as degenerate
-    vertices carry extra labels), and its payoffs are integer sums over the
-    mix totals and the payoff denominator.
+    Scale the payoffs to integers by their common denominator and cut the
+    game to its strict-dominance core (`normalform.strict_core`; scaling
+    keeps dominance). Build the best-response polytopes of the core from
+    the payoffs shifted positive (neither changes a label or a normalized
+    vertex), enumerate their labeled vertices, and keep the pairs whose
+    labels jointly cover every pure strategy of the core. Normalized and
+    padded with zeros on the dominated strategies, those vertex pairs are
+    precisely the game's extreme equilibria: no equilibrium plays a
+    dominated strategy, and where none is played, every dominated
+    strategy's constraint is slack, so that face of each full polytope is
+    the core's polytope. Everything stays in integers until a pair matches:
+    row i is label bit i and col j bit m + j, so a pair matches when the col
+    vertex holds every label the row vertex lacks (a superset test, as
+    degenerate vertices carry extra labels), and its payoffs are integer
+    sums over the core, the mix totals and the payoff denominator.
+    `degenerate` describes the core's polytopes (see `EquilibriumSet`).
     """
-    m, n = gamma.shape
+    full_m, full_n = gamma.shape
     receiver, receiver_scale, a_shift = _integer_payoffs(gamma, 1)  # row player payoffs A
     sender, sender_scale, b_shift = _integer_payoffs(gamma, 0)  # col player payoffs B
+    kept_rows, kept_cols = strict_core(receiver, sender)
+    receiver = [[receiver[i][j] for j in kept_cols] for i in kept_rows]
+    sender = [[sender[i][j] for j in kept_cols] for i in kept_rows]
+    m, n = len(kept_rows), len(kept_cols)
 
     # P = {x >= 0, B^T x <= 1} in R^m: bit i says row i is at zero, bit m + j that col j is tight
     p_rows = [[sender[i][j] + b_shift for i in range(m)] for j in range(n)]
@@ -260,8 +283,8 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
                 sx, sy = sum(x), sum(y)
                 found.append(
                     MixedEquilibrium(
-                        row_mix=tuple(Fraction(v, sx) for v in x),
-                        col_mix=tuple(Fraction(v, sy) for v in y),
+                        row_mix=_padded(x, kept_rows, full_m),
+                        col_mix=_padded(y, kept_cols, full_n),
                         payoffs=(
                             Fraction(_bilinear(sender, x, y), sx * sy * sender_scale),
                             Fraction(_bilinear(receiver, x, y), sx * sy * receiver_scale),

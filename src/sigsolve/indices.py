@@ -10,14 +10,15 @@ Components get a sampling index by one fixed procedure: in each of 20
 replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
 [-1/1000, 1/1000], re-enumerate, and sum the determinant indices of the
 perturbed equilibria within max-norm distance 1/20 of the component. A draw
-whose game or nearby equilibria are degenerate is redrawn, up to 16 draws per
-replication. Only the seed is settable. Components with non-zero index are
-essential, so the replication sums agree for small enough perturbations;
-disagreement is reported, never papered over.
+whose strict-dominance core or nearby equilibria are degenerate is redrawn, up
+to 16 draws per replication. Only the seed is settable. Components with
+non-zero index are essential, so the replication sums agree for small enough
+perturbations; disagreement is reported, never papered over.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -97,14 +98,21 @@ class ContainmentReport:
     ok: bool
 
 
+def _integer_mix(mix) -> list[int]:
+    """A mix times the lcm of its denominators."""
+    scale = math.lcm(*(w.denominator for w in mix))
+    return [w.numerator * (scale // w.denominator) for w in mix]
+
+
 def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
     """Determinant index of a regular equilibrium.
 
     Regularity is enforced: equal support sizes, best-response sets equal to
     the supports, and nonsingular support-restricted payoff blocks, all on
-    the enumerator's `_integer_payoffs`. Scaling keeps the best responses;
-    at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so no positive
-    shift s changes a sign or makes a block singular (Shapley 1974).
+    the enumerator's `_integer_payoffs`. Scaling keeps the best responses,
+    so they are compared in integers against each mix times the lcm of its
+    denominators; at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so no
+    positive shift s changes a sign or makes a block singular (Shapley 1974).
     """
     m, n = gamma.shape
     rows = [i for i in range(m) if eq.row_mix[i] > 0]
@@ -115,8 +123,9 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
         )
     receiver, _, a_shift = _integer_payoffs(gamma, 1)
     sender, _, b_shift = _integer_payoffs(gamma, 0)
-    row_values = [sum(receiver[i][j] * eq.col_mix[j] for j in range(n)) for i in range(m)]
-    col_values = [sum(sender[i][j] * eq.row_mix[i] for i in range(m)) for j in range(n)]
+    x, y = _integer_mix(eq.row_mix), _integer_mix(eq.col_mix)
+    row_values = [sum(a * yj for a, yj in zip(row, y) if yj) for row in receiver]
+    col_values = [sum(row[j] * xi for row, xi in zip(sender, x) if xi) for j in range(n)]
     if set(rows) != {i for i in range(m) if row_values[i] == max(row_values)}:
         raise DegenerateEquilibriumError("row best responses extend beyond the support")
     if set(cols) != {j for j in range(n) if col_values[j] == max(col_values)}:

@@ -265,26 +265,37 @@ def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
     return EmbedMap(monitor_to_base=monitor_to_base, duplicate_to_base=duplicate_to_base)
 
 
-def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
-    """The strict-dominance core: drop, round after round, every pure
-    strategy that another surviving pure strategy strictly beats against all
-    surviving opponent strategies, until none is left. No Nash equilibrium
-    plays a strictly dominated strategy, so the core's equilibria, padded
-    with zeros, are the game's."""
-    rows = list(range(len(gamma.row_labels)))
-    cols = list(range(len(gamma.col_labels)))
+def strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
+    """The indices of the rows and cols left by dropping, round after round,
+    every pure strategy that another surviving pure strategy strictly beats
+    against all surviving opponent strategies, until none is left.
+
+    `row_payoffs[r][c]` is the row player's payoff and `col_payoffs[r][c]`
+    the col player's, as ints or Fractions. No Nash equilibrium plays a
+    strictly dominated strategy, so the core's equilibria, padded with zeros,
+    are the game's; and the core does not depend on the order of removal
+    (Gilboa, Kalai & Zemel 1990, Operations Research Letters 9).
+    """
+    rows = list(range(len(row_payoffs)))
+    cols = list(range(len(row_payoffs[0])))
     while True:
         kept_rows = [
-            r for r in rows
-            if not any(all(gamma.receiver_payoff(o, c) > gamma.receiver_payoff(r, c) for c in cols) for o in rows)
+            r for r in rows if not any(all(row_payoffs[o][c] > row_payoffs[r][c] for c in cols) for o in rows)
         ]
         kept_cols = [
-            c for c in cols
-            if not any(all(gamma.sender_payoff(r, o) > gamma.sender_payoff(r, c) for r in rows) for o in cols)
+            c for c in cols if not any(all(col_payoffs[r][o] > col_payoffs[r][c] for r in rows) for o in cols)
         ]
         if (kept_rows, kept_cols) == (rows, cols):
-            break
+            return rows, cols
         rows, cols = kept_rows, kept_cols
+
+
+def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
+    """The strict-dominance core of `gamma` as a game (see `strict_core`);
+    `enumerate_extreme_equilibria` walks the same core."""
+    rows, cols = strict_core(
+        [[cell[1] for cell in row] for row in gamma.cells], [[cell[0] for cell in row] for row in gamma.cells]
+    )
     return BimatrixGame(
         row_labels=tuple(gamma.row_labels[r] for r in rows),
         col_labels=tuple(gamma.col_labels[c] for c in cols),

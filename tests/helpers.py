@@ -4,12 +4,16 @@ Two oracles cross-check equilibria: a brute-force support enumeration built on
 sympy (deliberately not the package's own linear algebra), and a `Fraction`
 enumerator on the exhaustive basis search that `equilibrium._polytope_vertices`
 replaced, which shifts the payoffs, crosses label sets and prices each pair in
-`Fraction`s. A Fraction two-phase simplex, the LP engine that `linalg.Tableau`
-replaced, is the oracle for `linalg.linf_distance_to_hull`."""
+`Fraction`s. It searches every basis of the full game, not the
+strict-dominance core the package enumerates on, and solves each basis system
+exactly in integers (`solve_square`). A Fraction two-phase simplex, the LP
+engine that `linalg.Tableau` replaced, is the oracle for
+`linalg.linf_distance_to_hull`."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,18 +61,20 @@ TABLE_THREE = {
 
 
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):
-    """Yield `count` games whose best-response polytopes have simple vertices."""
+    """Yield `count` games whose full best-response polytopes have simple
+    vertices, each with its `enumerate_extreme_equilibria`. The filter reads
+    the full-game flag of `reference_extreme_equilibria`, not the
+    enumerator's, which describes only the strict-dominance core."""
     rng = random.Random(seed)
     produced = 0
     while produced < count:
         rows = rng.randint(2, max_size)
         cols = rng.randint(2, max_size)
         gamma = random_bimatrix(rng, rows, cols)
-        result = enumerate_extreme_equilibria(gamma)
-        if result.degenerate:
+        if reference_extreme_equilibria(gamma).degenerate:
             continue
         produced += 1
-        yield gamma, result
+        yield gamma, enumerate_extreme_equilibria(gamma)
 
 
 def message_blind_receiver_game():
@@ -166,22 +172,33 @@ def brute_force_equilibria(gamma: BimatrixGame) -> set:
 
 
 def solve_square(matrix, rhs):
-    """Solve M x = b exactly over Fractions; None when M is singular."""
+    """Solve M x = b exactly for int or Fraction entries; None when M is singular.
+
+    The entries are scaled to integers by their common denominator. Gaussian
+    elimination with row swaps keeps them integers by dividing each update
+    exactly by the previous pivot (Bareiss), which leaves the determinant
+    d = ±det M as the last pivot. Back substitution then finds the integers
+    x_k * d (Cramer's rule), again by exact division.
+    """
     n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    scale = math.lcm(*(v.denominator for row in matrix for v in row), *(b.denominator for b in rhs))
+    aug = [[v.numerator * (scale // v.denominator) for v in (*row, b)] for row, b in zip(matrix, rhs)]
+    previous = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot is None:
             return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        top = aug[k]
+        for r in range(k + 1, n):
+            row = aug[r]
+            aug[r] = [(top[k] * row[c] - row[k] * top[c]) // previous for c in range(n + 1)]
+        previous = top[k]
+    scaled = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = aug[k]
+        scaled[k] = (row[n] * previous - sum(row[c] * scaled[c] for c in range(k + 1, n))) // row[k]
+    return [F(v, previous) for v in scaled]
 
 
 def exhaustive_polytope_vertices(rows, dim, sides):
@@ -195,14 +212,16 @@ def exhaustive_polytope_vertices(rows, dim, sides):
     zero_side, tight_side = sides
     vertices = {}
     count = len(rows)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]  # rows * scale . x <= scale
     for size in range(min(dim, count) + 1):
         for free in itertools.combinations(range(dim), size):
             for chosen in itertools.combinations(range(count), size):
                 if size == 0:
                     solution = []
                 else:
-                    matrix = [[rows[c][f] for f in free] for c in chosen]
-                    solution = solve_square(matrix, [F(1)] * size)
+                    matrix = [[scaled[c][f] for f in free] for c in chosen]
+                    solution = solve_square(matrix, [scale] * size)
                     if solution is None:
                         continue
                 point = [F(0)] * dim

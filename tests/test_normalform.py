@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import TABLE_ONE, TABLE_THREE, TABLE_TWO
+from helpers import TABLE_ONE, TABLE_THREE, TABLE_TWO, reference_extreme_equilibria
 
 from sigsolve.cli import load_game, render_label
 from sigsolve.equilibrium import enumerate_extreme_equilibria
@@ -19,6 +19,7 @@ from sigsolve.normalform import (
     reduce_normal_form,
     reduced_sgcm_at_zero,
     strategy_spaces,
+    strict_core,
     strategy_spaces_c,
     with_cost,
 )
@@ -281,6 +282,37 @@ def test_dominance_leaves_clean_games_alone():
     assert filtered.shape == gamma.shape
 
 
+@pytest.mark.parametrize(
+    "row_payoffs, col_payoffs, core",
+    [
+        # prisoner's dilemma: each player's second strategy strictly dominates
+        ([[3, 0], [5, 1]], [[3, 5], [0, 1]], ([1], [1])),
+        # equal rows beat each other nowhere
+        ([[1, 2], [1, 2]], [[0, 1], [0, 1]], ([0, 1], [1])),
+        # row 1 beats row 0 only weakly (they tie against col 0)
+        ([[1, 2], [1, 3]], [[0, 0], [0, 0]], ([0, 1], [0, 1])),
+        # col 0 is dominated only once row 0, which it beats on, is gone
+        ([[0, 0], [1, 1]], [[1, 0], [0, 1]], ([1], [1])),
+    ],
+    ids=["one-by-one", "equal-rows", "weak-dominance", "chain"],
+)
+def test_strict_core_cases(row_payoffs, col_payoffs, core):
+    assert strict_core(row_payoffs, col_payoffs) == core
+
+
+def test_strict_core_reads_ints_and_fractions_alike():
+    """The enumerator passes integer-scaled payoffs, `dominance_filter` the
+    Fractions; a positive scale and a shift keep every comparison."""
+    for gamma in random_games(41):
+        receiver = [[cell[1] for cell in row] for row in gamma.cells]
+        sender = [[cell[0] for cell in row] for row in gamma.cells]
+        as_fractions = strict_core(
+            [[F(v - 1000, 7) for v in row] for row in receiver], [[F(v, 3) for v in row] for row in sender]
+        )
+        as_ints = strict_core([[int(v) for v in row] for row in receiver], [[int(v) for v in row] for row in sender])
+        assert as_fractions == as_ints, gamma
+
+
 def random_games(seed):
     rng = random.Random(seed)
     for _ in range(150):
@@ -302,26 +334,15 @@ def fixture_forms():
             yield reduce_normal_form(build_sgcm_normal_form(game, cost))[0]
 
 
-def padded_core_equilibria(gamma):
-    core = dominance_filter(gamma)
-    row_at = [gamma.row_labels.index(label) for label in core.row_labels]
-    col_at = [gamma.col_labels.index(label) for label in core.col_labels]
-    padded = []
-    for eq in enumerate_extreme_equilibria(core):
-        row_mix = [F(0)] * len(gamma.row_labels)
-        col_mix = [F(0)] * len(gamma.col_labels)
-        for i, weight in zip(row_at, eq.row_mix):
-            row_mix[i] = weight
-        for j, weight in zip(col_at, eq.col_mix):
-            col_mix[j] = weight
-        padded.append((tuple(row_mix), tuple(col_mix), eq.payoffs))
-    return sorted(padded)
-
-
 @pytest.mark.parametrize(
     "forms", [lambda: random_games(31), lambda: random_games(37), fixture_forms], ids=["random-31", "random-37", "fixtures"]
 )
 def test_strict_core_keeps_every_extreme_equilibrium(forms):
+    """The enumerator walks the strict-dominance core; the reference walks
+    every basis of the full game."""
+    shrunk = 0
     for gamma in forms():
-        full = sorted((tuple(eq.row_mix), tuple(eq.col_mix), eq.payoffs) for eq in enumerate_extreme_equilibria(gamma))
-        assert padded_core_equilibria(gamma) == full, gamma
+        found = enumerate_extreme_equilibria(gamma)
+        assert repr(found.equilibria) == repr(reference_extreme_equilibria(gamma).equilibria), gamma
+        shrunk += dominance_filter(gamma).shape != gamma.shape
+    assert shrunk

@@ -1,10 +1,13 @@
 """The pivoting vertex enumerator against the exhaustive basis search.
 
-Every polytope that `enumerate_extreme_equilibria` builds must get the same
-{vertex: labels} map from both, and the whole `EquilibriumSet` must print the
-same as the `Fraction` reference enumerator's. Small payoff ranges and
-monitored forms make most of these polytopes degenerate, which is where a
-pivoting walk can lose vertices and an exact label match can lose pairs.
+Every polytope that `enumerate_extreme_equilibria` builds, on the game's
+strict-dominance core, must get the same {vertex: labels} map from both. The
+equilibria must print the same as those of the `Fraction` reference
+enumerator on the full game, and the `degenerate` flag the same as the
+reference's on `dominance_filter(gamma)`, the core the flag describes. Small
+payoff ranges and monitored forms make most of these polytopes degenerate,
+which is where a pivoting walk can lose vertices and an exact label match can
+lose pairs.
 """
 
 import random
@@ -18,7 +21,13 @@ from sigsolve import equilibrium
 from sigsolve.catalog import beer_quiche, random_bimatrix
 from sigsolve.game import SignalingGame
 from sigsolve.indices import _perturbed_game
-from sigsolve.normalform import BimatrixGame, build_normal_form, build_sgcm_normal_form, reduce_normal_form
+from sigsolve.normalform import (
+    BimatrixGame,
+    build_normal_form,
+    build_sgcm_normal_form,
+    dominance_filter,
+    reduce_normal_form,
+)
 
 
 def random_games(seed):
@@ -111,4 +120,5 @@ def test_pivoting_matches_exhaustive_search(family, seed, monkeypatch):
         monkeypatch.setattr(equilibrium, "_polytope_vertices", compared)
         found = equilibrium.enumerate_extreme_equilibria(gamma)
         monkeypatch.setattr(equilibrium, "_polytope_vertices", pivoting)
-        assert repr(found) == repr(reference_extreme_equilibria(gamma)), gamma
+        assert repr(found.equilibria) == repr(reference_extreme_equilibria(gamma).equilibria), gamma
+        assert found.degenerate == reference_extreme_equilibria(dominance_filter(gamma)).degenerate, gamma
