@@ -2,7 +2,8 @@
 grouping into maximal Nash subsets and connected components, and the
 constant-outcome check on components.
 
-The enumeration scales each payoff matrix to integers once and walks every
+The enumeration reads each player's payoffs from the game's cached integer
+view (`BimatrixGame.receiver_integers`, `sender_integers`) and walks every
 vertex of the two best-response polytopes by lexicographic pivoting on
 `linalg.Tableau`, the package's one integer pivot kernel, which visits only
 the feasible bases, one pivot per step. It labels each vertex once with the
@@ -146,15 +147,6 @@ def is_equilibrium(gamma: BimatrixGame, profile: tuple[Mix, Mix]) -> Equilibrium
     return EquilibriumCheck(ok=not deviations, deviations=tuple(deviations))
 
 
-def _integer_payoffs(gamma: BimatrixGame, player: int) -> tuple[list[list[int]], int, int]:
-    """One player's payoffs (0 sender, 1 receiver) times their common
-    denominator, that denominator, and the shift that lifts each to >= 1."""
-    payoffs = [[cell[player] for cell in row] for row in gamma.cells]
-    scale = math.lcm(*(v.denominator for row in payoffs for v in row))
-    matrix = [[v.numerator * (scale // v.denominator) for v in row] for row in payoffs]
-    return matrix, scale, 1 - min(min(row) for row in matrix)
-
-
 def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...], int]:
     """Vertices of {x >= 0 : rows . x <= 1} for integer rows, each mapped to its labels.
 
@@ -234,9 +226,9 @@ def _padded(point: tuple[int, ...], kept: list[int], size: int) -> Mix:
 def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     """All extreme Nash equilibria, exactly, in deterministic order.
 
-    Scale the payoffs to integers by their common denominator and cut the
-    game to its strict-dominance core (`normalform.strict_core`; scaling
-    keeps dominance). Build the best-response polytopes of the core from
+    Read the payoffs, scaled to integers by their common denominator, off
+    the game's integer views and cut the game to its strict-dominance core
+    (`normalform.strict_core`; scaling keeps dominance). Build the best-response polytopes of the core from
     the payoffs shifted positive (neither changes a label or a normalized
     vertex), enumerate their labeled vertices, and keep the pairs whose
     labels jointly cover every pure strategy of the core. Normalized and
@@ -252,8 +244,8 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     `degenerate` describes the core's polytopes (see `EquilibriumSet`).
     """
     full_m, full_n = gamma.shape
-    receiver, receiver_scale, a_shift = _integer_payoffs(gamma, 1)  # row player payoffs A
-    sender, sender_scale, b_shift = _integer_payoffs(gamma, 0)  # col player payoffs B
+    receiver, receiver_scale, a_shift = gamma.receiver_integers  # row player payoffs A
+    sender, sender_scale, b_shift = gamma.sender_integers  # col player payoffs B
     kept_rows, kept_cols = strict_core(receiver, sender)
     receiver = [[receiver[i][j] for j in kept_cols] for i in kept_rows]
     sender = [[sender[i][j] for j in kept_cols] for i in kept_rows]

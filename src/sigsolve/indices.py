@@ -1,19 +1,21 @@
 """Equilibrium and component indices.
 
 Regular equilibria get the determinant index: the sign of the product of the
-two support-restricted payoff determinants, read on the enumerator's integer
-payoffs shifted to at least 1, times (-1)^(k+1) for support size k. The sign
-convention makes every pure strict equilibrium +1 and the indices of a
-nondegenerate game sum to +1.
+two support-restricted payoff determinants, read on the game's cached integer
+view of each player's payoffs (the one the enumerator read) shifted to at
+least 1, times (-1)^(k+1) for support size k. The sign convention makes every
+pure strict equilibrium +1 and the indices of a nondegenerate game sum to +1.
 
 Components get a sampling index by one fixed procedure: in each of 20
 replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
-[-1/1000, 1/1000], re-enumerate, and sum the determinant indices of the
-perturbed equilibria within max-norm distance 1/20 of the component. A draw
-whose strict-dominance core or nearby equilibria are degenerate is redrawn, up
-to 16 draws per replication. Only the seed is settable. Components with
-non-zero index are essential, so the replication sums agree for small enough
-perturbations; disagreement is reported, never papered over.
+[-1/1000, 1/1000], each perturbed payoff built as one Fraction, re-enumerate,
+and sum the determinant indices of the perturbed equilibria within max-norm
+distance 1/20 of the component, measured by hull-distance LPs on the
+integer-scaled mixes. A draw whose strict-dominance core or nearby equilibria
+are degenerate is redrawn, up to 16 draws per replication. Only the seed is
+settable. Components with non-zero index are essential, so the replication
+sums agree for small enough perturbations; disagreement is reported, never
+papered over.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import ClassVar
 from .equilibrium import (
     Component,
     MixedEquilibrium,
-    _integer_payoffs,
     enumerate_extreme_equilibria,
     solve_components,
 )
@@ -109,9 +110,9 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
 
     Regularity is enforced: equal support sizes, best-response sets equal to
     the supports, and nonsingular support-restricted payoff blocks, all on
-    the enumerator's `_integer_payoffs`. Scaling keeps the best responses,
-    so they are compared in integers against each mix times the lcm of its
-    denominators; at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so no
+    the game's integer views, which enumerating it already computed. Scaling
+    keeps the best responses, so they are compared in integers against each
+    mix times the lcm of its denominators; at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so no
     positive shift s changes a sign or makes a block singular (Shapley 1974).
     """
     m, n = gamma.shape
@@ -121,8 +122,8 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
         raise DegenerateEquilibriumError(
             f"support sizes differ ({len(rows)} rows vs {len(cols)} cols); use component_index"
         )
-    receiver, _, a_shift = _integer_payoffs(gamma, 1)
-    sender, _, b_shift = _integer_payoffs(gamma, 0)
+    receiver, _, a_shift = gamma.receiver_integers
+    sender, _, b_shift = gamma.sender_integers
     x, y = _integer_mix(eq.row_mix), _integer_mix(eq.col_mix)
     row_values = [sum(a * yj for a, yj in zip(row, y) if yj) for row in receiver]
     col_values = [sum(row[j] * xi for row, xi in zip(sender, x) if xi) for j in range(n)]
@@ -151,19 +152,15 @@ def _distance_to_component(eq: MixedEquilibrium, component: Component) -> Fracti
 
 
 def _perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
+    """`gamma` with k/10^6 added to every payoff, k drawn uniformly from
+    [-1000, 1000]: u1 then u2 of each cell, row by row."""
     scale = 10**6
     bound = int(PerturbationConfig.magnitude * scale)
-    cells = tuple(
-        tuple(
-            (
-                u1 + Fraction(rng.randint(-bound, bound), scale),
-                u2 + Fraction(rng.randint(-bound, bound), scale),
-            )
-            for (u1, u2) in row
-        )
-        for row in gamma.cells
-    )
-    return replace(gamma, cells=cells)
+
+    def shifted(u: Fraction) -> Fraction:
+        return Fraction(u.numerator * scale + rng.randint(-bound, bound) * u.denominator, u.denominator * scale)
+
+    return replace(gamma, cells=tuple(tuple((shifted(u1), shifted(u2)) for (u1, u2) in row) for row in gamma.cells))
 
 
 def component_index(

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Tableau:
@@ -133,29 +132,34 @@ def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence
     right-hand side nonnegative, so the all-slack basis is feasible and no
     phase 1 is needed. The two rows of any coordinate add up to u <= T0, so
     maximizing u is bounded. Entering the first improving column and leaving
-    by the lexicographic rule cannot cycle.
+    by the lexicographic rule cannot cycle. The LP runs on the point and
+    vertices times the lcm of their denominators, which scales t alike; a
+    single vertex needs no LP.
     """
     if not vertices:
         raise ValueError("empty vertex set")
-    first, *rest = vertices
-    gaps = [p - v for p, v in zip(point, first)]
+    scale = math.lcm(*(w.denominator for w in point), *(w.denominator for v in vertices for w in v))
+    first, *rest = ([w.numerator * (scale // w.denominator) for w in v] for v in vertices)
+    gaps = [w.numerator * (scale // w.denominator) - v for w, v in zip(point, first)]
     top = max(abs(gap) for gap in gaps)
+    if not rest:
+        return Fraction(top, scale)
     # variables: lambda_1 .. lambda_{K-1}, then u
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i, gap in enumerate(gaps):
         spread = [v[i] - first[i] for v in rest]
-        rows.append([-w for w in spread] + [ONE])
+        rows.append([-w for w in spread] + [1])
         rhs.append(top - gap)
-        rows.append(spread + [ONE])
+        rows.append(spread + [1])
         rhs.append(top + gap)
-    rows.append([ONE] * len(rest) + [ZERO])
-    rhs.append(ONE)
+    rows.append([1] * len(rest) + [0])
+    rhs.append(1)
     u = len(rest)
-    tableau = Tableau(rows, rhs, u + 1, objective=[ZERO] * u + [ONE])
+    tableau = Tableau(rows, rhs, u + 1, objective=[0] * u + [1])
     while True:
         costs = tableau.rows[-1]
         entering = next((v for v in range(len(costs) - 1) if costs[v + 1] < 0), None)
         if entering is None:
-            return top - tableau.value(u)
+            return (top - tableau.value(u)) / scale
         tableau.pivot(tableau.leaving_row(entering), entering)

@@ -2,8 +2,13 @@
 reduction by strategic equivalence, the zero-cost embedding, and the core
 left by removing strictly dominated pure strategies.
 
-Only `with_cost` applies the monitoring cost, so a monitored form is built
-once and repriced at every other cost.
+Pricing runs in integers: the prior and the payoff table are scaled to
+integers once per game, each cell is an integer sum, and each entry becomes
+one `Fraction`. Only `with_cost` applies the monitoring cost, so a monitored
+form is built once and repriced at every other cost. Each `BimatrixGame`
+computes, on first use, one integer view of each player's payoffs
+(`IntegerPayoffs`) and keeps it for its own lifetime; enumeration, indices,
+dominance and reduction all read it, so a game is scaled to integers once.
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -12,8 +17,11 @@ payoff).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .game import ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
 
@@ -25,10 +33,31 @@ Cell = tuple[Fraction, Fraction]
 REFERENCE_COST = Fraction(1, 20)
 
 
+class IntegerPayoffs(NamedTuple):
+    """One player's payoffs times `scale`, the lcm of their denominators, and
+    the `shift` that lifts the least of them to 1."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    scale: int
+    shift: int
+
+
+def _integer_view(cells: tuple, player: int) -> IntegerPayoffs:
+    payoffs = [[cell[player] for cell in row] for row in cells]
+    scale = math.lcm(*(v.denominator for row in payoffs for v in row))
+    matrix = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in payoffs)
+    return IntegerPayoffs(matrix, scale, 1 - min(map(min, matrix)))
+
+
 @dataclass(frozen=True)
 class BimatrixGame:
     """`cost` is the monitoring cost of an SGCM form, None for a base form;
-    which rows pay it is read off their labels by `monitor_bit`."""
+    which rows pay it is read off their labels by `monitor_bit`.
+
+    `sender_integers` and `receiver_integers` are the integer views of the
+    two players' payoffs, computed on first use and cached on this object;
+    a game made from it by `replace`, `with_cost` or `reduce_normal_form`
+    computes its own."""
 
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
@@ -44,6 +73,14 @@ class BimatrixGame:
 
     def receiver_payoff(self, row: int, col: int) -> Fraction:
         return self.cells[row][col][1]
+
+    @cached_property
+    def sender_integers(self) -> IntegerPayoffs:
+        return _integer_view(self.cells, 0)
+
+    @cached_property
+    def receiver_integers(self) -> IntegerPayoffs:
+        return _integer_view(self.cells, 1)
 
 
 @dataclass(frozen=True)
@@ -117,18 +154,33 @@ def deep_representative(label: object) -> object:
 
 def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
     """Expected payoffs before any monitoring cost, receiver rows by sender
-    columns; a monitored receiver strategy is priced by the actions it takes."""
+    columns; a monitored receiver strategy is priced by the actions it takes.
+
+    The prior and the payoff table are each scaled to integers by the lcm of
+    their denominators, so a cell is an integer sum over the types and each
+    entry is one Fraction over the product of the two scales."""
+    prior_scale = math.lcm(*(game.prior[t].denominator for t in game.types))
+    payoff_scale = math.lcm(*(v.denominator for pair in game.payoff.values() for v in pair))
+    weights = [game.prior[t].numerator * (prior_scale // game.prior[t].denominator) for t in game.types]
+    # weighted[(i, m, a)]: type i's prior weight times its payoffs after message m and action a
+    weighted = {
+        (i, m, a): tuple(w * v.numerator * (payoff_scale // v.denominator) for v in game.payoff[(t, m, a)])
+        for i, (t, w) in enumerate(zip(game.types, weights))
+        for m in game.messages
+        for a in game.actions
+    }
+    den = prior_scale * payoff_scale
     cells = []
     for s2 in receivers:
         replies = {m: s2.reply(i)[1] for i, m in enumerate(game.messages)}
         row = []
         for s1 in senders:
-            u1 = u2 = ZERO
-            for t, m in zip(game.types, s1.messages):
-                p1, p2 = game.payoff[(t, m, replies[m])]
-                u1 += game.prior[t] * p1
-                u2 += game.prior[t] * p2
-            row.append((u1, u2))
+            u1 = u2 = 0
+            for i, m in enumerate(s1.messages):
+                p1, p2 = weighted[(i, m, replies[m])]
+                u1 += p1
+                u2 += p2
+            row.append((Fraction(u1, den), Fraction(u2, den)))
         cells.append(tuple(row))
     return tuple(cells)
 
@@ -164,7 +216,9 @@ def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
         mixed = gamma.row_labels[bits.index(None)]
         raise ValueError(f"row {label_of(mixed)} mixes monitor bits; reprice before reducing")
     delta = gamma.cost - new_cost
-    cells = tuple(tuple((u1, u2 + delta * bit) for (u1, u2) in row) for row, bit in zip(gamma.cells, bits))
+    cells = tuple(
+        tuple((u1, u2 + delta) for (u1, u2) in row) if bit else row for row, bit in zip(gamma.cells, bits)
+    )
     return replace(gamma, cells=cells, cost=new_cost)
 
 
@@ -179,13 +233,13 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     """Collapse strategically equivalent strategies on both sides.
 
     Two strategies merge exactly when their payoff vectors for both players
-    coincide against every opponent strategy. Returns the reduced game (its
-    labels are StrategyClass instances) together with all classes, rows first.
+    coincide against every opponent strategy, compared on the game's integer
+    views. Returns the reduced game (its labels are StrategyClass instances)
+    together with all classes, rows first.
     """
-    row_vectors = [tuple(row) for row in gamma.cells]
-    col_vectors = [tuple(gamma.cells[r][c] for r in range(len(gamma.row_labels))) for c in range(len(gamma.col_labels))]
-    row_groups = _group_equal(row_vectors)
-    col_groups = _group_equal(col_vectors)
+    sender, receiver = gamma.sender_integers.matrix, gamma.receiver_integers.matrix
+    row_groups = _group_equal([s + r for s, r in zip(sender, receiver)])
+    col_groups = _group_equal(list(zip(*sender, *receiver)))
 
     row_classes = tuple(
         StrategyClass(
@@ -291,11 +345,10 @@ def strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
 
 
 def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
-    """The strict-dominance core of `gamma` as a game (see `strict_core`);
-    `enumerate_extreme_equilibria` walks the same core."""
-    rows, cols = strict_core(
-        [[cell[1] for cell in row] for row in gamma.cells], [[cell[0] for cell in row] for row in gamma.cells]
-    )
+    """The strict-dominance core of `gamma` as a game (see `strict_core`),
+    read on its integer views; `enumerate_extreme_equilibria` walks the same
+    core."""
+    rows, cols = strict_core(gamma.receiver_integers.matrix, gamma.sender_integers.matrix)
     return BimatrixGame(
         row_labels=tuple(gamma.row_labels[r] for r in rows),
         col_labels=tuple(gamma.col_labels[c] for c in cols),

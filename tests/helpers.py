@@ -8,7 +8,9 @@ replaced, which shifts the payoffs, crosses label sets and prices each pair in
 strict-dominance core the package enumerates on, and solves each basis system
 exactly in integers (`solve_square`). A Fraction two-phase simplex, the LP
 engine that `linalg.Tableau` replaced, is the oracle for
-`linalg.linf_distance_to_hull`."""
+`linalg.linf_distance_to_hull`. The `Fraction` pricing loop and the
+`Fraction`-pair grouping that `normalform` replaced with integer sums and
+integer views are the oracles for its cells and its strategy classes."""
 
 from __future__ import annotations
 
@@ -94,6 +96,37 @@ def message_blind_receiver_game():
         prior={"t": F(1)},
         payoff=payoff,
     )
+
+
+def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
+    """`normalform._payoff_cells` summed in `Fraction`s: receiver rows by
+    sender columns, before any monitoring cost."""
+    cells = []
+    for s2 in receivers:
+        replies = {m: s2.reply(i)[1] for i, m in enumerate(game.messages)}
+        row = []
+        for s1 in senders:
+            u1 = u2 = Fraction(0)
+            for t, m in zip(game.types, s1.messages):
+                p1, p2 = game.payoff[(t, m, replies[m])]
+                u1 += game.prior[t] * p1
+                u2 += game.prior[t] * p2
+            row.append((u1, u2))
+        cells.append(tuple(row))
+    return tuple(cells)
+
+
+def reference_classes(gamma: BimatrixGame) -> tuple[list[list[int]], list[list[int]]]:
+    """The row and col index groups of `normalform.reduce_normal_form`, by
+    hashing each strategy's `Fraction` payoff pairs, in first-seen order."""
+    m, n = gamma.shape
+    groups = []
+    for vectors in ([tuple(row) for row in gamma.cells], [tuple(gamma.cells[r][c] for r in range(m)) for c in range(n)]):
+        grouped: dict[tuple, list[int]] = {}
+        for idx, vec in enumerate(vectors):
+            grouped.setdefault(vec, []).append(idx)
+        groups.append(list(grouped.values()))
+    return groups[0], groups[1]
 
 
 def _to_sympy(value: Fraction):

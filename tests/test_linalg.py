@@ -97,16 +97,19 @@ def test_determinant_matches_sympy():
 def hull_cases(seed):
     """Seeded (point, vertices) pairs: dimension 1-6 and 1-8 vertices, plain,
     repeated or collinear; the point a convex combination of the vertices or
-    a free draw; entries small integers or, as `indices._perturbed_game`
-    draws them, offsets on the 1/10^6 grid."""
+    a free draw; entries small integers, thirds and sevenths (so the LP's
+    common denominator differs from each entry's) or, as
+    `indices._perturbed_game` draws them, offsets on the 1/10^6 grid."""
     rng = random.Random(seed)
-    for _ in range(120):
+    for _ in range(180):
         dim = rng.randint(1, 6)
-        fine = rng.random() < 0.5
+        grid = rng.choice(("integer", "thirds-sevenths", "fine"))
 
         def draw():
-            if fine:
+            if grid == "fine":
                 return tuple(F(rng.randint(0, 2)) + F(rng.randint(-1000, 1000), 10**6) for _ in range(dim))
+            if grid == "thirds-sevenths":
+                return tuple(F(rng.randint(-9, 9), rng.choice((1, 3, 7))) for _ in range(dim))
             return tuple(F(rng.randint(-3, 3)) for _ in range(dim))
 
         size = rng.randint(1, 8)

@@ -1,10 +1,19 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from helpers import TABLE_ONE, TABLE_THREE, TABLE_TWO, reference_extreme_equilibria
+from helpers import (
+    TABLE_ONE,
+    TABLE_THREE,
+    TABLE_TWO,
+    reference_classes,
+    reference_extreme_equilibria,
+    reference_payoff_cells,
+)
 
 from sigsolve.cli import load_game, render_label
 from sigsolve.equilibrium import enumerate_extreme_equilibria
@@ -301,8 +310,8 @@ def test_strict_core_cases(row_payoffs, col_payoffs, core):
 
 
 def test_strict_core_reads_ints_and_fractions_alike():
-    """The enumerator passes integer-scaled payoffs, `dominance_filter` the
-    Fractions; a positive scale and a shift keep every comparison."""
+    """The package passes integer views, but `strict_core` takes Fractions
+    too; a positive scale and a shift keep every comparison."""
     for gamma in random_games(41):
         receiver = [[cell[1] for cell in row] for row in gamma.cells]
         sender = [[cell[0] for cell in row] for row in gamma.cells]
@@ -324,11 +333,14 @@ def random_games(seed):
         yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
 
 
+def fixture_games():
+    return [load_game(str(path)) for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg"))]
+
+
 def fixture_forms():
     """Base forms and reduced monitored forms of the bundled games, down to
     costs at which a monitoring row loses to a free one by only c."""
-    for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg")):
-        game = load_game(str(path))
+    for game in fixture_games():
         yield build_normal_form(game)
         for cost in (F(0), F(1, 20), F(1, 4), F(1, 4 * 2**11)):
             yield reduce_normal_form(build_sgcm_normal_form(game, cost))[0]
@@ -346,3 +358,111 @@ def test_strict_core_keeps_every_extreme_equilibrium(forms):
         assert repr(found.equilibria) == repr(reference_extreme_equilibria(gamma).equilibria), gamma
         shrunk += dominance_filter(gamma).shape != gamma.shape
     assert shrunk
+
+
+def random_signaling_games(seed, count=30):
+    """1-3 types, messages and actions; priors whose denominators are
+    products of distinct small primes, such as (1/2, 1/6, 1/3); payoffs
+    negative and non-integer."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        types, messages, actions = (
+            tuple(f"{prefix}{i}" for i in range(rng.randint(1, 3))) for prefix in ("t", "m", "a")
+        )
+        prior, left = {}, F(1)
+        for t in types[:-1]:
+            prior[t] = left / rng.choice((2, 3, 5, 7))
+            left -= prior[t]
+        prior[types[-1]] = left
+        payoff = {
+            (t, m, a): tuple(F(rng.randint(-20, 20), rng.choice((1, 2, 3, 7))) for _ in range(2))
+            for t in types
+            for m in messages
+            for a in actions
+        }
+        yield SignalingGame(types, messages, actions, prior, payoff)
+
+
+def assert_exact_cells(cells, expected):
+    assert cells == expected
+    assert all(type(v) is F for row in cells for cell in row for v in cell)
+
+
+@pytest.mark.parametrize("games", [fixture_games, lambda: random_signaling_games(5)], ids=["fixtures", "random"])
+def test_integer_pricing_matches_fraction_reference(games):
+    """Integer sums per cell give the Fraction loop's cells, at every cost."""
+    for game in games():
+        senders, receivers = strategy_spaces(game)
+        assert_exact_cells(build_normal_form(game).cells, reference_payoff_cells(game, senders, receivers))
+        monitored = strategy_spaces_c(game)
+        free = reference_payoff_cells(game, senders, monitored)
+        for cost in (F(0), F(1, 20), F(1, 4)):
+            expected = tuple(
+                tuple((u1, u2 - cost * s2.monitor) for u1, u2 in row) for s2, row in zip(monitored, free)
+            )
+            assert_exact_cells(build_sgcm_normal_form(game, cost).cells, expected)
+
+
+def fraction_bimatrices(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        cells = tuple(
+            tuple(tuple(F(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 10))) for _ in range(2)) for _ in range(cols))
+            for _ in range(rows)
+        )
+        yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
+
+
+def assert_integer_view(gamma):
+    m, n = gamma.shape
+    for player, view in enumerate((gamma.sender_integers, gamma.receiver_integers)):
+        assert view.scale == math.lcm(*(cell[player].denominator for row in gamma.cells for cell in row))
+        assert all(view.matrix[i][j] == gamma.cells[i][j][player] * view.scale for i in range(m) for j in range(n))
+        assert min(map(min, view.matrix)) + view.shift == 1
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [fixture_forms, lambda: random_games(43), lambda: fraction_bimatrices(47)],
+    ids=["fixtures", "random-integer", "random-fraction"],
+)
+def test_integer_view_scales_each_payoff_exactly(forms):
+    for gamma in forms():
+        assert_integer_view(gamma)
+
+
+def test_derived_forms_compute_their_own_integer_view(beerquiche):
+    free = build_sgcm_normal_form(beerquiche, F(0))
+    parent = free.receiver_integers
+    repriced = with_cost(free, F(1, 4))
+    view = repriced.receiver_integers
+    assert view.matrix != parent.matrix
+    for i, label in enumerate(repriced.row_labels):
+        for j in range(len(repriced.col_labels)):
+            assert F(view.matrix[i][j], view.scale) == free.cells[i][j][1] - F(1, 4) * label.monitor
+    assert_integer_view(repriced)
+    reduced, _ = reduce_normal_form(repriced)
+    assert (len(reduced.receiver_integers.matrix), len(reduced.receiver_integers.matrix[0])) == reduced.shape
+    assert_integer_view(reduced)
+    swapped = replace(free, cells=tuple(tuple((u2, u1) for u1, u2 in row) for row in free.cells))
+    assert swapped.receiver_integers == free.sender_integers
+    assert swapped.sender_integers == parent
+
+
+def test_reduction_classes_match_fraction_grouping():
+    """Grouping on the integer views finds the classes that hashing the
+    Fraction payoff pairs finds, in the same order."""
+    forms = []
+    for game in [*fixture_games(), *random_signaling_games(7, count=10)]:
+        forms.append(build_normal_form(game))
+        for cost in (F(0), F(1, 20), F(1, 4)):
+            monitored = build_sgcm_normal_form(game, cost)
+            forms += [monitored, reduce_normal_form(monitored)[0]]
+    for gamma in forms:
+        row_groups, col_groups = reference_classes(gamma)
+        reduced, classes = reduce_normal_form(gamma)
+        assert [cls.members for cls in classes] == [
+            tuple(gamma.row_labels[i] for i in group) for group in row_groups
+        ] + [tuple(gamma.col_labels[j] for j in group) for group in col_groups]
+        assert reduced.cells == tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups)

@@ -86,6 +86,13 @@ def test_cli_exits_quietly_when_its_reader_leaves(tmp_path):
     assert status == 1
 
 
+def test_package_runs_as_a_module():
+    """`python -m sigsolve` is the console script without installing it."""
+    result = run_script(["-m", "sigsolve", "solve", "games/beerquiche.sg", "--components", "--index"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "beerquiche.solve_components_index.txt").read_text(encoding="utf-8")
+
+
 def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
