@@ -16,10 +16,8 @@ from .game import (
     SignalingGame,
     classify_outcome,
     enumerate_plays,
-    expected_payoffs,
     outcome_distance,
     outcome_of_profile,
-    project_outcome,
     validate_game,
 )
 from .normalform import (

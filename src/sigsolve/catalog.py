@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .cli import parse_game_file
 from .game import SignalingGame
 from .normalform import BimatrixGame
 
@@ -33,23 +34,7 @@ def beer_quiche() -> SignalingGame:
     quiche when weak) and 2 for avoiding a duel. The receiver gains 1 for
     dueling the weak type or leaving the strong type alone.
     """
-    payoff = {
-        ("S", "B", "F"): (F(1), F(0)),
-        ("S", "B", "N"): (F(3), F(1)),
-        ("S", "Q", "F"): (F(0), F(0)),
-        ("S", "Q", "N"): (F(2), F(1)),
-        ("W", "B", "F"): (F(0), F(1)),
-        ("W", "B", "N"): (F(2), F(0)),
-        ("W", "Q", "F"): (F(1), F(1)),
-        ("W", "Q", "N"): (F(3), F(0)),
-    }
-    return SignalingGame(
-        types=("S", "W"),
-        messages=("B", "Q"),
-        actions=("F", "N"),
-        prior={"S": F(9, 10), "W": F(1, 10)},
-        payoff=payoff,
-    )
+    return parse_game_file(BEER_QUICHE_TEXT)
 
 
 def matching_pennies() -> BimatrixGame:

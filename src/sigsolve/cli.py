@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -475,7 +476,9 @@ def _cmd_theorem(args) -> CommandResult:
     return CommandResult(status, "\n".join(lines), summary)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="sigsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,15 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import (
-    MixedProfile,
-    Outcome,
-    ReceiverStrategyC,
-    SignalingGame,
-    classify_outcome,
-    outcome_of_profile,
-    project_outcome,
-)
+from .game import MixedProfile, Outcome, SignalingGame, classify_outcome, outcome_of_profile
 from .linalg import Tableau
 from .normalform import BimatrixGame, deep_representative, strict_core
 
@@ -385,11 +377,8 @@ def profile_of_equilibrium(gamma: BimatrixGame | Component, eq: MixedEquilibrium
 
 def outcome_of_equilibrium(game: SignalingGame, gamma: BimatrixGame | Component, eq: MixedEquilibrium) -> Outcome:
     """The outcome of an equilibrium of a base or monitored form (or of one of
-    its components), with the monitor bit summed out."""
-    profile = profile_of_equilibrium(gamma, eq)
-    monitored = any(isinstance(s, ReceiverStrategyC) for s in profile.receiver)
-    mu = outcome_of_profile(game, profile, monitored=monitored)
-    return project_outcome(mu) if monitored else mu
+    its components)."""
+    return outcome_of_profile(game, profile_of_equilibrium(gamma, eq))
 
 
 def component_outcome(game: SignalingGame, component: Component) -> OutcomeReport:
@@ -397,9 +386,10 @@ def component_outcome(game: SignalingGame, component: Component) -> OutcomeRepor
 
     Every extreme equilibrium of the component induces an outcome through its
     representative strategies; since the outcome map is bilinear, constancy on
-    the extremes implies constancy on the whole component. Monitored outcomes
-    are compared after summing out the monitor bit. The payoffs are those the
-    bimatrix priced the first extreme at, monitoring cost included.
+    the extremes implies constancy on the whole component. Outcomes of
+    monitored forms live on the same (type, message, action) plays as base
+    ones. The payoffs are those the bimatrix priced the first extreme at,
+    monitoring cost included.
     """
     witnessed = [(eq, outcome_of_equilibrium(game, component, eq)) for eq in component.extremes]
     first = witnessed[0][1]

@@ -3,7 +3,10 @@
 A signaling game couples a typed sender (player 1, picks a message after
 learning her type) with a receiver (player 2, picks an action). The costly
 monitoring variant gives the receiver a prior binary choice: pay a cost to
-observe the message, or act on a message-independent default.
+observe the message, or act on a message-independent default. A receiver
+strategy of either game answers "which action after message i" (`reply`);
+`normalform.monitor_bit` alone says who pays the cost. Outcomes are
+distributions over (type, message, action) plays.
 
 All probabilities and payoffs are Fractions; every operation here is a pure
 function over immutable values.
@@ -17,7 +20,6 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,9 @@ class ReceiverStrategy:
     def label(self) -> str:
         return "".join(self.actions) if all(len(a) == 1 for a in self.actions) else ",".join(self.actions)
 
-    def reply(self, i: int) -> tuple[int, str]:
-        """(monitor bit, action) after message i: the base game is the
-        always-monitor slice of the monitored game."""
-        return 1, self.actions[i]
+    def reply(self, i: int) -> str:
+        """The action after message i."""
+        return self.actions[i]
 
 
 @dataclass(frozen=True, order=True)
@@ -80,9 +81,10 @@ class ReceiverStrategyC:
     def label(self) -> str:
         return f"{self.monitor}{''.join(self.on_message)}{self.default}"
 
-    def reply(self, i: int) -> tuple[int, str]:
-        """(monitor bit, action) after message i."""
-        return (1, self.on_message[i]) if self.monitor else (0, self.default)
+    def reply(self, i: int) -> str:
+        """The action after message i: the observed reply when monitoring,
+        the default otherwise."""
+        return self.on_message[i] if self.monitor else self.default
 
 
 ReceiverLike = Union[ReceiverStrategy, ReceiverStrategyC]
@@ -98,14 +100,11 @@ class MixedProfile:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Probability distribution over plays, zeros included.
-
-    `monitored` outcomes live on (type, message, monitor bit, action)
-    quadruples, plain ones on (type, message, action) triples.
-    """
+    """Probability distribution over (type, message, action) plays, zeros
+    included, in `enumerate_plays` order. The monitor bit is not part of a
+    play: whether the receiver observed the message changes only who pays."""
 
     masses: Mapping[tuple, Fraction]
-    monitored: bool
 
 
 def validate_game(game: SignalingGame) -> list[str]:
@@ -135,16 +134,8 @@ def validate_game(game: SignalingGame) -> list[str]:
     return problems
 
 
-def enumerate_plays(game: SignalingGame, monitored: bool = False) -> list[tuple]:
-    """All plays in lexicographic order of the declared labels."""
-    if monitored:
-        return [
-            (t, m, bit, a)
-            for t in game.types
-            for m in game.messages
-            for bit in (0, 1)
-            for a in game.actions
-        ]
+def enumerate_plays(game: SignalingGame) -> list[tuple[str, str, str]]:
+    """All (type, message, action) plays in lexicographic order of the declared labels."""
     return [(t, m, a) for t in game.types for m in game.messages for a in game.actions]
 
 
@@ -172,62 +163,24 @@ def strategy_spaces_c(game: SignalingGame) -> tuple[ReceiverStrategyC, ...]:
     )
 
 
-def _check_weights(weights: Mapping, side: str) -> None:
-    total = sum(weights.values(), ZERO)
-    if total != 1:
-        raise ValueError(f"{side} weights sum to {total}, expected 1")
-    for strat, w in weights.items():
-        if w < 0:
-            raise ValueError(f"{side} weight for {strat} is negative")
-
-
-def _check_profile(game: SignalingGame, profile: MixedProfile, monitored: bool) -> None:
-    """Weights are distributions over pure strategies of the requested game."""
-    senders, receivers = strategy_spaces(game)
-    if monitored:
-        receivers = strategy_spaces_c(game)
-    kind = "monitored" if monitored else "base"
-    for side, weights, space in (("sender", profile.sender, senders), ("receiver", profile.receiver, receivers)):
-        _check_weights(weights, side)
-        fitting = frozenset(space)
-        for strat in weights:
-            if strat not in fitting:
-                raise ValueError(f"{side} strategy {strat} does not fit the {kind} game")
-
-
-def outcome_of_profile(game: SignalingGame, profile: MixedProfile, monitored: bool = False) -> Outcome:
-    """Distribution over plays induced by a mixed profile.
-
-    Plays are counted with their monitor bit; base profiles, whose receiver
-    always monitors, get the projected outcome.
-    """
-    _check_profile(game, profile, monitored)
+def outcome_of_profile(game: SignalingGame, profile: MixedProfile) -> Outcome:
+    """Distribution over (type, message, action) plays induced by a mixed
+    profile: each type's prior times the two weights lands on the action the
+    receiver strategy takes after the type's message."""
     msg_index = {m: i for i, m in enumerate(game.messages)}
-    masses: dict[tuple, Fraction] = {play: ZERO for play in enumerate_plays(game, monitored=True)}
+    masses: dict[tuple, Fraction] = dict.fromkeys(enumerate_plays(game), ZERO)
     for ti, t in enumerate(game.types):
         p = game.prior[t]
         for s1, w1 in profile.sender.items():
             if w1 == 0:
                 continue
             m = s1.messages[ti]
+            i = msg_index[m]
             for s2, w2 in profile.receiver.items():
                 if w2 == 0:
                     continue
-                bit, a = s2.reply(msg_index[m])
-                masses[(t, m, bit, a)] += p * w1 * w2
-    mu_c = Outcome(masses=masses, monitored=True)
-    return mu_c if monitored else project_outcome(mu_c)
-
-
-def project_outcome(mu_c: Outcome) -> Outcome:
-    """Sum out the monitor bit: mass(t,m,a) = mass(t,m,0,a) + mass(t,m,1,a)."""
-    if not mu_c.monitored:
-        raise ValueError("projection applies to monitored outcomes only")
-    masses: dict[tuple, Fraction] = {}
-    for (t, m, _bit, a), mass in mu_c.masses.items():
-        key = (t, m, a)
-        masses[key] = masses.get(key, ZERO) + mass
-    return Outcome(masses=masses, monitored=False)
+                masses[(t, m, s2.reply(i))] += p * w1 * w2
+    return Outcome(masses=masses)
 
 
 def outcome_distance(a: Outcome, b: Outcome) -> Fraction:
@@ -239,8 +192,6 @@ def outcome_distance(a: Outcome, b: Outcome) -> Fraction:
 
 def classify_outcome(game: SignalingGame, mu: Outcome) -> str:
     """'pooling' | 'separating' | 'hybrid', judged from per-type message supports."""
-    if mu.monitored:
-        raise ValueError("classify projected outcomes, not monitored ones")
     supports: dict[str, set[str]] = {t: set() for t in game.types}
     for (t, m, _a), mass in mu.masses.items():
         if mass > 0:
@@ -252,21 +203,3 @@ def classify_outcome(game: SignalingGame, mu: Outcome) -> str:
     if all(not (supports[t1] & supports[t2]) for t1, t2 in pairs):
         return "separating"
     return "hybrid"
-
-
-def expected_payoffs(game: SignalingGame, mu: Outcome, cost: Fraction = ZERO) -> tuple[Fraction, Fraction]:
-    """Expected (sender, receiver) payoffs under an outcome.
-
-    For monitored outcomes the receiver pays `cost` whenever the monitor bit
-    is set.
-    """
-    u1 = u2 = ZERO
-    for play, mass in mu.masses.items():
-        if mass == 0:
-            continue
-        t, m, a = play[0], play[1], play[-1]
-        bit = play[2] if len(play) == 4 else 0
-        base1, base2 = game.payoff[(t, m, a)]
-        u1 += mass * base1
-        u2 += mass * (base2 - cost * bit)
-    return u1, u2

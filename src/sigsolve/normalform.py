@@ -172,7 +172,7 @@ def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tupl
     den = prior_scale * payoff_scale
     cells = []
     for s2 in receivers:
-        replies = {m: s2.reply(i)[1] for i, m in enumerate(game.messages)}
+        replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
         row = []
         for s1 in senders:
             u1 = u2 = 0
@@ -319,10 +319,30 @@ def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
     return EmbedMap(monitor_to_base=monitor_to_base, duplicate_to_base=duplicate_to_base)
 
 
+def _undominated(payoffs, own: list[int], others: list[int]) -> list[int]:
+    """The strategies in `own` that no strategy in `own` strictly beats
+    against every strategy in `others`; `payoffs[s][o]` is the payoff of s
+    against o."""
+    kept = []
+    for s in own:
+        mine = payoffs[s]
+        for rival in own:
+            theirs = payoffs[rival]
+            for o in others:
+                if theirs[o] <= mine[o]:
+                    break
+            else:
+                break  # rival strictly beats s
+        else:
+            kept.append(s)
+    return kept
+
+
 def strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
     """The indices of the rows and cols left by dropping, round after round,
     every pure strategy that another surviving pure strategy strictly beats
-    against all surviving opponent strategies, until none is left.
+    against all surviving opponent strategies, until none is left. Each round
+    tests rows and cols against the sets the round started with.
 
     `row_payoffs[r][c]` is the row player's payoff and `col_payoffs[r][c]`
     the col player's, as ints or Fractions. No Nash equilibrium plays a
@@ -332,13 +352,10 @@ def strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
     """
     rows = list(range(len(row_payoffs)))
     cols = list(range(len(row_payoffs[0])))
+    col_transposed = list(zip(*col_payoffs))
     while True:
-        kept_rows = [
-            r for r in rows if not any(all(row_payoffs[o][c] > row_payoffs[r][c] for c in cols) for o in rows)
-        ]
-        kept_cols = [
-            c for c in cols if not any(all(col_payoffs[r][o] > col_payoffs[r][c] for r in rows) for o in cols)
-        ]
+        kept_rows = _undominated(row_payoffs, rows, cols)
+        kept_cols = _undominated(col_transposed, cols, rows)
         if (kept_rows, kept_cols) == (rows, cols):
             return rows, cols
         rows, cols = kept_rows, kept_cols

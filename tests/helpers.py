@@ -10,7 +10,10 @@ exactly in integers (`solve_square`). A Fraction two-phase simplex, the LP
 engine that `linalg.Tableau` replaced, is the oracle for
 `linalg.linf_distance_to_hull`. The `Fraction` pricing loop and the
 `Fraction`-pair grouping that `normalform` replaced with integer sums and
-integer views are the oracles for its cells and its strategy classes."""
+integer views are the oracles for its cells and its strategy classes, and
+the generator form of `strict_core` is the oracle for its plain loops.
+Expected payoffs of a profile are priced play by play from the payoff
+table, apart from the normal forms and the enumerator."""
 
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import sympy
 
 from sigsolve.catalog import random_bimatrix
 from sigsolve.equilibrium import EquilibriumSet, Mix, MixedEquilibrium, enumerate_extreme_equilibria
-from sigsolve.game import SignalingGame
+from sigsolve.game import MixedProfile, ReceiverStrategyC, SignalingGame
 from sigsolve.normalform import BimatrixGame
 
 F = Fraction
@@ -103,7 +106,7 @@ def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple
     sender columns, before any monitoring cost."""
     cells = []
     for s2 in receivers:
-        replies = {m: s2.reply(i)[1] for i, m in enumerate(game.messages)}
+        replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
         row = []
         for s1 in senders:
             u1 = u2 = Fraction(0)
@@ -114,6 +117,45 @@ def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple
             row.append((u1, u2))
         cells.append(tuple(row))
     return tuple(cells)
+
+
+def reference_expected_payoffs(game: SignalingGame, profile: MixedProfile, cost: Fraction) -> tuple[Fraction, Fraction]:
+    """Expected (sender, receiver) payoffs of a mixed profile, priced play by
+    play from the payoff table; the receiver pays `cost` under every
+    monitored strategy that monitors."""
+    u1 = u2 = Fraction(0)
+    for s1, w1 in profile.sender.items():
+        for s2, w2 in profile.receiver.items():
+            monitored = isinstance(s2, ReceiverStrategyC)
+            pays = monitored and s2.monitor == 1
+            for t, m in zip(game.types, s1.messages):
+                i = game.messages.index(m)
+                if not monitored:
+                    a = s2.actions[i]
+                else:
+                    a = s2.on_message[i] if s2.monitor else s2.default
+                p1, p2 = game.payoff[(t, m, a)]
+                weight = game.prior[t] * w1 * w2
+                u1 += weight * p1
+                u2 += weight * (p2 - cost if pays else p2)
+    return u1, u2
+
+
+def reference_strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
+    """`normalform.strict_core` with nested `all`/`any` generators, the
+    form it had before its plain loops."""
+    rows = list(range(len(row_payoffs)))
+    cols = list(range(len(row_payoffs[0])))
+    while True:
+        kept_rows = [
+            r for r in rows if not any(all(row_payoffs[o][c] > row_payoffs[r][c] for c in cols) for o in rows)
+        ]
+        kept_cols = [
+            c for c in cols if not any(all(col_payoffs[r][o] > col_payoffs[r][c] for r in rows) for o in cols)
+        ]
+        if (kept_rows, kept_cols) == (rows, cols):
+            return rows, cols
+        rows, cols = kept_rows, kept_cols
 
 
 def reference_classes(gamma: BimatrixGame) -> tuple[list[list[int]], list[list[int]]]:

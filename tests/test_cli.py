@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from helpers import message_blind_receiver_game
 
 from sigsolve import cli, indices, sweep
-from sigsolve.catalog import BEER_QUICHE_TEXT
+from sigsolve.catalog import BEER_QUICHE_TEXT, beer_quiche
 from sigsolve.equilibrium import EquilibriumSet
 from sigsolve.cli import (
     GameFileSemanticError,
     GameFileSyntaxError,
+    load_game,
     parse_game_file,
     run_command,
     serialize_game,
@@ -28,6 +29,10 @@ def test_parse_beer_quiche_fixture():
     assert game.prior["S"] == F(9, 10)
     assert game.types == ("S", "W")
     assert game.payoff[("W", "Q", "F")] == (F(1), F(1))
+
+
+def test_catalog_beer_quiche_matches_the_fixture_file():
+    assert load_game(str(Path(__file__).resolve().parent.parent / "games" / "beerquiche.sg")) == beer_quiche()
 
 
 def test_parse_missing_payoff_names_the_triple():

@@ -13,7 +13,7 @@ from sigsolve.equilibrium import (
     outcome_of_equilibrium,
     solve_components,
 )
-from sigsolve.game import SignalingGame
+from sigsolve.game import SignalingGame, enumerate_plays
 from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
@@ -257,11 +257,11 @@ def test_outcomes_read_through_forms_and_components_agree(beerquiche):
         for eq in component.extremes:
             assert outcome_of_equilibrium(beerquiche, base, eq) == report.outcome
             assert outcome_of_equilibrium(beerquiche, component, eq) == report.outcome
-    # monitored forms give the projected outcome, on (type, message, action)
+    # monitored forms give outcomes on the same (type, message, action) plays
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
     for eq in enumerate_extreme_equilibria(reduced):
         mu = outcome_of_equilibrium(beerquiche, reduced, eq)
-        assert not mu.monitored
+        assert list(mu.masses) == enumerate_plays(beerquiche)
         assert sum(mu.masses.values()) == 1
 
 

@@ -1,4 +1,5 @@
-"""No float enters a computation: a syntax-level lint over the package source.
+"""No float enters a computation: a syntax-level lint over the package source
+and the float-free scripts.
 
 Fails on a float literal, on any use of the name `float`, and on `math`
 functions other than the integer ones.
@@ -9,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sigsolve").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+# scripts/bench.py times runs, so it is left out.
+SOURCES = sorted((ROOT / "src" / "sigsolve").glob("*.py")) + [
+    ROOT / "scripts" / "beerquiche_pipeline.py",
+    ROOT / "scripts" / "random_game_audit.py",
+]
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "prod"}
 
 

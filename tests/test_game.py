@@ -14,7 +14,6 @@ from sigsolve.game import (
     enumerate_plays,
     outcome_distance,
     outcome_of_profile,
-    project_outcome,
     validate_game,
 )
 
@@ -53,7 +52,6 @@ def test_empty_messages_reported(beerquiche):
 
 def test_play_counts(beerquiche):
     assert len(enumerate_plays(beerquiche)) == 8
-    assert len(enumerate_plays(beerquiche, monitored=True)) == 16
 
 
 def test_play_count_three_types():
@@ -101,27 +99,13 @@ def test_mixed_sender_mass_sums_to_one(beerquiche):
     assert all(v >= 0 for v in mu.masses.values())
 
 
-def test_profile_space_mismatch_rejected(beerquiche):
-    profile = pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
-    with pytest.raises(ValueError):
-        outcome_of_profile(beerquiche, profile, monitored=True)
-
-
-def test_projection_merges_monitor_bits():
-    mu_c = Outcome(
-        masses={("S", "B", 1, "N"): F(1, 2), ("S", "B", 0, "N"): F(1, 2)},
-        monitored=True,
-    )
-    mu = project_outcome(mu_c)
-    assert mu.masses == {("S", "B", "N"): F(1)}
-
-
 def test_projection_of_always_monitor_is_identity_on_triples(beerquiche):
+    """An always-monitoring receiver strategy has the outcome of its base twin."""
     profile = MixedProfile(
         sender={SenderStrategy(("B", "Q")): F(1)},
         receiver={ReceiverStrategyC(1, ("N", "F"), "F"): F(1)},
     )
-    mu = project_outcome(outcome_of_profile(beerquiche, profile, monitored=True))
+    mu = outcome_of_profile(beerquiche, profile)
     base = outcome_of_profile(
         beerquiche, pure(SenderStrategy(("B", "Q")), ReceiverStrategy(("N", "F")))
     )
@@ -129,6 +113,8 @@ def test_projection_of_always_monitor_is_identity_on_triples(beerquiche):
 
 
 def test_projection_of_analytic_equilibrium_at_small_cost(beerquiche):
+    """Plays of monitoring and non-monitoring receivers land on the same
+    (type, message, action) triples."""
     # family at cost c: sender (1-10c) BB + 10c BQ, receiver half monitor-FN half default-N
     c = F(1, 20)
     y = 1 - 10 * c
@@ -139,7 +125,7 @@ def test_projection_of_analytic_equilibrium_at_small_cost(beerquiche):
             ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
         },
     )
-    mu = project_outcome(outcome_of_profile(beerquiche, profile, monitored=True))
+    mu = outcome_of_profile(beerquiche, profile)
     assert mu.masses[("S", "B", "N")] == F(9, 10)
     assert mu.masses[("W", "B", "N")] == y / 10
     assert mu.masses[("W", "Q", "F")] == c / 2
@@ -161,7 +147,7 @@ def test_distance_of_disjoint_unit_masses(beerquiche):
     a[("S", "B", "N")] = F(1)
     b = dict(plays)
     b[("S", "Q", "N")] = F(1)
-    result = outcome_distance(Outcome(a, False), Outcome(b, False))
+    result = outcome_distance(Outcome(a), Outcome(b))
     assert result == 2
 
 
@@ -169,7 +155,7 @@ def test_distance_rejects_mismatched_play_sets(beerquiche):
     mu = outcome_of_profile(
         beerquiche, pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
     )
-    other = Outcome({("S", "B", "N"): F(1)}, monitored=False)
+    other = Outcome({("S", "B", "N"): F(1)})
     with pytest.raises(ValueError):
         outcome_distance(mu, other)
 
@@ -187,14 +173,14 @@ def test_distance_squared_scales_with_cost_squared(beerquiche):
                 ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
             },
         )
-        mu = project_outcome(outcome_of_profile(beerquiche, profile, monitored=True))
+        mu = outcome_of_profile(beerquiche, profile)
         assert outcome_distance(mu, base) == F(3, 2) * c * c
 
 
 def outcome_from_masses(beerquiche, positive):
     masses = {p: F(0) for p in enumerate_plays(beerquiche)}
     masses.update(positive)
-    return Outcome(masses, monitored=False)
+    return Outcome(masses)
 
 
 def test_classify_pooling(beerquiche):

@@ -60,3 +60,10 @@ def test_cli_output_matches_golden(fixture, case, tmp_path, monkeypatch):
         csv_text = (tmp_path / "sweep.csv").read_bytes()
         assert csv_text == (GOLDEN / f"{fixture}.sweep.csv").read_bytes()
 
+
+def test_usage_error_leaves_the_parser_reusable():
+    """The parser is built once per process; a usage error must not leave
+    state behind that changes the next command's output."""
+    assert run_command(["solve"]).status == 2
+    expected = (GOLDEN / "beerquiche.solve_components_index.txt").read_text(encoding="utf-8")
+    assert run_case("beerquiche", "solve_components_index") == expected

@@ -13,6 +13,7 @@ from helpers import (
     reference_classes,
     reference_extreme_equilibria,
     reference_payoff_cells,
+    reference_strict_core,
 )
 
 from sigsolve.cli import load_game, render_label
@@ -311,7 +312,8 @@ def test_strict_core_cases(row_payoffs, col_payoffs, core):
 
 def test_strict_core_reads_ints_and_fractions_alike():
     """The package passes integer views, but `strict_core` takes Fractions
-    too; a positive scale and a shift keep every comparison."""
+    too; a positive scale and a shift keep every comparison. On int and
+    Fraction matrices with ties its loops agree with the generator form."""
     for gamma in random_games(41):
         receiver = [[cell[1] for cell in row] for row in gamma.cells]
         sender = [[cell[0] for cell in row] for row in gamma.cells]
@@ -320,6 +322,25 @@ def test_strict_core_reads_ints_and_fractions_alike():
         )
         as_ints = strict_core([[int(v) for v in row] for row in receiver], [[int(v) for v in row] for row in sender])
         assert as_fractions == as_ints, gamma
+    shrunk = 0
+    for row_payoffs, col_payoffs in tied_payoffs(43):
+        core = strict_core(row_payoffs, col_payoffs)
+        assert core == reference_strict_core(row_payoffs, col_payoffs), (row_payoffs, col_payoffs)
+        shrunk += core != (list(range(len(row_payoffs))), list(range(len(row_payoffs[0]))))
+    assert shrunk
+
+
+def tied_payoffs(seed):
+    """Payoff matrix pairs with 1-8 strategies a side, drawn from a few ints
+    or from a few thirds, so that ties are common."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        high = rng.choice((2, 3, 5))
+        scale = rng.choice((1, F(1, 3)))
+        yield tuple(
+            [[rng.randrange(high) * scale for _ in range(cols)] for _ in range(rows)] for _player in range(2)
+        )
 
 
 def random_games(seed):

@@ -4,19 +4,17 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nondegenerate_games
+from helpers import random_nondegenerate_games, reference_expected_payoffs
 
 from sigsolve.cli import parse_game_file, serialize_game
 from sigsolve.equilibrium import is_equilibrium
 from sigsolve.game import (
     MixedProfile,
-    Outcome,
     ReceiverStrategyC,
     SignalingGame,
     enumerate_plays,
     outcome_distance,
     outcome_of_profile,
-    project_outcome,
     validate_game,
 )
 from sigsolve.normalform import (
@@ -68,44 +66,29 @@ def games_with_profiles(draw, monitored=False):
     return game, profile
 
 
-@given(games_with_profiles())
-@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(games_with_profiles))
+@settings(max_examples=60, deadline=None)
 def test_outcome_masses_form_a_distribution(game_profile):
+    """Base and monitored profiles alike give a distribution over the plays."""
     game, profile = game_profile
     mu = outcome_of_profile(game, profile)
+    assert list(mu.masses) == enumerate_plays(game)
     assert all(v >= 0 for v in mu.masses.values())
     assert sum(mu.masses.values()) == 1
-
-
-@given(games_with_profiles(monitored=True))
-@settings(max_examples=40, deadline=None)
-def test_projection_preserves_mass(game_profile):
-    game, profile = game_profile
-    mu_c = outcome_of_profile(game, profile, monitored=True)
-    assert sum(mu_c.masses.values()) == 1
-    projected = project_outcome(mu_c)
-    assert sum(projected.masses.values()) == 1
-    assert set(projected.masses) == set(enumerate_plays(game))
 
 
 @given(games_with_profiles(monitored=True), st.integers(0, 8))
 @settings(max_examples=25, deadline=None)
 def test_projection_is_linear(game_profile, numerator):
+    """The outcome of a blend of two receiver mixes is the blend of their outcomes."""
     game, profile = game_profile
     lam = F(numerator, 8)
-    mu = outcome_of_profile(game, profile, monitored=True)
-    flipped = MixedProfile(sender=profile.sender, receiver={
-        s: w for s, w in reversed(list(profile.receiver.items()))
-    })
-    nu = outcome_of_profile(game, flipped, monitored=True)
-    blend = Outcome(
-        masses={p: lam * mu.masses[p] + (1 - lam) * nu.masses[p] for p in mu.masses},
-        monitored=True,
-    )
-    left = project_outcome(blend).masses
-    pm, pn = project_outcome(mu).masses, project_outcome(nu).masses
-    right = {p: lam * pm[p] + (1 - lam) * pn[p] for p in pm}
-    assert left == right
+    flipped = dict(zip(profile.receiver, reversed(profile.receiver.values())))
+    blend = {s: lam * profile.receiver[s] + (1 - lam) * flipped[s] for s in profile.receiver}
+    mu = outcome_of_profile(game, profile)
+    nu = outcome_of_profile(game, MixedProfile(sender=profile.sender, receiver=flipped))
+    left = outcome_of_profile(game, MixedProfile(sender=profile.sender, receiver=blend)).masses
+    assert left == {p: lam * mu.masses[p] + (1 - lam) * nu.masses[p] for p in mu.masses}
 
 
 @given(games_with_profiles())
@@ -119,8 +102,7 @@ def test_always_monitoring_matches_the_base_game(game_profile):
             for s, w in profile.receiver.items()
         },
     )
-    mu_c = outcome_of_profile(game, lifted, monitored=True)
-    assert project_outcome(mu_c).masses == outcome_of_profile(game, profile).masses
+    assert outcome_of_profile(game, lifted).masses == outcome_of_profile(game, profile).masses
 
 
 @given(st.data())
@@ -177,15 +159,14 @@ def test_full_pipeline_runs_on_random_games(game, cost_num):
     """Components of the base and monitored forms always resolve to a clean
     constant-outcome report or an explicit non-generic witness pair."""
     from sigsolve.equilibrium import component_outcome, profile_of_equilibrium, solve_components
-    from sigsolve.game import expected_payoffs
     from sigsolve.normalform import build_normal_form
 
     # enumeration is exponential; keep both strategy spaces at desk scale
     if len(game.messages) ** len(game.types) > 4 or len(game.actions) ** len(game.messages) > 4:
         return
-    for gamma, monitored, cost in (
-        (build_normal_form(game), False, F(0)),
-        (reduce_normal_form(build_sgcm_normal_form(game, F(cost_num, 12)))[0], True, F(cost_num, 12)),
+    for gamma, cost in (
+        (build_normal_form(game), F(0)),
+        (reduce_normal_form(build_sgcm_normal_form(game, F(cost_num, 12)))[0], F(cost_num, 12)),
     ):
         components = solve_components(gamma)
         assert components
@@ -194,8 +175,7 @@ def test_full_pipeline_runs_on_random_games(game, cost_num):
             if report.constant:
                 assert sum(report.outcome.masses.values()) == 1
                 first = profile_of_equilibrium(gamma, component.extremes[0])
-                unprojected = outcome_of_profile(game, first, monitored=monitored)
-                assert report.payoffs == expected_payoffs(game, unprojected, cost)
+                assert report.payoffs == reference_expected_payoffs(game, first, cost)
             else:
                 (eq_a, out_a), (eq_b, out_b) = report.witnesses
                 assert out_a.masses != out_b.masses
