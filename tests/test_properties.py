@@ -66,10 +66,20 @@ def games_with_profiles(draw, monitored=False):
     return game, profile
 
 
-@given(st.booleans().flatmap(games_with_profiles))
-@settings(max_examples=60, deadline=None)
+@given(games_with_profiles())
+@settings(max_examples=40, deadline=None)
 def test_outcome_masses_form_a_distribution(game_profile):
-    """Base and monitored profiles alike give a distribution over the plays."""
+    game, profile = game_profile
+    mu = outcome_of_profile(game, profile)
+    assert list(mu.masses) == enumerate_plays(game)
+    assert all(v >= 0 for v in mu.masses.values())
+    assert sum(mu.masses.values()) == 1
+
+
+@given(games_with_profiles(monitored=True))
+@settings(max_examples=40, deadline=None)
+def test_projection_preserves_mass(game_profile):
+    """A monitored profile's mass lands whole on the (type, message, action) plays."""
     game, profile = game_profile
     mu = outcome_of_profile(game, profile)
     assert list(mu.masses) == enumerate_plays(game)
