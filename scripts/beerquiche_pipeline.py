@@ -13,7 +13,7 @@ from pathlib import Path
 from sigsolve.catalog import beer_quiche
 from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
-from sigsolve.indices import PerturbationConfig, component_index, duplicate_containment_check
+from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
 from sigsolve.normalform import (
     build_normal_form,
     build_sgcm_normal_form,
@@ -60,9 +60,10 @@ def main() -> None:
 
     print("\n== components of the base game ==")
     components = solve_components(gamma)
+    draws = DrawStore(gamma, cfg)
     for cid, comp in zip(component_ids(components), components):
         report = component_outcome(game, comp)
-        index = component_index(gamma, comp, cfg)
+        index = component_index(gamma, comp, cfg, draws)
         print(
             f"{cid}: {report.classification}, outcome {render_outcome(report.outcome)}, payoffs "
             f"({report.payoffs[0]}, {report.payoffs[1]}), "

@@ -46,6 +46,7 @@ from .equilibrium import (
     solve_components,
 )
 from .indices import (
+    DrawStore,
     IndexResult,
     PerturbationConfig,
     component_index,

@@ -37,7 +37,7 @@ from .game import (
     SignalingGame,
     validate_game,
 )
-from .indices import DegenerateDrawsError, PerturbationConfig, component_index, index_sum_ok
+from .indices import DegenerateDrawsError, DrawStore, PerturbationConfig, component_index, index_sum_ok
 from .normalform import (
     BimatrixGame,
     StrategyClass,
@@ -349,6 +349,7 @@ def _cmd_solve(args) -> CommandResult:
         ids = component_ids(components)
         summary["components"] = len(components)
         cfg = PerturbationConfig(seed=args.seed)
+        draws = DrawStore(gamma, cfg)
         results = []
         for cid, comp in zip(ids, components):
             report = component_outcome(game, comp)
@@ -365,7 +366,7 @@ def _cmd_solve(args) -> CommandResult:
             else:
                 lines.append("  outcome: NOT CONSTANT (game is not generic)")
             if args.index:
-                result = component_index(gamma, comp, cfg)
+                result = component_index(gamma, comp, cfg, draws)
                 results.append(result)
                 flag = " INDETERMINATE" if result.indeterminate else ""
                 lines.append(

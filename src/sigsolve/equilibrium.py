@@ -148,10 +148,9 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
     feasible bases: the vertices of a perturbed simple polytope whose
     connected graph projects onto every vertex of this one. Bases already
     seen are skipped; keying them by vertex instead would prune the walk at
-    degenerate vertices. Each step costs one pivot: the path stack keeps
-    every basis's (rows, basis, det) to return to, and a shallow copy of the
-    rows is a snapshot because `Tableau.pivot` replaces rows and never
-    changes one in place.
+    degenerate vertices. The variable that just left is not tried: it
+    leads straight back to the parent basis. Each step costs one pivot: the
+    path stack keeps a `Tableau.snapshot` of every basis to return to.
 
     A vertex is keyed (den, *nums), the point nums / den in lowest terms with
     den > 0. Its labels are the bit mask of its zero variables: bit v < dim
@@ -162,8 +161,9 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
     tableau = Tableau(rows, [1] * count, dim)
     labeled: dict[tuple[int, ...], int] = {}
 
-    def record(basic: int):
-        """Label the current vertex if it is new; yield the nonbasic variables."""
+    def record(basic: int, back: int):
+        """Label the current vertex if it is new; yield the nonbasic variables
+        other than `back`."""
         numerators = [0] * dim
         positive = 0
         for row, v in zip(tableau.rows, tableau.basis):
@@ -176,29 +176,31 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
         key = (tableau.det // g, *(x // g for x in numerators))
         if key not in labeled:
             labeled[key] = everything & ~positive
-        return (v for v in range(dim + count) if not basic >> v & 1)
+        return (v for v in range(dim + count) if not basic >> v & 1 and v != back)
 
     everything = (1 << (dim + count)) - 1
     basic = sum(1 << v for v in tableau.basis)  # each basis as a bit mask of its variables
     seen = {basic}
-    path = []  # (entering variables left, rows, basis, det, basic) of each basis on the path
-    entering = record(basic)
+    path = []  # (entering variables left, tableau snapshot, basic) of each basis on the path
+    entering = record(basic, -1)
     while True:
         for v in entering:
             r = tableau.leaving_row(v)
-            child = basic ^ (1 << tableau.basis[r]) ^ (1 << v)
+            leaving = tableau.basis[r]
+            child = basic ^ (1 << leaving) ^ (1 << v)
             if child in seen:
                 continue
             seen.add(child)
-            path.append((entering, list(tableau.rows), list(tableau.basis), tableau.det, basic))
+            path.append((entering, tableau.snapshot(), basic))
             tableau.pivot(r, v)
             basic = child
-            entering = record(basic)
+            entering = record(basic, leaving)
             break
         else:
             if not path:
                 return labeled
-            entering, tableau.rows, tableau.basis, tableau.det, basic = path.pop()
+            entering, state, basic = path.pop()
+            tableau.restore(state)
 
 
 def _bilinear(matrix: list[list[int]], x: tuple[int, ...], y: tuple[int, ...]) -> int:

@@ -10,12 +10,17 @@ Components get a sampling index by one fixed procedure: in each of 20
 replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
 [-1/1000, 1/1000], each perturbed payoff built as one Fraction, re-enumerate,
 and sum the determinant indices of the perturbed equilibria within max-norm
-distance 1/20 of the component, measured by hull-distance LPs on the
-integer-scaled mixes. A draw whose strict-dominance core or nearby equilibria
-are degenerate is redrawn, up to 16 draws per replication. Only the seed is
-settable. Components with non-zero index are essential, so the replication
-sums agree for small enough perturbations; disagreement is reported, never
-papered over.
+distance 1/20 of the component. A perturbed equilibrium is far from a Nash
+subset when it lies more than 1/20 outside the box around either face
+(each coordinate's range over the face's vertices); otherwise its distance
+comes from hull-distance LPs on the integer-scaled mixes. A draw whose
+strict-dominance core or nearby equilibria are degenerate is redrawn, up to
+16 draws per replication. Only the seed is settable. The draws do not depend
+on the component, so the components of one game, indexed in one call, share
+them through a `DrawStore`: each draw is perturbed and enumerated once, and
+each nearby equilibrium's determinant index is computed once. Components
+with non-zero index are essential, so the replication sums agree for small
+enough perturbations; disagreement is reported, never papered over.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import ClassVar
 
 from .equilibrium import (
     Component,
+    Mix,
     MixedEquilibrium,
     enumerate_extreme_equilibria,
     solve_components,
@@ -140,15 +146,36 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
     return IndexResult(value=value, method="determinant", replications=0, agreement=ONE)
 
 
-def _distance_to_component(eq: MixedEquilibrium, component: Component) -> Fraction:
-    best = None
-    for subset in component.subsets:
-        d_row = linf_distance_to_hull(eq.row_mix, subset.row_face)
-        d_col = linf_distance_to_hull(eq.col_mix, subset.col_face)
-        dist = max(d_row, d_col)
-        if best is None or dist < best:
-            best = dist
-    return best
+def _box(face: tuple[Mix, ...]) -> tuple[Mix, Mix]:
+    """The least and the greatest weight of each coordinate over a face's vertices."""
+    coordinates = list(zip(*face))
+    return tuple(map(min, coordinates)), tuple(map(max, coordinates))
+
+
+def _box_distance(point: Mix, box: tuple[Mix, Mix]) -> Fraction:
+    """The most any coordinate of a point lies outside the box [lows, highs]
+    around a face (at most 0 inside it). The face's hull lies in its box, so
+    the point's distance to the hull is at least this."""
+    lows, highs = box
+    return max(max(lo - w, w - hi) for w, lo, hi in zip(point, lows, highs))
+
+
+def _near(eq: MixedEquilibrium, screens, radius: Fraction) -> bool:
+    """Whether an equilibrium lies within max-norm `radius` of a Nash subset.
+
+    `screens` pairs each subset with the boxes around its faces. A subset
+    whose box bound exceeds the radius on either side is far without an LP.
+    For the others the row hull LP runs first, the col LP only when the row
+    side is within range, and the first subset within range settles it.
+    """
+    for subset, row_box, col_box in screens:
+        if _box_distance(eq.row_mix, row_box) > radius or _box_distance(eq.col_mix, col_box) > radius:
+            continue
+        if linf_distance_to_hull(eq.row_mix, subset.row_face) > radius:
+            continue
+        if linf_distance_to_hull(eq.col_mix, subset.col_face) <= radius:
+            return True
+    return False
 
 
 def _perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
@@ -163,43 +190,99 @@ def _perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
     return replace(gamma, cells=tuple(tuple((shifted(u1), shifted(u2)) for (u1, u2) in row) for row in gamma.cells))
 
 
+class _Draw:
+    """A perturbed game whose strict-dominance core is nondegenerate, its
+    extreme equilibria, and the determinant index of each one asked about."""
+
+    def __init__(self, perturbed: BimatrixGame, equilibria: tuple[MixedEquilibrium, ...]):
+        self.perturbed = perturbed
+        self.equilibria = equilibria
+        self._indices: dict[int, int | None] = {}
+
+    def index(self, k: int) -> int | None:
+        """The determinant index of equilibrium k; None when it is not regular."""
+        if k not in self._indices:
+            try:
+                self._indices[k] = equilibrium_index(self.perturbed, self.equilibria[k]).value
+            except DegenerateEquilibriumError:
+                self._indices[k] = None
+        return self._indices[k]
+
+    def near_sum(self, screens, radius: Fraction) -> int | None:
+        """The sum of the indices of the equilibria within `radius` of the
+        screened subsets; None at the first of them that is not regular."""
+        total = 0
+        for k, eq in enumerate(self.equilibria):
+            if _near(eq, screens, radius):
+                value = self.index(k)
+                if value is None:
+                    return None
+                total += value
+        return total
+
+
+class DrawStore:
+    """The perturbation draws of one game under one config, for one call.
+
+    Draw (rep, attempt) is seeded by `Random(f"{seed}:{rep}:{attempt}")`,
+    which does not depend on the component, so every component of the game
+    reads the same draws. The store perturbs and enumerates each draw at
+    most once, when a component first asks for it, and keeps it for as long
+    as the store lives: a caller that indexes several components of one game
+    passes one store to each `component_index` call and then drops it.
+    """
+
+    def __init__(self, gamma: BimatrixGame, cfg: PerturbationConfig):
+        self.gamma = gamma
+        self.cfg = cfg
+        self._draws: dict[tuple[int, int], _Draw | None] = {}
+
+    def draw(self, rep: int, attempt: int) -> _Draw | None:
+        """The draw, or None when its strict-dominance core is degenerate."""
+        key = (rep, attempt)
+        if key not in self._draws:
+            perturbed = _perturbed_game(self.gamma, random.Random(f"{self.cfg.seed}:{rep}:{attempt}"))
+            result = enumerate_extreme_equilibria(perturbed)
+            self._draws[key] = None if result.degenerate else _Draw(perturbed, result.equilibria)
+        return self._draws[key]
+
+
 def component_index(
     gamma: BimatrixGame,
     component: Component,
     cfg: PerturbationConfig = PerturbationConfig(),
+    draws: DrawStore | None = None,
 ) -> IndexResult:
     """Index of a component: the determinant index when it is a single
-    regular equilibrium, the perturbation index otherwise."""
+    regular equilibrium, the perturbation index otherwise. The components of
+    one game share their perturbation draws through `draws`, a `DrawStore`
+    of `gamma` and `cfg`; without one the call makes its own."""
     if len(component.extremes) == 1:
         try:
             return equilibrium_index(gamma, component.extremes[0])
         except DegenerateEquilibriumError:
             pass
-    return _perturbation_index(gamma, component, cfg)
+    return _perturbation_index(gamma, component, cfg, draws)
 
 
-def _perturbation_index(gamma: BimatrixGame, component: Component, cfg: PerturbationConfig) -> IndexResult:
+def _perturbation_index(
+    gamma: BimatrixGame, component: Component, cfg: PerturbationConfig, draws: DrawStore | None = None
+) -> IndexResult:
     """The modal sum, over replications, of the determinant indices of the
     perturbed equilibria within `cfg.neighborhood` of the component."""
+    if draws is None:
+        draws = DrawStore(gamma, cfg)
+    elif draws.gamma is not gamma or draws.cfg != cfg:
+        raise ValueError("the draw store belongs to another game or config")
+    screens = [(subset, _box(subset.row_face), _box(subset.col_face)) for subset in component.subsets]
     sums = []
     for rep in range(cfg.replications):
-        total = None
         for attempt in range(cfg.attempts):
-            rng = random.Random(f"{cfg.seed}:{rep}:{attempt}")
-            perturbed = _perturbed_game(gamma, rng)
-            result = enumerate_extreme_equilibria(perturbed)
-            if result.degenerate:
-                continue
-            try:
-                total = sum(
-                    equilibrium_index(perturbed, eq).value
-                    for eq in result
-                    if _distance_to_component(eq, component) <= cfg.neighborhood
-                )
-            except DegenerateEquilibriumError:
-                continue
-            break
-        if total is None:
+            draw = draws.draw(rep, attempt)
+            total = None if draw is None else draw.near_sum(screens, cfg.neighborhood)
+            if total is not None:
+                break
+        else:
             raise DegenerateDrawsError(
                 f"replication {rep}: all {cfg.attempts} perturbation draws hit degenerate games"
             )
@@ -221,8 +304,8 @@ def index_sum_ok(results) -> bool:
 
 def index_sum_check(gamma: BimatrixGame, cfg: PerturbationConfig = PerturbationConfig()) -> IndexSumReport:
     """Component indices must sum to +1 over the whole game."""
-    components = solve_components(gamma)
-    results = tuple(component_index(gamma, comp, cfg) for comp in components)
+    draws = DrawStore(gamma, cfg)
+    results = tuple(component_index(gamma, comp, cfg, draws) for comp in solve_components(gamma))
     return IndexSumReport(per_component=results, total=sum(r.value for r in results), ok=index_sum_ok(results))
 
 
@@ -239,10 +322,12 @@ def duplicate_containment_check(
     its row support through the embedding (columns map by representative).
     """
     base_components = solve_components(gamma_base)
-    base_results = [component_index(gamma_base, comp, cfg) for comp in base_components]
+    base_draws = DrawStore(gamma_base, cfg)
+    base_results = [component_index(gamma_base, comp, cfg, base_draws) for comp in base_components]
+    draws = DrawStore(gamma0, cfg)
     entries = []
     for comp in solve_components(gamma0):
-        result = component_index(gamma0, comp, cfg)
+        result = component_index(gamma0, comp, cfg, draws)
         if result.value == 0 and not result.indeterminate:
             continue
         image_rows = tuple(sorted({embedding.map_row(lbl) for lbl in comp.row_support()}, key=repr))

@@ -1,8 +1,10 @@
 """Exact linear algebra on one integer pivot kernel.
 
-`Tableau` holds a polyhedron {x >= 0 : rows . x <= rhs} with rhs >= 0 as
-integers and pivots fraction-free (Bareiss), leaving by the lexicographic
-min-ratio test; this is the pivoting of lrs/lrsnash. The vertex walk in
+`Tableau` holds a polyhedron {x >= 0 : rows . x <= rhs} with rhs >= 0 as an
+integer dictionary: the rhs and the nonbasic columns only, as in lrs/lrsnash
+(Avis, Rosenberg, Savani & von Stengel 2010). It pivots fraction-free
+(Bareiss), leaving by the lexicographic min-ratio test, and reads each basic
+column as det times a unit vector instead of storing it. The vertex walk in
 `equilibrium`, the determinant and the max-norm distance from a point to a
 convex hull are all built on it. Its input may be ints or Fractions; each
 entry is scaled to an integer by the common denominator, numerator times
@@ -21,16 +23,19 @@ ZERO = Fraction(0)
 
 
 class Tableau:
-    """{x >= 0 : rows . x <= rhs}, rhs >= 0, as an integer tableau.
+    """{x >= 0 : rows . x <= rhs}, rhs >= 0, as an integer dictionary.
 
     Variable v < dim is the coordinate x_v and variable dim + r the slack of
-    row r. Row r of `rows` is [value | coefficient of each variable] for the
-    variable `basis[r]`; variable v is column v + 1. Entries are scaled by the
-    common denominator of the inputs and then by `det`, the determinant of the
-    current basis, so a coordinate x_v = rows[r][0] / det where basis[r] = v
-    (a slack's value carries the common denominator too), and every Bareiss
-    division is exact. The start is the all-slack basis, the origin.
-    An `objective` c of a maximization rides along as one extra last row, in
+    row r. Row r of `rows` is [value | coefficient of each nonbasic variable]
+    for the variable `basis[r]`. `place[v]` says where variable v is: its
+    column k >= 1 in every row when nonbasic, -1 - r when basic at row r.
+    Entries are scaled by the common denominator of the inputs and then by
+    `det`, the determinant of the current basis, so a coordinate
+    x_v = rows[r][0] / det where basis[r] = v (a slack's value carries the
+    common denominator too), and every Bareiss division is exact. A basic
+    variable's column, det at its own row and 0 elsewhere, is not stored. The
+    start is the all-slack basis, the origin, with x_v in column v + 1. An
+    `objective` c of a maximization rides along as one extra last row, in
     which a negative entry marks a variable whose increase raises c . x; it
     pivots with the others and is never a pivot row.
     """
@@ -45,60 +50,96 @@ class Tableau:
         count = len(rows)
         entries = [v for row in rows for v in row] + list(rhs) + list(objective or ())
         scale = math.lcm(*(v.denominator for v in entries))
-        # row r: [rhs | x_0 .. x_{dim-1} | slack_0 .. slack_{count-1}]
+        # row r: [rhs | x_0 .. x_{dim-1}]
         self.rows = [
-            [b.numerator * (scale // b.denominator)]
-            + [v.numerator * (scale // v.denominator) for v in row]
-            + [int(k == r) for k in range(count)]
-            for r, (row, b) in enumerate(zip(rows, rhs))
+            [b.numerator * (scale // b.denominator)] + [v.numerator * (scale // v.denominator) for v in row]
+            for row, b in zip(rows, rhs)
         ]
         if objective is not None:
-            self.rows.append([0] + [-v.numerator * (scale // v.denominator) for v in objective] + [0] * count)
+            self.rows.append([0] + [-v.numerator * (scale // v.denominator) for v in objective])
         self.count = count
         self.scale = scale
         self.basis = list(range(dim, dim + count))
+        self.place = list(range(1, dim + 1)) + [-1 - r for r in range(count)]
         self.det = 1
-        self._lex_columns = [0] + list(range(dim + 1, dim + count + 1))
+        self._slacks = range(dim, dim + count)
+
+    def snapshot(self) -> tuple:
+        """The state to return to with `restore`. `pivot` replaces rows and
+        never changes one in place, so a shallow copy of the rows keeps it."""
+        return list(self.rows), list(self.basis), list(self.place), self.det
+
+    def restore(self, state: tuple) -> None:
+        self.rows, self.basis, self.place, self.det = state
 
     def pivot(self, r: int, v: int) -> None:
-        """Bring variable v into the basis at row r."""
+        """Bring nonbasic variable v into the basis at row r.
+
+        The other rows get the Bareiss update, and v's column then holds the
+        leaving variable: -a_i in row i, the old det in row r.
+        """
         rows = self.rows
+        k = self.place[v]
         pivot_row = rows[r]
-        p = pivot_row[v + 1]
+        p = pivot_row[k]
         det = self.det
         for i, row in enumerate(rows):
-            if i != r:
-                a = row[v + 1]
+            if i == r:
+                continue
+            a = row[k]
+            if a:
                 rows[i] = [(x * p - a * y) // det for x, y in zip(row, pivot_row)]
+                rows[i][k] = -a
+            elif p != det:
+                rows[i] = [x * p // det for x in row]
+        rows[r] = list(pivot_row)
+        rows[r][k] = det
+        self.place[self.basis[r]] = k
+        self.place[v] = -1 - r
         self.basis[r] = v
         self.det = p
 
     def leaving_row(self, v: int) -> int | None:
         """The row the lexicographic min-ratio test over [rhs | slack columns]
-        picks for entering variable v; None when no row bounds v."""
-        rows = self.rows
-        best = None
-        for i in range(self.count):
-            row = rows[i]
-            a = row[v + 1]
+        picks for nonbasic variable v; None when no row bounds v."""
+        k = self.place[v]
+        best = top = b = None
+        for i, row in enumerate(self.rows[: self.count]):
+            a = row[k]
             if a <= 0:
                 continue
             if best is not None:
-                b = rows[best][v + 1]
-                for k in self._lex_columns:
-                    diff = row[k] * b - rows[best][k] * a
-                    if diff:
-                        break
+                diff = row[0] * b - top[0] * a
+                if not diff:
+                    diff = self._slack_tie(i, a, best, b)
                 if diff > 0:
                     continue
-            best = i
+            best, top, b = i, row, a
         return best
+
+    def _slack_tie(self, i: int, a: int, best: int, b: int) -> int:
+        """Compare rows i and best, divided by their entries a and b, on the
+        slack columns in order; a basic slack's column is det times its unit
+        vector."""
+        row, other = self.rows[i], self.rows[best]
+        for s in self._slacks:
+            k = self.place[s]
+            if k > 0:
+                diff = row[k] * b - other[k] * a
+            elif k == -1 - i:
+                diff = self.det * b
+            elif k == -1 - best:
+                diff = -self.det * a
+            else:
+                continue
+            if diff:
+                return diff
+        return 0
 
     def value(self, v: int) -> Fraction:
         """The exact value of coordinate x_v (v < dim) at the current basis."""
-        if v not in self.basis:
-            return ZERO
-        return Fraction(self.rows[self.basis.index(v)][0], self.det)
+        k = self.place[v]
+        return ZERO if k > 0 else Fraction(self.rows[-1 - k][0], self.det)
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -111,10 +152,8 @@ def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(matrix)
     tableau = Tableau(matrix, [ZERO] * n, n)
     for col in range(n):
-        row = next(
-            (r for r, v in enumerate(tableau.basis) if v >= n and tableau.rows[r][col + 1] != 0),
-            None,
-        )
+        k = tableau.place[col]
+        row = next((r for r, v in enumerate(tableau.basis) if v >= n and tableau.rows[r][k] != 0), None)
         if row is None:
             return ZERO
         tableau.pivot(row, col)
@@ -131,10 +170,10 @@ def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence
     T0 = max_i |point_i - v0_i| (the distance at lambda = e_0), makes every
     right-hand side nonnegative, so the all-slack basis is feasible and no
     phase 1 is needed. The two rows of any coordinate add up to u <= T0, so
-    maximizing u is bounded. Entering the first improving column and leaving
-    by the lexicographic rule cannot cycle. The LP runs on the point and
-    vertices times the lcm of their denominators, which scales t alike; a
-    single vertex needs no LP.
+    maximizing u is bounded. Entering the improving variable of least id and
+    leaving by the lexicographic rule cannot cycle. The LP runs on the point
+    and vertices times the lcm of their denominators, which scales t alike;
+    a single vertex needs no LP.
     """
     if not vertices:
         raise ValueError("empty vertex set")
@@ -159,7 +198,7 @@ def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence
     tableau = Tableau(rows, rhs, u + 1, objective=[0] * u + [1])
     while True:
         costs = tableau.rows[-1]
-        entering = next((v for v in range(len(costs) - 1) if costs[v + 1] < 0), None)
+        entering = next((v for v, k in enumerate(tableau.place) if k > 0 and costs[k] < 0), None)
         if entering is None:
             return (top - tableau.value(u)) / scale
         tableau.pivot(tableau.leaving_row(entering), entering)

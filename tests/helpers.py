@@ -13,13 +13,17 @@ engine that `linalg.Tableau` replaced, is the oracle for
 integer views are the oracles for its cells and its strategy classes, and
 the generator form of `strict_core` is the oracle for its plain loops.
 Expected payoffs of a profile are priced play by play from the payoff
-table, apart from the normal forms and the enumerator."""
+table, apart from the normal forms and the enumerator. The sampling index
+of one component on draws of its own, measured by both hull LPs for every
+perturbed equilibrium, is the oracle for the draws that `indices.DrawStore`
+shares between components and for the far screen in front of the LPs."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import sympy
@@ -27,6 +31,15 @@ import sympy
 from sigsolve.catalog import random_bimatrix
 from sigsolve.equilibrium import EquilibriumSet, Mix, MixedEquilibrium, enumerate_extreme_equilibria
 from sigsolve.game import MixedProfile, ReceiverStrategyC, SignalingGame
+from sigsolve.indices import (
+    DegenerateDrawsError,
+    DegenerateEquilibriumError,
+    IndexResult,
+    PerturbationConfig,
+    _perturbed_game,
+    equilibrium_index,
+)
+from sigsolve.linalg import linf_distance_to_hull
 from sigsolve.normalform import BimatrixGame
 
 F = Fraction
@@ -277,43 +290,74 @@ def solve_square(matrix, rhs):
 
 
 def exhaustive_polytope_vertices(rows, dim, sides):
-    """`equilibrium._polytope_vertices` by solving every square basis system.
+    """`equilibrium._polytope_vertices` by solving every nonsingular square
+    basis system.
 
     A basis is a set of free coordinates plus equally many tight payoff
     constraints (the remaining coordinates are pinned at zero). Each feasible
     solution is a vertex, labeled with its zero coordinates (`sides[0]`) and
-    tight constraints (`sides[1]`).
+    tight constraints (`sides[1]`). For each set of free coordinates the
+    constraints are chosen depth-first in increasing order. Choosing one
+    eliminates it from every later constraint (Bareiss, pivoting on the
+    chosen row's first nonzero column), so systems that share a prefix share
+    its elimination. A constraint that eliminates to zero would make the
+    system singular, so it is dropped from every extension of the prefix.
+    The search then solves each system exactly in integers by back
+    substitution (Cramer) and tests the solution in integers.
     """
     zero_side, tight_side = sides
     vertices = {}
     count = len(rows)
     scale = math.lcm(*(v.denominator for row in rows for v in row))
     scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]  # rows * scale . x <= scale
+
+    def record(free, echelon):
+        """Keep the basis solution x = nums / det if it is a new vertex."""
+        det = echelon[-1][0][echelon[-1][1]] if echelon else 1
+        nums = {}  # pivot column -> its coordinate times det
+        for row, col in reversed(echelon):
+            nums[col] = (row[-1] * det - sum(row[c] * v for c, v in nums.items())) // row[col]
+        if det < 0:
+            det, nums = -det, {col: -v for col, v in nums.items()}
+        if any(v < 0 for v in nums.values()):
+            return
+        tight = []
+        for r in range(count):
+            value = sum(scaled[r][free[col]] * v for col, v in nums.items())
+            if value > scale * det:
+                return
+            if value == scale * det:
+                tight.append((tight_side, r))
+        point = [Fraction(0)] * dim
+        for col, v in nums.items():
+            point[free[col]] = Fraction(v, det)
+        if tuple(point) not in vertices:
+            zeros = [(zero_side, i) for i, v in enumerate(point) if v == 0]
+            vertices[tuple(point)] = frozenset(zeros + tight)
+
+    def extend(free, echelon, pending):
+        """Extend the chosen rows (`echelon`, each with its pivot column) by
+        the later rows in `pending`, each already eliminated against them."""
+        need = len(free) - len(echelon)
+        if not need:
+            record(free, echelon)
+            return
+        previous = echelon[-1][0][echelon[-1][1]] if echelon else 1
+        for k in range(len(pending) - need + 1):
+            row = pending[k]
+            col = next(j for j in range(len(free)) if row[j])
+            later = []
+            if need > 1:
+                for other in pending[k + 1 :]:
+                    reduced = [(row[col] * x - other[col] * y) // previous for x, y in zip(other, row)]
+                    if any(reduced[: len(free)]):
+                        later.append(reduced)
+            extend(free, echelon + [(row, col)], later)
+
     for size in range(min(dim, count) + 1):
         for free in itertools.combinations(range(dim), size):
-            for chosen in itertools.combinations(range(count), size):
-                if size == 0:
-                    solution = []
-                else:
-                    matrix = [[scaled[c][f] for f in free] for c in chosen]
-                    solution = solve_square(matrix, [scale] * size)
-                    if solution is None:
-                        continue
-                point = [F(0)] * dim
-                for f, v in zip(free, solution):
-                    point[f] = v
-                if any(v < 0 for v in point) or tuple(point) in vertices:
-                    continue
-                tight = []
-                for r in range(count):
-                    value = sum(rows[r][f] * point[f] for f in free)
-                    if value > 1:
-                        break
-                    if value == 1:
-                        tight.append((tight_side, r))
-                else:
-                    zeros = [(zero_side, i) for i, v in enumerate(point) if v == 0]
-                    vertices[tuple(point)] = frozenset(zeros + tight)
+            candidates = [[scaled[c][f] for f in free] + [scale] for c in range(count)]
+            extend(free, [], [row for row in candidates if any(row[:size])])
     return vertices
 
 
@@ -469,3 +513,41 @@ def simplex_distance_to_hull(point, vertices):
     objective = [F(0)] * count + [F(1)] + [F(0)] * (2 * dim)
     value, _ = simplex_minimize(objective, rows, rhs)
     return value
+
+
+def reference_perturbation_index(gamma: BimatrixGame, component, cfg: PerturbationConfig) -> IndexResult:
+    """`indices._perturbation_index` of one component on its own draws: each
+    replication perturbs and enumerates its draws afresh, and each perturbed
+    equilibrium's distance to the component is the least, over the Nash
+    subsets, of the larger of its row and col hull distances."""
+
+    def distance(eq):
+        return min(
+            max(linf_distance_to_hull(eq.row_mix, subset.row_face), linf_distance_to_hull(eq.col_mix, subset.col_face))
+            for subset in component.subsets
+        )
+
+    sums = []
+    for rep in range(cfg.replications):
+        total = None
+        for attempt in range(cfg.attempts):
+            perturbed = _perturbed_game(gamma, random.Random(f"{cfg.seed}:{rep}:{attempt}"))
+            result = enumerate_extreme_equilibria(perturbed)
+            if result.degenerate:
+                continue
+            try:
+                total = sum(
+                    equilibrium_index(perturbed, eq).value for eq in result if distance(eq) <= cfg.neighborhood
+                )
+            except DegenerateEquilibriumError:
+                continue
+            break
+        if total is None:
+            raise DegenerateDrawsError(
+                f"replication {rep}: all {cfg.attempts} perturbation draws hit degenerate games"
+            )
+        sums.append(total)
+    value, hits = max(Counter(sums).items(), key=lambda item: (item[1], -abs(item[0])))
+    return IndexResult(
+        value=value, method="perturbation", replications=cfg.replications, agreement=Fraction(hits, cfg.replications)
+    )

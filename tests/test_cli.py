@@ -119,8 +119,8 @@ def test_index_sum_with_an_indeterminate_component_is_unexpected(beerquiche_file
     # the sum is still +1, but a component whose replications disagree leaves it unconfirmed
     component_index = cli.component_index
 
-    def half_agreeing(gamma, component, cfg):
-        result = component_index(gamma, component, cfg)
+    def half_agreeing(gamma, component, cfg, draws):
+        result = component_index(gamma, component, cfg, draws)
         return replace(result, agreement=F(1, 2)) if result.value == 0 else result
 
     monkeypatch.setattr(cli, "component_index", half_agreeing)

@@ -1,15 +1,20 @@
+import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from helpers import random_nondegenerate_games, reference_determinant_index
+from helpers import random_nondegenerate_games, reference_determinant_index, reference_perturbation_index
 
+from sigsolve import indices
 from sigsolve.catalog import coordination_2x2, matching_pennies
-from sigsolve.cli import render_label
+from sigsolve.cli import load_game, render_label
 from sigsolve.equilibrium import enumerate_extreme_equilibria, solve_components
 from sigsolve.indices import (
+    DegenerateDrawsError,
     DegenerateEquilibriumError,
+    DrawStore,
     PerturbationConfig,
     _perturbation_index,
     component_index,
@@ -17,7 +22,15 @@ from sigsolve.indices import (
     equilibrium_index,
     index_sum_check,
 )
-from sigsolve.normalform import BimatrixGame, EmbedMap, build_normal_form, embed_map, reduced_sgcm_at_zero
+from sigsolve.normalform import (
+    BimatrixGame,
+    EmbedMap,
+    build_normal_form,
+    build_sgcm_normal_form,
+    embed_map,
+    reduce_normal_form,
+    reduced_sgcm_at_zero,
+)
 
 CFG = PerturbationConfig()
 
@@ -152,3 +165,77 @@ def test_duplicate_containment_for_synthetic_duplicate_row():
     assert report.ok
     assert len(report.entries) == 1
     assert report.entries[0].image_rows == ("top",)
+
+
+def fixture_forms():
+    """The base form and the reduced monitored form at 1/20 of each bundled game."""
+    for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg")):
+        game = load_game(str(path))
+        yield build_normal_form(game)
+        yield reduce_normal_form(build_sgcm_normal_form(game, F(1, 20)))[0]
+
+
+def tied_bimatrices(seed, count=200):
+    """1-4 strategies a side, payoffs from range(2) or range(3): mostly
+    degenerate games whose components have several extremes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols, high = rng.randint(1, 4), rng.randint(1, 4), rng.choice((2, 3))
+        cells = tuple(tuple((F(rng.randrange(high)), F(rng.randrange(high))) for _ in range(cols)) for _ in range(rows))
+        yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
+
+
+def index_or_error(index, *args):
+    try:
+        return index(*args)
+    except DegenerateDrawsError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "games, least_multi", [(fixture_forms, 7), (lambda: tied_bimatrices(47), 100)], ids=["fixtures", "tied"]
+)
+def test_shared_draws_match_each_component_on_its_own_draws(games, least_multi):
+    """Every component's sampling index is the same whether the components
+    of a game share one draw store, in either order, or each draws alone."""
+    multi = 0
+    for gamma in games():
+        components = solve_components(gamma)
+        expected = [index_or_error(reference_perturbation_index, gamma, comp, CFG) for comp in components]
+        for order in (components, components[::-1]):
+            draws = DrawStore(gamma, CFG)
+            found = {id(comp): index_or_error(_perturbation_index, gamma, comp, CFG, draws) for comp in order}
+            assert [found[id(comp)] for comp in components] == expected, gamma
+        assert [index_or_error(_perturbation_index, gamma, comp, CFG) for comp in components] == expected, gamma
+        multi += sum(len(comp.extremes) > 1 for comp in components)
+    assert multi >= least_multi  # components with several extremes, the ones that need the sampling index
+
+
+def test_draws_are_shared_within_a_store_and_never_across_calls(beerquiche, monkeypatch):
+    enumerated = []
+
+    def recording(gamma):
+        enumerated.append(gamma.cells)
+        return enumerate_extreme_equilibria(gamma)
+
+    monkeypatch.setattr(indices, "enumerate_extreme_equilibria", recording)
+    gamma = build_normal_form(beerquiche)
+    components = solve_components(gamma)
+    alone = []
+    for game in (gamma, gamma, build_normal_form(beerquiche)):
+        enumerated.clear()
+        component_index(game, components[0], CFG)
+        alone.append(list(enumerated))
+    assert len(alone[0]) >= CFG.replications
+    assert alone[1] == alone[2] == alone[0]  # no call reuses another's draws, on the same or an equal game
+
+    enumerated.clear()
+    component_index(gamma, components[1], CFG)
+    needed = set(alone[0]) | set(enumerated)
+    enumerated.clear()
+    draws = DrawStore(gamma, CFG)
+    for comp in components:
+        component_index(gamma, comp, CFG, draws)
+    assert len(enumerated) == len(set(enumerated)) and set(enumerated) == needed  # each draw once
+    with pytest.raises(ValueError):
+        component_index(build_normal_form(beerquiche), components[0], CFG, draws)

@@ -6,6 +6,7 @@ import sympy
 
 from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimize, solve_square
 
+from sigsolve.indices import _box, _box_distance
 from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
 from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
 
@@ -40,6 +41,46 @@ def test_leaving_row_breaks_ratio_ties_lexicographically(rows, rhs, first_row, e
     tableau = Tableau([[F(v) for v in row] for row in rows], [F(b) for b in rhs], 2)
     tableau.pivot(first_row, 0)
     assert tableau.leaving_row(1) == expected
+
+
+def lexicographic_leaving_row(rows, rhs, dim, basis, v):
+    """The lexicographic min-ratio row for entering variable v, from the
+    full tableau B^-1 [rhs | slack columns | column v] solved in Fractions."""
+    count = len(rows)
+    columns = [[F(row[u]) for row in rows] if u < dim else [F(r == u - dim) for r in range(count)] for u in basis]
+    matrix = [[column[r] for column in columns] for r in range(count)]
+    targets = [[F(b) for b in rhs]] + [[F(r == k) for r in range(count)] for k in range(count)]
+    targets.append([F(row[v]) for row in rows] if v < dim else [F(r == v - dim) for r in range(count)])
+    solved = [solve_square(matrix, target) for target in targets]
+    entering = solved[-1]
+    ratios = [
+        (tuple(column[i] / entering[i] for column in solved[:-1]), i) for i in range(count) if entering[i] > 0
+    ]
+    return min(ratios)[1] if ratios else None
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_leaving_row_is_the_lexicographic_minimum(seed):
+    # degenerate polytopes, walked by random pivots; a basic slack's column,
+    # which the tableau does not store, decides many of the ties
+    rng = random.Random(seed)
+    ties = 0
+    for _ in range(60):
+        dim, count = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.randint(0, 2) for _ in range(dim)] for _ in range(count)]
+        rhs = [rng.choice((0, 1, 1, 2)) for _ in range(count)]
+        tableau = Tableau([[F(v) for v in row] for row in rows], [F(b) for b in rhs], dim)
+        for _ in range(8):
+            nonbasic = [v for v in range(dim + count) if v not in tableau.basis]
+            for v in nonbasic:
+                expected = lexicographic_leaving_row(rows, rhs, dim, tableau.basis, v)
+                assert tableau.leaving_row(v) == expected, (rows, rhs, tableau.basis, v)
+                ties += expected is not None and sum(tableau.rows[i][0] == 0 for i in range(count)) > 1
+            v = rng.choice(nonbasic)
+            r = tableau.leaving_row(v)
+            if r is not None:
+                tableau.pivot(r, v)
+    assert ties
 
 
 def test_simplex_on_a_transport_toy():
@@ -136,6 +177,23 @@ def test_hull_distance_matches_simplex_oracle(seed):
         distances.append(linf_distance_to_hull(point, vertices))
         assert distances[-1] == simplex_distance_to_hull(point, vertices), (point, vertices)
     assert 0 in distances and max(distances) > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_box_bound_calls_far_only_what_the_hull_lp_calls_far(seed):
+    """The sampling index skips the hull LPs of a face whose box bound
+    exceeds the radius; that must never drop a point within the radius."""
+    screened = kept = 0
+    for point, vertices in hull_cases(seed):
+        bound = _box_distance(point, _box(vertices))
+        distance = linf_distance_to_hull(point, vertices)
+        for radius in (F(0), F(1, 1000), F(1, 20), F(1, 2)):
+            if bound > radius:
+                assert distance > radius, (point, vertices, radius)
+                screened += 1
+            else:
+                kept += 1
+    assert screened and kept
 
 
 def test_parse_and_render_rationals():
