@@ -8,9 +8,11 @@ vertex of the two best-response polytopes by lexicographic pivoting on
 `linalg.Tableau`, the package's one integer pivot kernel, which visits only
 the feasible bases, one pivot per step. It labels each vertex once with the
 bit mask of its zero coordinates and tight constraints, and keeps the vertex
-pairs whose masks cover every pure strategy; only those become `Fraction`s.
-This captures degenerate games too: the extreme points of every equilibrium
-segment are themselves vertex pairs.
+pairs whose masks cover every pure strategy. That integer walk,
+`extreme_vertex_pairs`, is shared with the index's perturbation draws;
+`enumerate_extreme_equilibria` turns its pairs into `Fraction` mixes and
+payoffs. This captures degenerate games too: the extreme points of every
+equilibrium segment are themselves vertex pairs.
 
 The extreme equilibria are the edges of a bipartite graph between extreme
 row mixes and extreme col mixes (Avis, Rosenberg, Savani & von Stengel 2010,
@@ -26,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import MixedProfile, Outcome, SignalingGame, classify_outcome, outcome_of_profile
 from .linalg import Tableau
-from .normalform import BimatrixGame, deep_representative, strict_core
+from .normalform import BimatrixGame, IntegerPayoffs, deep_representative, strict_core
 
 ZERO = Fraction(0)
 
@@ -203,52 +206,48 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
             tableau.restore(state)
 
 
-def _bilinear(matrix: list[list[int]], x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """x . matrix . y over the supports of x and y."""
-    return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
-
-
-def _padded(point: tuple[int, ...], kept: list[int], size: int) -> Mix:
-    """The mix point / sum(point) on the kept strategies, 0 on the others."""
-    total = sum(point)
-    mix = [ZERO] * size
+def _padded(point: tuple[int, ...], kept: list[int], size: int) -> tuple[int, ...]:
+    """The point on the kept strategies, 0 on the others."""
+    full = [0] * size
     for i, v in zip(kept, point):
-        mix[i] = Fraction(v, total)
-    return tuple(mix)
+        full[i] = v
+    return tuple(full)
 
 
-def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
-    """All extreme Nash equilibria, exactly, in deterministic order.
+class VertexPairs(NamedTuple):
+    """The extreme equilibria as integer vertex pairs: in each pair (x, y),
+    x / sum(x) is the row mix and y / sum(y) the col mix, padded with zeros
+    on the strategies outside the strict-dominance core. `degenerate` is as
+    in `EquilibriumSet`."""
 
-    Read the payoffs, scaled to integers by their common denominator, off
-    the game's integer views and cut the game to its strict-dominance core
-    (`normalform.strict_core`; scaling keeps dominance). Build the best-response polytopes of the core from
-    the payoffs shifted positive (neither changes a label or a normalized
-    vertex), enumerate their labeled vertices, and keep the pairs whose
-    labels jointly cover every pure strategy of the core. Normalized and
-    padded with zeros on the dominated strategies, those vertex pairs are
-    precisely the game's extreme equilibria: no equilibrium plays a
-    dominated strategy, and where none is played, every dominated
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    degenerate: bool
+
+
+def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> VertexPairs:
+    """The vertex pairs of the best-response polytopes of the game whose row
+    player gets `receiver.matrix` and col player `sender.matrix`.
+
+    Cut the game to its strict-dominance core (`normalform.strict_core`),
+    build the core's polytopes from the payoffs lifted by each view's
+    `shift`, enumerate their labeled vertices, and keep the pairs whose
+    labels jointly cover every pure strategy of the core. No equilibrium
+    plays a dominated strategy, and where none is played, every dominated
     strategy's constraint is slack, so that face of each full polytope is
-    the core's polytope. Everything stays in integers until a pair matches:
-    row i is label bit i and col j bit m + j, so a pair matches when the col
-    vertex holds every label the row vertex lacks (a superset test, as
-    degenerate vertices carry extra labels), and its payoffs are integer
-    sums over the core, the mix totals and the payoff denominator.
-    `degenerate` describes the core's polytopes (see `EquilibriumSet`).
+    the core's polytope. A positive rescaling or another lifting to positive
+    payoffs keeps every label, so any common denominator and shift give the
+    same pairs once normalized. Row i is label bit i and col j bit m + j,
+    so a pair matches when the col vertex holds every label the row vertex
+    lacks (a superset test, as degenerate vertices carry extra labels).
     """
-    full_m, full_n = gamma.shape
-    receiver, receiver_scale, a_shift = gamma.receiver_integers  # row player payoffs A
-    sender, sender_scale, b_shift = gamma.sender_integers  # col player payoffs B
-    kept_rows, kept_cols = strict_core(receiver, sender)
-    receiver = [[receiver[i][j] for j in kept_cols] for i in kept_rows]
-    sender = [[sender[i][j] for j in kept_cols] for i in kept_rows]
+    full_m, full_n = len(receiver.matrix), len(receiver.matrix[0])
+    kept_rows, kept_cols = strict_core(receiver.matrix, sender.matrix)
     m, n = len(kept_rows), len(kept_cols)
 
     # P = {x >= 0, B^T x <= 1} in R^m: bit i says row i is at zero, bit m + j that col j is tight
-    p_rows = [[sender[i][j] + b_shift for i in range(m)] for j in range(n)]
+    p_rows = [[sender.matrix[i][j] + sender.shift for i in kept_rows] for j in kept_cols]
     # Q = {y >= 0, A y <= 1} in R^n: bit j says col j is at zero, bit n + i that row i is tight
-    q_rows = [[receiver[i][j] + a_shift for j in range(n)] for i in range(m)]
+    q_rows = [[receiver.matrix[i][j] + receiver.shift for j in kept_cols] for i in kept_rows]
     p_vertices = _polytope_vertices(p_rows, m)
     q_vertices = _polytope_vertices(q_rows, n)
     degenerate = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
@@ -258,27 +257,49 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     full = (1 << (m + n)) - 1
     cols = (1 << n) - 1
     q_labeled = [(key[1:], (ly >> n) | (ly & cols) << m) for key, ly in q_vertices.items()]  # P's bit order
-    found = []
+    pairs = []
     for key, lx in p_vertices.items():
         x = key[1:]
         if not any(x):  # the origin matches only the other origin, which is no equilibrium
             continue
         need = full & ~lx
-        for y, ly in q_labeled:
-            if ly & need == need:
-                sx, sy = sum(x), sum(y)
-                found.append(
-                    MixedEquilibrium(
-                        row_mix=_padded(x, kept_rows, full_m),
-                        col_mix=_padded(y, kept_cols, full_n),
-                        payoffs=(
-                            Fraction(_bilinear(sender, x, y), sx * sy * sender_scale),
-                            Fraction(_bilinear(receiver, x, y), sx * sy * receiver_scale),
-                        ),
-                    )
-                )
+        matched = [y for y, ly in q_labeled if ly & need == need]
+        if matched:
+            x = _padded(x, kept_rows, full_m)
+            pairs += ((x, _padded(y, kept_cols, full_n)) for y in matched)
+    return VertexPairs(pairs=pairs, degenerate=degenerate)
+
+
+def _bilinear(matrix: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """x . matrix . y over the supports of x and y."""
+    return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
+
+
+def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
+    """All extreme Nash equilibria, exactly, in deterministic order.
+
+    The vertex pairs of `extreme_vertex_pairs` on the game's integer views,
+    normalized into `Fraction` mixes; each pair's payoffs are integer sums
+    over the supports divided by the mix totals and the view's scale.
+    `degenerate` describes the core's polytopes (see `EquilibriumSet`).
+    """
+    receiver, sender = gamma.receiver_integers, gamma.sender_integers  # row player A, col player B
+    walk = extreme_vertex_pairs(receiver, sender)
+    found = []
+    for x, y in walk.pairs:
+        sx, sy = sum(x), sum(y)
+        found.append(
+            MixedEquilibrium(
+                row_mix=tuple(Fraction(v, sx) if v else ZERO for v in x),
+                col_mix=tuple(Fraction(v, sy) if v else ZERO for v in y),
+                payoffs=(
+                    Fraction(_bilinear(sender.matrix, x, y), sx * sy * sender.scale),
+                    Fraction(_bilinear(receiver.matrix, x, y), sx * sy * receiver.scale),
+                ),
+            )
+        )
     found.sort(key=MixedEquilibrium.sort_key)
-    return EquilibriumSet(equilibria=tuple(found), degenerate=degenerate)
+    return EquilibriumSet(equilibria=tuple(found), degenerate=walk.degenerate)
 
 
 def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:

@@ -34,19 +34,25 @@ REFERENCE_COST = Fraction(1, 20)
 
 
 class IntegerPayoffs(NamedTuple):
-    """One player's payoffs times `scale`, the lcm of their denominators, and
-    the `shift` that lifts the least of them to 1."""
+    """One player's payoffs times `scale`, a common denominator of them, and
+    the `shift` that lifts the least of them to 1. A game's own views use
+    the lcm of the denominators; the index's perturbation draws use that lcm
+    times 10^6."""
 
     matrix: tuple[tuple[int, ...], ...]
     scale: int
     shift: int
+
+    @classmethod
+    def of(cls, matrix: tuple[tuple[int, ...], ...], scale: int) -> IntegerPayoffs:
+        return cls(matrix, scale, 1 - min(map(min, matrix)))
 
 
 def _integer_view(cells: tuple, player: int) -> IntegerPayoffs:
     payoffs = [[cell[player] for cell in row] for row in cells]
     scale = math.lcm(*(v.denominator for row in payoffs for v in row))
     matrix = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in payoffs)
-    return IntegerPayoffs(matrix, scale, 1 - min(map(min, matrix)))
+    return IntegerPayoffs.of(matrix, scale)
 
 
 @dataclass(frozen=True)

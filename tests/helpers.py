@@ -14,8 +14,9 @@ integer views are the oracles for its cells and its strategy classes, and
 the generator form of `strict_core` is the oracle for its plain loops.
 Expected payoffs of a profile are priced play by play from the payoff
 table, apart from the normal forms and the enumerator. The sampling index
-of one component on draws of its own, measured by both hull LPs for every
-perturbed equilibrium, is the oracle for the draws that `indices.DrawStore`
+of one component on draws of its own, each a game of perturbed `Fraction`
+payoffs enumerated afresh and each perturbed equilibrium measured by both
+hull LPs, is the oracle for the integer draws that `indices.DrawStore`
 shares between components and for the far screen in front of the LPs."""
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import sympy
@@ -36,7 +38,6 @@ from sigsolve.indices import (
     DegenerateEquilibriumError,
     IndexResult,
     PerturbationConfig,
-    _perturbed_game,
     equilibrium_index,
 )
 from sigsolve.linalg import linf_distance_to_hull
@@ -515,6 +516,20 @@ def simplex_distance_to_hull(point, vertices):
     return value
 
 
+def perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
+    """`gamma` with k/10^6 added to every payoff, k drawn uniformly from
+    [-1000, 1000]: u1 then u2 of each cell, row by row, each perturbed payoff
+    built as one Fraction. The same draws as `indices.DrawStore` makes from
+    the same generator, which perturbs the game's integer views instead."""
+    scale = 10**6
+    bound = int(PerturbationConfig.magnitude * scale)
+
+    def shifted(u: Fraction) -> Fraction:
+        return Fraction(u.numerator * scale + rng.randint(-bound, bound) * u.denominator, u.denominator * scale)
+
+    return replace(gamma, cells=tuple(tuple((shifted(u1), shifted(u2)) for (u1, u2) in row) for row in gamma.cells))
+
+
 def reference_perturbation_index(gamma: BimatrixGame, component, cfg: PerturbationConfig) -> IndexResult:
     """`indices._perturbation_index` of one component on its own draws: each
     replication perturbs and enumerates its draws afresh, and each perturbed
@@ -531,7 +546,7 @@ def reference_perturbation_index(gamma: BimatrixGame, component, cfg: Perturbati
     for rep in range(cfg.replications):
         total = None
         for attempt in range(cfg.attempts):
-            perturbed = _perturbed_game(gamma, random.Random(f"{cfg.seed}:{rep}:{attempt}"))
+            perturbed = perturbed_game(gamma, random.Random(f"{cfg.seed}:{rep}:{attempt}"))
             result = enumerate_extreme_equilibria(perturbed)
             if result.degenerate:
                 continue

@@ -12,7 +12,7 @@ from helpers import message_blind_receiver_game
 
 from sigsolve import cli, indices, sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT, beer_quiche
-from sigsolve.equilibrium import EquilibriumSet
+from sigsolve.equilibrium import VertexPairs
 from sigsolve.cli import (
     GameFileSemanticError,
     GameFileSyntaxError,
@@ -295,7 +295,7 @@ def test_missing_file_is_computation_error():
 
 def test_all_degenerate_perturbation_draws_are_a_computation_error(beerquiche_file, monkeypatch):
     monkeypatch.setattr(
-        indices, "enumerate_extreme_equilibria", lambda gamma: EquilibriumSet(equilibria=(), degenerate=True)
+        indices, "extreme_vertex_pairs", lambda receiver, sender: VertexPairs(pairs=[], degenerate=True)
     )
     result = run_command(["solve", beerquiche_file, "--index"])
     assert result.status == 1
@@ -330,5 +330,11 @@ def test_commands_on_small_games_end_in_a_status(text):
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "game.sg"
         path.write_text(text)
-        for argv in (["solve", str(path), "--components", "--index"], ["threshold", str(path), "--component", "C0"]):
+        for argv in (
+            ["solve", str(path), "--components", "--index"],
+            ["threshold", str(path), "--component", "C0"],
+            ["sweep", str(path), "--component", "C0", "--cmin", "0", "--cmax", "1/8", "--steps", "2",
+             "--out", str(Path(work) / "sweep.csv")],
+            ["theorem", str(path), "--component", "C0", "--epsilon", "1/20"],
+        ):
             assert run_command(argv).status in {0, 1, 2}

@@ -5,12 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_nondegenerate_games, reference_determinant_index, reference_perturbation_index
+from helpers import (
+    perturbed_game,
+    random_nondegenerate_games,
+    reference_determinant_index,
+    reference_perturbation_index,
+)
 
 from sigsolve import indices
 from sigsolve.catalog import coordination_2x2, matching_pennies
 from sigsolve.cli import load_game, render_label
-from sigsolve.equilibrium import enumerate_extreme_equilibria, solve_components
+from sigsolve.equilibrium import enumerate_extreme_equilibria, extreme_vertex_pairs, solve_components
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
@@ -185,6 +190,23 @@ def tied_bimatrices(seed, count=200):
         yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
 
 
+# 1/3, 3/10 and 2/7 lie 1/30 to 1/21 apart
+NEAR_TIES = (F(0), F(1), F(1, 3), F(2, 7), F(3, 10), F(-1, 3), F(-2, 7), F(-3, 10))
+
+
+def rational_bimatrices(seed, count=64):
+    """2-4 strategies a side, payoffs from four of `NEAR_TIES` per game: ties
+    make the games degenerate, and near ties make how far their perturbed
+    equilibria move depend on the size of the perturbation, which is 1/10^6
+    of each player's common denominator (up to 210 here)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        pool = rng.sample(NEAR_TIES, 4)
+        cells = tuple(tuple((rng.choice(pool), rng.choice(pool)) for _ in range(cols)) for _ in range(rows))
+        yield BimatrixGame(tuple(range(rows)), tuple(range(cols)), cells)
+
+
 def index_or_error(index, *args):
     try:
         return index(*args)
@@ -193,7 +215,9 @@ def index_or_error(index, *args):
 
 
 @pytest.mark.parametrize(
-    "games, least_multi", [(fixture_forms, 7), (lambda: tied_bimatrices(47), 100)], ids=["fixtures", "tied"]
+    "games, least_multi",
+    [(fixture_forms, 7), (lambda: tied_bimatrices(47), 100), (lambda: rational_bimatrices(53), 40)],
+    ids=["fixtures", "tied", "rational"],
 )
 def test_shared_draws_match_each_component_on_its_own_draws(games, least_multi):
     """Every component's sampling index is the same whether the components
@@ -211,14 +235,29 @@ def test_shared_draws_match_each_component_on_its_own_draws(games, least_multi):
     assert multi >= least_multi  # components with several extremes, the ones that need the sampling index
 
 
+@pytest.mark.parametrize("games", [fixture_forms, lambda: rational_bimatrices(53, 16)], ids=["fixtures", "rational"])
+def test_integer_draws_are_the_fraction_draws(games):
+    """A draw perturbs the integer views exactly as `helpers.perturbed_game`
+    perturbs the `Fraction` payoffs from the same generator, so its walk
+    gives that perturbed game's extreme equilibria."""
+    for gamma in games():
+        for attempt in range(3):
+            seed = f"{CFG.seed}:0:{attempt}"
+            walk = extreme_vertex_pairs(*indices._perturbed_views(gamma, random.Random(seed)))
+            expected = enumerate_extreme_equilibria(perturbed_game(gamma, random.Random(seed)))
+            mixes = sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in walk.pairs)
+            assert mixes == [eq.sort_key() for eq in expected], gamma
+            assert walk.degenerate == expected.degenerate, gamma
+
+
 def test_draws_are_shared_within_a_store_and_never_across_calls(beerquiche, monkeypatch):
     enumerated = []
 
-    def recording(gamma):
-        enumerated.append(gamma.cells)
-        return enumerate_extreme_equilibria(gamma)
+    def recording(receiver, sender):
+        enumerated.append((receiver.matrix, sender.matrix))
+        return extreme_vertex_pairs(receiver, sender)
 
-    monkeypatch.setattr(indices, "enumerate_extreme_equilibria", recording)
+    monkeypatch.setattr(indices, "extreme_vertex_pairs", recording)
     gamma = build_normal_form(beerquiche)
     components = solve_components(gamma)
     alone = []

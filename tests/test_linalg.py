@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import sympy
 
 from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimize, solve_square
 
-from sigsolve.indices import _box, _box_distance
+from sigsolve.indices import _box, _outside
 from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
 from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
 
@@ -139,8 +140,8 @@ def hull_cases(seed):
     """Seeded (point, vertices) pairs: dimension 1-6 and 1-8 vertices, plain,
     repeated or collinear; the point a convex combination of the vertices or
     a free draw; entries small integers, thirds and sevenths (so the LP's
-    common denominator differs from each entry's) or, as
-    `indices._perturbed_game` draws them, offsets on the 1/10^6 grid."""
+    common denominator differs from each entry's) or, as the sampling index
+    draws them, offsets on the 1/10^6 grid."""
     rng = random.Random(seed)
     for _ in range(180):
         dim = rng.randint(1, 6)
@@ -181,14 +182,23 @@ def test_hull_distance_matches_simplex_oracle(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_box_bound_calls_far_only_what_the_hull_lp_calls_far(seed):
-    """The sampling index skips the hull LPs of a face whose box bound
-    exceeds the radius; that must never drop a point within the radius."""
+    """The sampling index skips the hull LPs of a face when a point lies more
+    than the radius outside the box around the face's vertices; that must
+    never drop a point within the radius. The screen reads each point as the
+    vertex walk gives it, unnormalized integers over their total, and must
+    agree with the box bound taken in Fractions."""
+    rng = random.Random(seed)
     screened = kept = 0
     for point, vertices in hull_cases(seed):
-        bound = _box_distance(point, _box(vertices))
+        total = math.lcm(*(w.denominator for w in point)) * rng.randint(2, 5)
+        integers = tuple(int(w * total) for w in point)
+        lows, highs = map(min, zip(*vertices)), map(max, zip(*vertices))
+        bound = max(max(lo - w, w - hi) for w, lo, hi in zip(point, lows, highs))
         distance = linf_distance_to_hull(point, vertices)
         for radius in (F(0), F(1, 1000), F(1, 20), F(1, 2)):
-            if bound > radius:
+            outside = _outside(integers, total, _box(vertices, radius))
+            assert outside == (bound > radius), (point, vertices, radius)
+            if outside:
                 assert distance > radius, (point, vertices, radius)
                 screened += 1
             else:

@@ -15,12 +15,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import exhaustive_polytope_vertices, reference_extreme_equilibria
+from helpers import exhaustive_polytope_vertices, perturbed_game, reference_extreme_equilibria
 
 from sigsolve import equilibrium
 from sigsolve.catalog import beer_quiche, random_bimatrix
 from sigsolve.game import SignalingGame
-from sigsolve.indices import _perturbed_game
 from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
@@ -90,7 +89,7 @@ def perturbed_forms(seed):
     reduced = reduce_normal_form(build_sgcm_normal_form(beer_quiche(), F(1, 20)))[0]
     for gamma in (base, reduced, random_bimatrix(rng, 4, 5), random_bimatrix(rng, 5, 4)):
         for _ in range(3):
-            yield _perturbed_game(gamma, rng)
+            yield perturbed_game(gamma, rng)
 
 
 def as_points(vertices, dim):
