@@ -3,9 +3,8 @@
 
 For each sampled game: every enumerated equilibrium must verify exactly, the
 count must be odd, and the determinant indices must sum to +1. A draw is
-skipped when its enumeration is `degenerate`, a flag that describes the
-game's strict-dominance core: when the core is nondegenerate, every
-equilibrium is regular in the full game too. Exits nonzero on the first
+skipped when its enumeration is `degenerate`: some extreme equilibrium is
+not regular, so it has no determinant index. Exits nonzero on the first
 violation.
 """
 

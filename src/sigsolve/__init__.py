@@ -26,7 +26,6 @@ from .normalform import (
     StrategyClass,
     build_normal_form,
     build_sgcm_normal_form,
-    dominance_filter,
     embed_map,
     reduce_normal_form,
     reduced_sgcm_at_zero,

@@ -3,22 +3,27 @@ grouping into maximal Nash subsets and connected components, and the
 constant-outcome check on components.
 
 The enumeration reads each player's payoffs from the game's cached integer
-view (`BimatrixGame.receiver_integers`, `sender_integers`) and walks every
-vertex of the two best-response polytopes by lexicographic pivoting on
+view (`BimatrixGame.receiver_integers`, `sender_integers`), cuts the game to
+its strict-dominance core and walks every vertex of one best-response
+polytope, the one in fewer dimensions, by lexicographic pivoting on
 `linalg.Tableau`, the package's one integer pivot kernel, which visits only
 the feasible bases, one pivot per step. It labels each vertex once with the
-bit mask of its zero coordinates and tight constraints, and keeps the vertex
-pairs whose masks cover every pure strategy. That integer walk,
+bit mask of its zero coordinates and tight constraints. A vertex's partners
+are the vertices of the other polytope that carry every label it lacks: the
+vertices of one face, found by one fraction-free solve when the face is a
+point and by walking the face otherwise (von Stengel 2002, "Computing
+equilibria for two-person games", Handbook of Game Theory 3, ch. 45). This
+captures degenerate games too: the extreme points of every equilibrium
+segment are themselves vertex pairs. That integer walk,
 `extreme_vertex_pairs`, is shared with the index's perturbation draws;
 `enumerate_extreme_equilibria` turns its pairs into `Fraction` mixes and
-payoffs. This captures degenerate games too: the extreme points of every
-equilibrium segment are themselves vertex pairs.
+payoffs, and flags whether some of them is not regular.
 
 The extreme equilibria are the edges of a bipartite graph between extreme
 row mixes and extreme col mixes (Avis, Rosenberg, Savani & von Stengel 2010,
 "Enumeration of Nash equilibria for two-player games", Economic Theory 42).
 Its maximal bicliques are the maximal Nash subsets, and its connected
-components are the components of equilibria. The label match is the only
+components are the components of equilibria. The partner faces are the only
 test of which pairs are equilibria: a Nash pair of extreme mixes is a
 completely labeled vertex pair, so the enumeration already holds it.
 """
@@ -59,11 +64,14 @@ class EquilibriumCheck:
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    """Enumeration result; `degenerate` records an overlabeled vertex of a
-    best-response polytope of the game's strict-dominance core. At any
-    equilibrium each dominated strategy has weight 0 and is never a best
-    reply, so it adds exactly one label: an equilibrium is as degenerate in
-    the core as in the full game."""
+    """Enumeration result; `degenerate` says that some extreme equilibrium is
+    not regular: its support sizes differ, a best reply lies outside a
+    support, or a support block of either player's payoffs is singular,
+    exactly what `indices.equilibrium_index` rejects. At any equilibrium each
+    strictly dominated strategy has weight 0 and is never a best reply, so
+    an equilibrium is regular in the strict-dominance core exactly when it
+    is regular in the full game. An overlabeled vertex that is part of no
+    equilibrium does not count."""
 
     equilibria: tuple[MixedEquilibrium, ...]
     degenerate: bool
@@ -206,7 +214,7 @@ def _polytope_vertices(rows: list[list[int]], dim: int) -> dict[tuple[int, ...],
             tableau.restore(state)
 
 
-def _padded(point: tuple[int, ...], kept: list[int], size: int) -> tuple[int, ...]:
+def _padded(point, kept: list[int], size: int) -> tuple[int, ...]:
     """The point on the kept strategies, 0 on the others."""
     full = [0] * size
     for i, v in zip(kept, point):
@@ -214,11 +222,99 @@ def _padded(point: tuple[int, ...], kept: list[int], size: int) -> tuple[int, ..
     return tuple(full)
 
 
+def _solve_ones(block: list[list[int]]) -> tuple[int, list[int]] | None:
+    """The solution y = nums / det of block . y = 1 for a square integer
+    block, as (det, nums) with det > 0; None when the block is singular.
+
+    Gaussian elimination with row swaps keeps every entry an integer by
+    dividing each update exactly by the previous pivot (Bareiss), which leaves
+    +-det(block) as the last pivot; back substitution then finds each y_k
+    times it (Cramer's rule), again by exact division.
+    """
+    k = len(block)
+    aug = [row + [1] for row in block]
+    previous = 1
+    for c in range(k):
+        r = next((r for r in range(c, k) if aug[r][c]), None)
+        if r is None:
+            return None
+        aug[c], aug[r] = aug[r], aug[c]
+        top = aug[c]
+        p = top[c]
+        for r in range(c + 1, k):
+            row = aug[r]
+            a = row[c]
+            aug[r] = [(x * p - a * t) // previous for x, t in zip(row, top)]
+        previous = p
+    nums = [0] * k
+    for c in range(k - 1, -1, -1):
+        row = aug[c]
+        nums[c] = (row[k] * previous - sum(row[j] * nums[j] for j in range(c + 1, k))) // row[c]
+    if previous < 0:
+        return -previous, [-v for v in nums]
+    return previous, nums
+
+
+def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> tuple[list, bool]:
+    """The vertex pairs (x, y) of the best-response polytopes
+    X = {x >= 0 : walked . x <= 1} and Y = {y >= 0 : other . y <= 1} of a
+    game with positive integer payoffs, found by walking only X, and whether
+    some pair is not regular. Row j of `walked` holds the payoffs of the
+    opponent's strategy j against each of the m own strategies, and row i of
+    `other` the payoffs of own strategy i against each opponent strategy.
+
+    A nonzero vertex x with support S makes tight the opponent strategies T.
+    Its partners are the vertices of Y with the labels x lacks: zero off T
+    and tight on the rows in S. When |S| = |T| (x then has exactly m labels,
+    so its own block is nonsingular) and other[S,T] is nonsingular, that face
+    is at most the one point solving other[S,T] y = 1: a partner when y >= 0
+    and other . y <= 1 on the other rows, and regular when y > 0 and no other
+    row is tight. Otherwise the face is walked as the vertices of
+    {y_T >= 0 : other[:,T] y_T <= 1}, once per T, that are tight on S, and
+    every partner found there is irregular: its supports differ in size or
+    its support block is singular. Each pair is (x, y) as integer points.
+    """
+    m, n = len(other), len(walked)
+    faces: dict[int, list] = {}  # tight T as a bit mask -> the labeled vertices of other[:,T] y_T <= 1
+    pairs = []
+    irregular = False
+    for key, labels in _polytope_vertices(walked, m).items():
+        held = ~labels & ((1 << m) - 1)  # the own strategies in x's support
+        if not held:  # the origin matches only the other origin, which is no equilibrium
+            continue
+        x = key[1:]
+        support = [i for i in range(m) if held >> i & 1]
+        tight = [j for j in range(labels.bit_length() - m) if labels >> (m + j) & 1]
+        if len(support) == len(tight):
+            solved = _solve_ones([[other[i][j] for j in tight] for i in support])
+            if solved is not None:
+                det, nums = solved
+                if min(nums) < 0:
+                    continue
+                values = [sum(row[j] * v for j, v in zip(tight, nums)) for row in other]
+                if max(values) > det:
+                    continue
+                irregular |= not min(nums) or values.count(det) > len(support)
+                pairs.append((x, _padded(nums, tight, n)))
+                continue
+        face = labels >> m
+        if face not in faces:
+            walked_face = _polytope_vertices([[row[j] for j in tight] for row in other], len(tight))
+            faces[face] = [(y[1:], ly) for y, ly in walked_face.items()]
+        need = held << len(tight)
+        for y, ly in faces[face]:
+            if ly & need == need:
+                pairs.append((x, _padded(y, tight, n)))
+                irregular = True
+    return pairs, irregular
+
+
 class VertexPairs(NamedTuple):
     """The extreme equilibria as integer vertex pairs: in each pair (x, y),
     x / sum(x) is the row mix and y / sum(y) the col mix, padded with zeros
-    on the strategies outside the strict-dominance core. `degenerate` is as
-    in `EquilibriumSet`."""
+    on the strategies outside the strict-dominance core. `degenerate` says
+    that some pair is not a regular equilibrium, as in `EquilibriumSet`; it
+    does not depend on which polytope was walked."""
 
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
     degenerate: bool
@@ -229,45 +325,29 @@ def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> Ve
     player gets `receiver.matrix` and col player `sender.matrix`.
 
     Cut the game to its strict-dominance core (`normalform.strict_core`),
-    build the core's polytopes from the payoffs lifted by each view's
-    `shift`, enumerate their labeled vertices, and keep the pairs whose
-    labels jointly cover every pure strategy of the core. No equilibrium
+    build the core's polytopes P = {x >= 0 : B^T x <= 1} and
+    Q = {y >= 0 : A y <= 1} from the payoffs lifted by each view's `shift`,
+    walk the one in fewer dimensions (P on a tie) and solve each of its
+    vertices' partner faces on the other (`_partner_pairs`). No equilibrium
     plays a dominated strategy, and where none is played, every dominated
     strategy's constraint is slack, so that face of each full polytope is
-    the core's polytope. A positive rescaling or another lifting to positive
-    payoffs keeps every label, so any common denominator and shift give the
-    same pairs once normalized. Row i is label bit i and col j bit m + j,
-    so a pair matches when the col vertex holds every label the row vertex
-    lacks (a superset test, as degenerate vertices carry extra labels).
+    the core's polytope. A positive rescaling or another lifting to positive payoffs
+    keeps every label, so any common denominator and shift give the same
+    pairs once normalized.
     """
     full_m, full_n = len(receiver.matrix), len(receiver.matrix[0])
     kept_rows, kept_cols = strict_core(receiver.matrix, sender.matrix)
-    m, n = len(kept_rows), len(kept_cols)
-
-    # P = {x >= 0, B^T x <= 1} in R^m: bit i says row i is at zero, bit m + j that col j is tight
     p_rows = [[sender.matrix[i][j] + sender.shift for i in kept_rows] for j in kept_cols]
-    # Q = {y >= 0, A y <= 1} in R^n: bit j says col j is at zero, bit n + i that row i is tight
     q_rows = [[receiver.matrix[i][j] + receiver.shift for j in kept_cols] for i in kept_rows]
-    p_vertices = _polytope_vertices(p_rows, m)
-    q_vertices = _polytope_vertices(q_rows, n)
-    degenerate = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
-        ly.bit_count() > n for ly in q_vertices.values()
+    if len(kept_rows) <= len(kept_cols):
+        pairs, irregular = _partner_pairs(p_rows, q_rows)
+    else:
+        flipped, irregular = _partner_pairs(q_rows, p_rows)
+        pairs = [(x, y) for y, x in flipped]
+    return VertexPairs(
+        pairs=[(_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)) for x, y in pairs],
+        degenerate=irregular,
     )
-
-    full = (1 << (m + n)) - 1
-    cols = (1 << n) - 1
-    q_labeled = [(key[1:], (ly >> n) | (ly & cols) << m) for key, ly in q_vertices.items()]  # P's bit order
-    pairs = []
-    for key, lx in p_vertices.items():
-        x = key[1:]
-        if not any(x):  # the origin matches only the other origin, which is no equilibrium
-            continue
-        need = full & ~lx
-        matched = [y for y, ly in q_labeled if ly & need == need]
-        if matched:
-            x = _padded(x, kept_rows, full_m)
-            pairs += ((x, _padded(y, kept_cols, full_n)) for y in matched)
-    return VertexPairs(pairs=pairs, degenerate=degenerate)
 
 
 def _bilinear(matrix: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -281,7 +361,7 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
     The vertex pairs of `extreme_vertex_pairs` on the game's integer views,
     normalized into `Fraction` mixes; each pair's payoffs are integer sums
     over the supports divided by the mix totals and the view's scale.
-    `degenerate` describes the core's polytopes (see `EquilibriumSet`).
+    `degenerate` says that some of them is not regular (see `EquilibriumSet`).
     """
     receiver, sender = gamma.receiver_integers, gamma.sender_integers  # row player A, col player B
     walk = extreme_vertex_pairs(receiver, sender)

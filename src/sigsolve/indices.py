@@ -17,9 +17,10 @@ unnormalized integer points. A perturbed equilibrium is far from a Nash
 subset when it lies more than 1/20 outside the box around either face
 (each coordinate's range over the face's vertices), tested by
 cross-multiplying; only the others become `Fraction` mixes, whose distance
-comes from hull-distance LPs. A draw whose strict-dominance core or nearby
-equilibria are degenerate is redrawn, up to 16 draws per replication. Only
-the seed is settable. The draws do not depend on the component, so the
+comes from hull-distance LPs. A draw with an extreme equilibrium that is
+not regular (`EquilibriumSet.degenerate`) is redrawn, up to 16 draws per
+replication, so every equilibrium of a kept draw has a determinant index.
+Only the seed is settable. The draws do not depend on the component, so the
 components of one game, indexed in one call, share them through a
 `DrawStore`: each draw is perturbed and walked once, and each nearby
 equilibrium's determinant index is computed once, by the integer routine
@@ -231,38 +232,27 @@ def _perturbed_views(gamma: BimatrixGame, rng: random.Random) -> tuple[IntegerPa
 
 
 class _Draw:
-    """The integer views of a perturbed game whose strict-dominance core is
-    nondegenerate, its extreme equilibria as integer points
-    (x, sum(x), y, sum(y)), and the determinant index of each one asked
-    about."""
+    """The integer views of a perturbed game whose extreme equilibria are
+    all regular, those equilibria as integer points (x, sum(x), y, sum(y)),
+    and the determinant index of each one asked about."""
 
     def __init__(self, receiver: IntegerPayoffs, sender: IntegerPayoffs, pairs):
         self.receiver = receiver
         self.sender = sender
         self.points = [(x, sum(x), y, sum(y)) for x, y in pairs]
-        self._indices: dict[int, int | None] = {}
+        self._indices: dict[int, int] = {}
 
-    def index(self, k: int) -> int | None:
-        """The determinant index of equilibrium k; None when it is not regular."""
+    def index(self, k: int) -> int:
+        """The determinant index of equilibrium k."""
         if k not in self._indices:
             x, _, y, _ = self.points[k]
-            try:
-                self._indices[k] = _determinant_index(self.receiver, self.sender, x, y)
-            except DegenerateEquilibriumError:
-                self._indices[k] = None
+            self._indices[k] = _determinant_index(self.receiver, self.sender, x, y)
         return self._indices[k]
 
-    def near_sum(self, screens, radius: Fraction) -> int | None:
+    def near_sum(self, screens, radius: Fraction) -> int:
         """The sum of the indices of the equilibria within `radius` of the
-        screened subsets; None at the first of them that is not regular."""
-        total = 0
-        for k, point in enumerate(self.points):
-            if _near(point, screens, radius):
-                value = self.index(k)
-                if value is None:
-                    return None
-                total += value
-        return total
+        screened subsets."""
+        return sum(self.index(k) for k, point in enumerate(self.points) if _near(point, screens, radius))
 
 
 class DrawStore:
@@ -282,7 +272,7 @@ class DrawStore:
         self._draws: dict[tuple[int, int], _Draw | None] = {}
 
     def draw(self, rep: int, attempt: int) -> _Draw | None:
-        """The draw, or None when its strict-dominance core is degenerate."""
+        """The draw, or None when some extreme equilibrium of it is not regular."""
         key = (rep, attempt)
         if key not in self._draws:
             receiver, sender = _perturbed_views(self.gamma, random.Random(f"{self.cfg.seed}:{rep}:{attempt}"))
@@ -324,8 +314,8 @@ def _perturbation_index(
     for rep in range(cfg.replications):
         for attempt in range(cfg.attempts):
             draw = draws.draw(rep, attempt)
-            total = None if draw is None else draw.near_sum(screens, radius)
-            if total is not None:
+            if draw is not None:
+                total = draw.near_sum(screens, radius)
                 break
         else:
             raise DegenerateDrawsError(

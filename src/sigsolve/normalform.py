@@ -365,16 +365,3 @@ def strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:
         if (kept_rows, kept_cols) == (rows, cols):
             return rows, cols
         rows, cols = kept_rows, kept_cols
-
-
-def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
-    """The strict-dominance core of `gamma` as a game (see `strict_core`),
-    read on its integer views; `enumerate_extreme_equilibria` walks the same
-    core."""
-    rows, cols = strict_core(gamma.receiver_integers.matrix, gamma.sender_integers.matrix)
-    return BimatrixGame(
-        row_labels=tuple(gamma.row_labels[r] for r in rows),
-        col_labels=tuple(gamma.col_labels[c] for c in cols),
-        cells=tuple(tuple(gamma.cells[r][c] for c in cols) for r in rows),
-        cost=gamma.cost,
-    )

@@ -17,7 +17,12 @@ table, apart from the normal forms and the enumerator. The sampling index
 of one component on draws of its own, each a game of perturbed `Fraction`
 payoffs enumerated afresh and each perturbed equilibrium measured by both
 hull LPs, is the oracle for the integer draws that `indices.DrawStore`
-shares between components and for the far screen in front of the LPs."""
+shares between components and for the far screen in front of the LPs.
+Walking both best-response polytopes in full and matching labels, which
+`equilibrium.extreme_vertex_pairs` replaced with one walk and partner faces,
+is the oracle for its pairs, and a sympy regularity check for its
+`degenerate` flag. `frontier_probe` builds the seeded frontier games and
+`dominance_filter` the strict-dominance core as a game."""
 
 from __future__ import annotations
 
@@ -31,7 +36,15 @@ from fractions import Fraction
 import sympy
 
 from sigsolve.catalog import random_bimatrix
-from sigsolve.equilibrium import EquilibriumSet, Mix, MixedEquilibrium, enumerate_extreme_equilibria
+from sigsolve.equilibrium import (
+    EquilibriumSet,
+    Mix,
+    MixedEquilibrium,
+    VertexPairs,
+    _padded,
+    _polytope_vertices,
+    enumerate_extreme_equilibria,
+)
 from sigsolve.game import MixedProfile, ReceiverStrategyC, SignalingGame
 from sigsolve.indices import (
     DegenerateDrawsError,
@@ -41,7 +54,7 @@ from sigsolve.indices import (
     equilibrium_index,
 )
 from sigsolve.linalg import linf_distance_to_hull
-from sigsolve.normalform import BimatrixGame
+from sigsolve.normalform import BimatrixGame, IntegerPayoffs, strict_core
 
 F = Fraction
 
@@ -115,6 +128,35 @@ def message_blind_receiver_game():
     )
 
 
+def frontier_probe(types: int, messages: int, actions: int, seed: int, jitter: bool) -> SignalingGame:
+    """A seeded probe game of the solver's frontier: types `A B C D`[:types]
+    with a uniform prior, messages `X Y Z W`[:messages], actions
+    `U V S T`[:actions]. For each (type, message, action) in that order,
+    `Random(seed)` draws the sender's payoff and then the receiver's, each
+    `randint(0, 9)`; when jittered, `randint(-50, 50)/1000` is added right
+    after each payoff is drawn."""
+    rng = random.Random(seed)
+
+    def payoff() -> Fraction:
+        value = F(rng.randint(0, 9))
+        return value + F(rng.randint(-50, 50), 1000) if jitter else value
+
+    names = ("ABCD"[:types], "XYZW"[:messages], "UVST"[:actions])
+    table = {}
+    for t in names[0]:
+        for m in names[1]:
+            for a in names[2]:
+                sender = payoff()
+                table[(t, m, a)] = (sender, payoff())
+    return SignalingGame(
+        types=tuple(names[0]),
+        messages=tuple(names[1]),
+        actions=tuple(names[2]),
+        prior={t: F(1, types) for t in names[0]},
+        payoff=table,
+    )
+
+
 def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
     """`normalform._payoff_cells` summed in `Fraction`s: receiver rows by
     sender columns, before any monitoring cost."""
@@ -172,6 +214,19 @@ def reference_strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int
         rows, cols = kept_rows, kept_cols
 
 
+def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
+    """The strict-dominance core of `gamma` as a game (see
+    `normalform.strict_core`), read on its integer views; the enumerator
+    walks the same core."""
+    rows, cols = strict_core(gamma.receiver_integers.matrix, gamma.sender_integers.matrix)
+    return BimatrixGame(
+        row_labels=tuple(gamma.row_labels[r] for r in rows),
+        col_labels=tuple(gamma.col_labels[c] for c in cols),
+        cells=tuple(tuple(gamma.cells[r][c] for c in cols) for r in rows),
+        cost=gamma.cost,
+    )
+
+
 def reference_classes(gamma: BimatrixGame) -> tuple[list[list[int]], list[list[int]]]:
     """The row and col index groups of `normalform.reduce_normal_form`, by
     hashing each strategy's `Fraction` payoff pairs, in first-seen order."""
@@ -207,6 +262,29 @@ def reference_determinant_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> in
         shifted = positive_payoffs(gamma, player)
         sign *= int(sympy.sign(sympy.Matrix([[_to_sympy(shifted[i][j]) for j in cols] for i in rows]).det()))
     return sign
+
+
+def is_regular(gamma: BimatrixGame, eq: MixedEquilibrium) -> bool:
+    """Whether an equilibrium is regular: equal support sizes, each player's
+    best replies exactly its support, and nonzero sympy determinants of both
+    players' support blocks, shifted by `positive_payoffs`. Priced in
+    `Fraction`s on the full game, apart from the enumerator."""
+    m, n = gamma.shape
+    rows = [i for i, w in enumerate(eq.row_mix) if w > 0]
+    cols = [j for j, w in enumerate(eq.col_mix) if w > 0]
+    if len(rows) != len(cols):
+        return False
+    row_values = [sum(gamma.receiver_payoff(i, j) * eq.col_mix[j] for j in range(n)) for i in range(m)]
+    col_values = [sum(gamma.sender_payoff(i, j) * eq.row_mix[i] for i in range(m)) for j in range(n)]
+    if rows != [i for i, v in enumerate(row_values) if v == max(row_values)]:
+        return False
+    if cols != [j for j, v in enumerate(col_values) if v == max(col_values)]:
+        return False
+    for player in (0, 1):
+        shifted = positive_payoffs(gamma, player)
+        if sympy.Matrix([[_to_sympy(shifted[i][j]) for j in cols] for i in rows]).det() == 0:
+            return False
+    return True
 
 
 def brute_force_equilibria(gamma: BimatrixGame) -> set:
@@ -360,6 +438,47 @@ def exhaustive_polytope_vertices(rows, dim, sides):
             candidates = [[scaled[c][f] for f in free] + [scale] for c in range(count)]
             extend(free, [], [row for row in candidates if any(row[:size])])
     return vertices
+
+
+def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> VertexPairs:
+    """`equilibrium.extreme_vertex_pairs` by walking both best-response
+    polytopes of the strict-dominance core in full and keeping the vertex
+    pairs whose labels jointly cover every pure strategy of the core.
+
+    Row i is label bit i and col j bit m + j, so a pair matches when the col
+    vertex holds every label the row vertex lacks (a superset test, as
+    degenerate vertices carry extra labels). Its `degenerate` is the flag
+    the package had before it walked one polytope: some vertex of either
+    core polytope is overlabeled.
+    """
+    full_m, full_n = len(receiver.matrix), len(receiver.matrix[0])
+    kept_rows, kept_cols = strict_core(receiver.matrix, sender.matrix)
+    m, n = len(kept_rows), len(kept_cols)
+    p_rows = [[sender.matrix[i][j] + sender.shift for i in kept_rows] for j in kept_cols]
+    q_rows = [[receiver.matrix[i][j] + receiver.shift for j in kept_cols] for i in kept_rows]
+    p_vertices = _polytope_vertices(p_rows, m)
+    q_vertices = _polytope_vertices(q_rows, n)
+    degenerate = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
+        ly.bit_count() > n for ly in q_vertices.values()
+    )
+    full = (1 << (m + n)) - 1
+    cols = (1 << n) - 1
+    q_labeled = [(key[1:], (ly >> n) | (ly & cols) << m) for key, ly in q_vertices.items()]  # P's bit order
+    pairs = []
+    for key, lx in p_vertices.items():
+        x = key[1:]
+        if not any(x):
+            continue
+        need = full & ~lx
+        for y, ly in q_labeled:
+            if ly & need == need:
+                pairs.append((_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)))
+    return VertexPairs(pairs=pairs, degenerate=degenerate)
+
+
+def normalized_pairs(pairs) -> list[tuple[Mix, Mix]]:
+    """Integer vertex pairs as sorted (row mix, col mix) `Fraction` pairs."""
+    return sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in pairs)
 
 
 def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:

@@ -10,6 +10,7 @@ from helpers import (
     TABLE_ONE,
     TABLE_THREE,
     TABLE_TWO,
+    dominance_filter,
     reference_classes,
     reference_extreme_equilibria,
     reference_payoff_cells,
@@ -23,7 +24,6 @@ from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
-    dominance_filter,
     embed_map,
     monitor_bit,
     reduce_normal_form,

@@ -1,31 +1,43 @@
-"""The pivoting vertex enumerator against the exhaustive basis search.
+"""The pivoting vertex enumerator against the exhaustive basis search and
+the two-walk label matcher.
 
-Every polytope that `enumerate_extreme_equilibria` builds, on the game's
+Every polytope that `enumerate_extreme_equilibria` walks, on the game's
 strict-dominance core, must get the same {vertex: labels} map from both. The
 equilibria must print the same as those of the `Fraction` reference
-enumerator on the full game, and the `degenerate` flag the same as the
-reference's on `dominance_filter(gamma)`, the core the flag describes. Small
-payoff ranges and monitored forms make most of these polytopes degenerate,
-which is where a pivoting walk can lose vertices and an exact label match can
-lose pairs.
+enumerator on the full game, and the `degenerate` flag must say whether
+some of them is not regular, by the sympy regularity oracle. The vertex
+pairs of the one walk and its partner faces must be those of walking both
+polytopes in full, whichever polytope is walked. Small payoff ranges and
+monitored forms make most of these polytopes degenerate, which is where a
+pivoting walk can lose vertices and a partner face can lose pairs.
 """
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from helpers import exhaustive_polytope_vertices, perturbed_game, reference_extreme_equilibria
+from helpers import (
+    exhaustive_polytope_vertices,
+    frontier_probe,
+    is_regular,
+    normalized_pairs,
+    perturbed_game,
+    reference_extreme_equilibria,
+    two_walk_vertex_pairs,
+)
 
 from sigsolve import equilibrium
 from sigsolve.catalog import beer_quiche, random_bimatrix
+from sigsolve.cli import load_game
 from sigsolve.game import SignalingGame
 from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
-    dominance_filter,
     reduce_normal_form,
+    strict_core,
 )
 
 
@@ -119,5 +131,96 @@ def test_pivoting_matches_exhaustive_search(family, seed, monkeypatch):
         monkeypatch.setattr(equilibrium, "_polytope_vertices", compared)
         found = equilibrium.enumerate_extreme_equilibria(gamma)
         monkeypatch.setattr(equilibrium, "_polytope_vertices", pivoting)
-        assert repr(found.equilibria) == repr(reference_extreme_equilibria(gamma).equilibria), gamma
-        assert found.degenerate == reference_extreme_equilibria(dominance_filter(gamma)).degenerate, gamma
+        expected = reference_extreme_equilibria(gamma).equilibria
+        assert repr(found.equilibria) == repr(expected), gamma
+        assert found.degenerate == (not all(is_regular(gamma, eq) for eq in expected)), gamma
+
+
+FLAT = (F(1), F(1))
+
+
+@pytest.mark.parametrize(
+    "gamma, irregular",
+    [
+        (list(random_games(19))[51], False),
+        (list(rational_games(17))[0], False),
+        (list(rational_games(17))[23], False),
+        (BimatrixGame(("r0", "r1"), ("c0", "c1"), ((FLAT, FLAT), (FLAT, FLAT))), True),
+    ],
+    ids=["random_games-19", "rational_games-17-0", "rational_games-17-23", "flat"],
+)
+def test_degenerate_means_an_irregular_equilibrium(gamma, irregular):
+    """Each of these games has an overlabeled vertex on a best-response
+    polytope of its core, which the flag once read as degenerate; only the
+    flat game, where every pure pair is an equilibrium, has an equilibrium
+    that is not regular."""
+    assert two_walk_vertex_pairs(gamma.receiver_integers, gamma.sender_integers).degenerate
+    found = equilibrium.enumerate_extreme_equilibria(gamma)
+    assert found.degenerate == irregular
+    assert (not all(is_regular(gamma, eq) for eq in found)) == irregular
+
+
+def fixture_forms():
+    """Each bundled game's base form, its monitored forms at 0 and at 1/20,
+    and their reduced forms."""
+    for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg")):
+        game = load_game(str(path))
+        yield build_normal_form(game)
+        for cost in (F(0), F(1, 20)):
+            monitored = build_sgcm_normal_form(game, cost)
+            yield monitored
+            yield reduce_normal_form(monitored)[0]
+
+
+# frontier probes (types, messages, actions, seed, jittered) whose two walks take under a second
+PROBES = [(2, 3, 3, 0, True), (2, 3, 3, 1, False), (2, 4, 2, 1, False), (3, 3, 2, 0, True)]
+
+
+def probe_forms():
+    """The reduced base form and reduced monitored form at 1/20 of each probe."""
+    for probe in PROBES:
+        game = frontier_probe(*probe)
+        for form in (build_normal_form(game), build_sgcm_normal_form(game, F(1, 20))):
+            yield reduce_normal_form(form)[0]
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        lambda: random_games(11),
+        lambda: random_games(19),
+        lambda: rational_games(17),
+        lambda: monitored_forms(23),
+        lambda: perturbed_forms(29),
+        fixture_forms,
+        probe_forms,
+    ],
+    ids=[
+        "random_games-11",
+        "random_games-19",
+        "rational_games-17",
+        "monitored_forms",
+        "perturbed_forms",
+        "fixtures",
+        "probes",
+    ],
+)
+def test_one_walk_matches_two_walks(forms):
+    """`extreme_vertex_pairs` gives the normalized pairs of the two-walk
+    matcher. So does its partner routine walking either polytope of the
+    core, P or Q, with the same flag."""
+    for gamma in forms():
+        receiver, sender = gamma.receiver_integers, gamma.sender_integers
+        m, n = gamma.shape
+        expected = normalized_pairs(two_walk_vertex_pairs(receiver, sender).pairs)
+        found = equilibrium.extreme_vertex_pairs(receiver, sender)
+        assert normalized_pairs(found.pairs) == expected, gamma
+        rows, cols = strict_core(receiver.matrix, sender.matrix)
+        p_rows = [[sender.matrix[i][j] + sender.shift for i in rows] for j in cols]
+        q_rows = [[receiver.matrix[i][j] + receiver.shift for j in cols] for i in rows]
+        on_p, p_irregular = equilibrium._partner_pairs(p_rows, q_rows)
+        on_q, q_irregular = equilibrium._partner_pairs(q_rows, p_rows)
+        for pairs in (on_p, [(x, y) for y, x in on_q]):
+            full = [(equilibrium._padded(x, rows, m), equilibrium._padded(y, cols, n)) for x, y in pairs]
+            assert normalized_pairs(full) == expected, gamma
+        assert p_irregular == q_irregular == found.degenerate, gamma
