@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .game import MixedProfile, Outcome, SignalingGame, classify_outcome, outcome_of_profile
-from .linalg import Tableau
-from .normalform import BimatrixGame, IntegerPayoffs, deep_representative, strict_core
+from .linalg import Tableau, bareiss
+from .normalform import BimatrixGame, IntegerPayoffs, ReducedViews, deep_representative, strict_core
 
 ZERO = Fraction(0)
 
@@ -226,33 +226,22 @@ def _solve_ones(block: list[list[int]]) -> tuple[int, list[int]] | None:
     """The solution y = nums / det of block . y = 1 for a square integer
     block, as (det, nums) with det > 0; None when the block is singular.
 
-    Gaussian elimination with row swaps keeps every entry an integer by
-    dividing each update exactly by the previous pivot (Bareiss), which leaves
-    +-det(block) as the last pivot; back substitution then finds each y_k
-    times it (Cramer's rule), again by exact division.
+    Bareiss elimination of [block | 1] (`linalg.bareiss`) leaves +-det(block)
+    as the last pivot; back substitution then finds each y_k times it
+    (Cramer's rule), again by exact division.
     """
     k = len(block)
     aug = [row + [1] for row in block]
-    previous = 1
-    for c in range(k):
-        r = next((r for r in range(c, k) if aug[r][c]), None)
-        if r is None:
-            return None
-        aug[c], aug[r] = aug[r], aug[c]
-        top = aug[c]
-        p = top[c]
-        for r in range(c + 1, k):
-            row = aug[r]
-            a = row[c]
-            aug[r] = [(x * p - a * t) // previous for x, t in zip(row, top)]
-        previous = p
+    if not bareiss(aug):
+        return None
+    last = aug[-1][k - 1]
     nums = [0] * k
     for c in range(k - 1, -1, -1):
         row = aug[c]
-        nums[c] = (row[k] * previous - sum(row[j] * nums[j] for j in range(c + 1, k))) // row[c]
-    if previous < 0:
-        return -previous, [-v for v in nums]
-    return previous, nums
+        nums[c] = (row[k] * last - sum(row[j] * nums[j] for j in range(c + 1, k))) // row[c]
+    if last < 0:
+        return -last, [-v for v in nums]
+    return last, nums
 
 
 def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> tuple[list, bool]:
@@ -355,13 +344,14 @@ def _bilinear(matrix: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[
     return sum(xi * sum(a * yj for a, yj in zip(row, y) if yj) for xi, row in zip(x, matrix) if xi)
 
 
-def enumerate_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
+def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> EquilibriumSet:
     """All extreme Nash equilibria, exactly, in deterministic order.
 
     The vertex pairs of `extreme_vertex_pairs` on the game's integer views,
     normalized into `Fraction` mixes; each pair's payoffs are integer sums
     over the supports divided by the mix totals and the view's scale.
     `degenerate` says that some of them is not regular (see `EquilibriumSet`).
+    The views are all it reads, so a reduction without cells will do.
     """
     receiver, sender = gamma.receiver_integers, gamma.sender_integers  # row player A, col player B
     walk = extreme_vertex_pairs(receiver, sender)
@@ -466,7 +456,7 @@ def _collapse_to_strategies(labels, mix) -> dict:
     return out
 
 
-def profile_of_equilibrium(gamma: BimatrixGame | Component, eq: MixedEquilibrium) -> MixedProfile:
+def profile_of_equilibrium(gamma: BimatrixGame | Component | ReducedViews, eq: MixedEquilibrium) -> MixedProfile:
     """Translate a bimatrix equilibrium back into game strategies.
 
     Strategy classes contribute through their representatives; class members
@@ -478,9 +468,11 @@ def profile_of_equilibrium(gamma: BimatrixGame | Component, eq: MixedEquilibrium
     )
 
 
-def outcome_of_equilibrium(game: SignalingGame, gamma: BimatrixGame | Component, eq: MixedEquilibrium) -> Outcome:
+def outcome_of_equilibrium(
+    game: SignalingGame, gamma: BimatrixGame | Component | ReducedViews, eq: MixedEquilibrium
+) -> Outcome:
     """The outcome of an equilibrium of a base or monitored form (or of one of
-    its components)."""
+    its components or reductions)."""
     return outcome_of_profile(game, profile_of_equilibrium(gamma, eq))
 
 

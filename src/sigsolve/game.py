@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .rational import numerators
+
 ZERO = Fraction(0)
 
 
@@ -166,28 +168,31 @@ def strategy_spaces_c(game: SignalingGame) -> tuple[ReceiverStrategyC, ...]:
 def outcome_of_profile(game: SignalingGame, profile: MixedProfile) -> Outcome:
     """Distribution over (type, message, action) plays induced by a mixed
     profile: each type's prior times the two weights lands on the action the
-    receiver strategy takes after the type's message."""
+    receiver strategy takes after the type's message. Summed as integers over
+    a common denominator, with one Fraction per play."""
+    prior, prior_den = numerators([game.prior[t] for t in game.types])
+    senders, sender_den = numerators(list(profile.sender.values()))
+    receivers, receiver_den = numerators(list(profile.receiver.values()))
     msg_index = {m: i for i, m in enumerate(game.messages)}
-    masses: dict[tuple, Fraction] = dict.fromkeys(enumerate_plays(game), ZERO)
-    for ti, t in enumerate(game.types):
-        p = game.prior[t]
-        for s1, w1 in profile.sender.items():
-            if w1 == 0:
-                continue
+    totals = dict.fromkeys(enumerate_plays(game), 0)
+    for ti, (t, p) in enumerate(zip(game.types, prior)):
+        for s1, w1 in zip(profile.sender, senders):
             m = s1.messages[ti]
             i = msg_index[m]
-            for s2, w2 in profile.receiver.items():
-                if w2 == 0:
-                    continue
-                masses[(t, m, s2.reply(i))] += p * w1 * w2
-    return Outcome(masses=masses)
+            for s2, w2 in zip(profile.receiver, receivers):
+                totals[(t, m, s2.reply(i))] += p * w1 * w2
+    den = prior_den * sender_den * receiver_den
+    return Outcome(masses={play: Fraction(total, den) for play, total in totals.items()})
 
 
 def outcome_distance(a: Outcome, b: Outcome) -> Fraction:
-    """Exact squared Euclidean distance; `rational.sqrt_decimal` renders its root."""
+    """Exact squared Euclidean distance, summed as integers over a common
+    denominator; `rational.sqrt_decimal` renders its root."""
     if set(a.masses) != set(b.masses):
         raise ValueError("outcomes are defined over different play sets")
-    return sum(((a.masses[p] - b.masses[p]) ** 2 for p in a.masses), ZERO)
+    left, den = numerators(list(a.masses.values()))
+    right, other = numerators([b.masses[p] for p in a.masses])
+    return Fraction(sum((x * other - y * den) ** 2 for x, y in zip(left, right)), (den * other) ** 2)
 
 
 def classify_outcome(game: SignalingGame, mu: Outcome) -> str:

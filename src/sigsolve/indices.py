@@ -31,7 +31,6 @@ reported, never papered over.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from .equilibrium import (  # noqa: F401
 )
 from .linalg import determinant, linf_distance_to_hull
 from .normalform import BimatrixGame, EmbedMap, IntegerPayoffs, deep_representative
+from .rational import numerators
 
 ONE = Fraction(1)
 
@@ -114,12 +114,6 @@ class ContainmentReport:
     ok: bool
 
 
-def _integer_mix(mix) -> list[int]:
-    """A mix times the lcm of its denominators."""
-    scale = math.lcm(*(w.denominator for w in mix))
-    return [w.numerator * (scale // w.denominator) for w in mix]
-
-
 def _determinant_index(receiver: IntegerPayoffs, sender: IntegerPayoffs, x, y) -> int:
     """The determinant index of the equilibrium (x / sum(x), y / sum(y)) of
     the game with these integer views, for nonnegative integer points x and y.
@@ -157,7 +151,7 @@ def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
     views, which enumerating it already computed, against each mix times the
     lcm of its denominators (see `_determinant_index`)."""
     value = _determinant_index(
-        gamma.receiver_integers, gamma.sender_integers, _integer_mix(eq.row_mix), _integer_mix(eq.col_mix)
+        gamma.receiver_integers, gamma.sender_integers, numerators(eq.row_mix)[0], numerators(eq.col_mix)[0]
     )
     return IndexResult(value=value, method="determinant", replications=0, agreement=ONE)
 
@@ -168,12 +162,8 @@ def _box(face: tuple[Mix, ...], radius: Fraction) -> tuple[int, list[int], list[
     its corners times L, the lcm of their denominators."""
     lows = [min(c) - radius for c in zip(*face)]
     highs = [max(c) + radius for c in zip(*face)]
-    scale = math.lcm(*(w.denominator for w in lows + highs))
-    return (
-        scale,
-        [w.numerator * (scale // w.denominator) for w in lows],
-        [w.numerator * (scale // w.denominator) for w in highs],
-    )
+    corners, scale = numerators(lows + highs)
+    return scale, corners[: len(lows)], corners[len(lows) :]
 
 
 def _outside(point: tuple[int, ...], total: int, box: tuple[int, list[int], list[int]]) -> bool:

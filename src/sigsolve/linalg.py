@@ -1,22 +1,22 @@
-"""Exact linear algebra on one integer pivot kernel.
+"""Exact linear algebra in integers: one pivot kernel and one elimination.
 
 `Tableau` holds a polyhedron {x >= 0 : rows . x <= rhs} with rhs >= 0 as an
 integer dictionary: the rhs and the nonbasic columns only, as in lrs/lrsnash
 (Avis, Rosenberg, Savani & von Stengel 2010). It pivots fraction-free
 (Bareiss), leaving by the lexicographic min-ratio test, and reads each basic
 column as det times a unit vector instead of storing it. The vertex walk in
-`equilibrium`, the determinant and the max-norm distance from a point to a
-convex hull are all built on it. Its input may be ints or Fractions; each
-entry is scaled to an integer by the common denominator, numerator times
-cofactor, with no Fraction arithmetic. No Fraction is divided during
-pivoting; values are read off exactly as Fractions.
+`equilibrium` and the max-norm distance from a point to a convex hull are
+built on it. `bareiss` eliminates a square integer block fraction-free; the
+determinant and the partner solve in `equilibrium` are built on it. Both
+take integers; the determinant and the hull distance scale `Fraction` input
+to integers by the common denominator, numerator times cofactor, and read
+their results off exactly as Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -29,10 +29,9 @@ class Tableau:
     row r. Row r of `rows` is [value | coefficient of each nonbasic variable]
     for the variable `basis[r]`. `place[v]` says where variable v is: its
     column k >= 1 in every row when nonbasic, -1 - r when basic at row r.
-    Entries are scaled by the common denominator of the inputs and then by
-    `det`, the determinant of the current basis, so a coordinate
-    x_v = rows[r][0] / det where basis[r] = v (a slack's value carries the
-    common denominator too), and every Bareiss division is exact. A basic
+    The integer entries are scaled by `det`, the determinant of the current
+    basis, so a coordinate x_v = rows[r][0] / det where basis[r] = v, and
+    every Bareiss division is exact. A basic
     variable's column, det at its own row and 0 elsewhere, is not stored. The
     start is the all-slack basis, the origin, with x_v in column v + 1. An
     `objective` c of a maximization rides along as one extra last row, in
@@ -40,25 +39,12 @@ class Tableau:
     pivots with the others and is never a pivot row.
     """
 
-    def __init__(
-        self,
-        rows: Sequence[Sequence[Fraction | int]],
-        rhs: Sequence[Fraction | int],
-        dim: int,
-        objective: Sequence[Fraction | int] | None = None,
-    ):
+    def __init__(self, rows: Sequence[Sequence[int]], rhs: Sequence[int], dim: int, objective: Sequence[int] = ()):
         count = len(rows)
-        entries = [v for row in rows for v in row] + list(rhs) + list(objective or ())
-        scale = math.lcm(*(v.denominator for v in entries))
-        # row r: [rhs | x_0 .. x_{dim-1}]
-        self.rows = [
-            [b.numerator * (scale // b.denominator)] + [v.numerator * (scale // v.denominator) for v in row]
-            for row, b in zip(rows, rhs)
-        ]
-        if objective is not None:
-            self.rows.append([0] + [-v.numerator * (scale // v.denominator) for v in objective])
+        self.rows = [[b, *row] for row, b in zip(rows, rhs)]  # row r: [rhs | x_0 .. x_{dim-1}]
+        if objective:
+            self.rows.append([0] + [-v for v in objective])
         self.count = count
-        self.scale = scale
         self.basis = list(range(dim, dim + count))
         self.place = list(range(1, dim + 1)) + [-1 - r for r in range(count)]
         self.det = 1
@@ -142,23 +128,35 @@ class Tableau:
         return ZERO if k > 0 else Fraction(self.rows[-1 - k][0], self.det)
 
 
-def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: pivot each column into a row that still holds a slack.
+def bareiss(rows: list[list[int]]) -> int:
+    """The determinant of the square block in the first len(rows) columns of
+    the integer `rows`, eliminated in place fraction-free (Bareiss 1968, Math.
+    Comp. 22): with row swaps, each update is divided exactly by the previous
+    pivot, which leaves +-det as the last pivot. 0 when the block is singular."""
+    k = len(rows)
+    previous, sign = 1, 1
+    for c in range(k):
+        r = next((r for r in range(c, k) if rows[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            rows[c], rows[r], sign = rows[r], rows[c], -sign
+        top = rows[c]
+        p = top[c]
+        for r in range(c + 1, k):
+            row = rows[r]
+            a = row[c]
+            rows[r] = [(x * p - a * t) // previous for x, t in zip(row, top)]
+        previous = p
+    return sign * previous
 
-    The final basis matrix is the matrix scaled to integers by `scale`, with
-    its columns permuted by the basis, so the carried determinant is
-    scale^n * det(matrix) times that permutation's sign.
-    """
-    n = len(matrix)
-    tableau = Tableau(matrix, [ZERO] * n, n)
-    for col in range(n):
-        k = tableau.place[col]
-        row = next((r for r, v in enumerate(tableau.basis) if v >= n and tableau.rows[r][k] != 0), None)
-        if row is None:
-            return ZERO
-        tableau.pivot(row, col)
-    inversions = sum(a > b for a, b in combinations(tableau.basis, 2))
-    return Fraction((-1) ** inversions * tableau.det, tableau.scale**n)
+
+def determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Exact determinant: `bareiss` on the matrix scaled to integers by the
+    common denominator `scale`, which multiplies it by scale^n."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+    return Fraction(bareiss(scaled), scale ** len(matrix))
 
 
 def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -6,9 +6,10 @@ Pricing runs in integers: the prior and the payoff table are scaled to
 integers once per game, each cell is an integer sum, and each entry becomes
 one `Fraction`. Only `with_cost` applies the monitoring cost, so a monitored
 form is built once and repriced at every other cost. Each `BimatrixGame`
-computes, on first use, one integer view of each player's payoffs
-(`IntegerPayoffs`) and keeps it for its own lifetime; enumeration, indices,
-dominance and reduction all read it, so a game is scaled to integers once.
+keeps one integer view of each player's payoffs (`IntegerPayoffs`), which
+enumeration, indices, dominance and reduction all read; `with_cost` and
+`reduce_normal_form` pass it on, repriced or sliced, and cost sweeps reprice
+and reduce the views alone (`reduce_at_cost`), so a game is scaled once.
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -21,9 +22,11 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .game import ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
+from .rational import numerators
 
 ZERO = Fraction(0)
 
@@ -35,9 +38,9 @@ REFERENCE_COST = Fraction(1, 20)
 
 class IntegerPayoffs(NamedTuple):
     """One player's payoffs times `scale`, a common denominator of them, and
-    the `shift` that lifts the least of them to 1. A game's own views use
-    the lcm of the denominators; the index's perturbation draws use that lcm
-    times 10^6."""
+    the `shift` that lifts the least of them to 1. A game's own views, passed
+    on or computed, use the lcm of the denominators; the index's perturbation
+    draws use that lcm times 10^6."""
 
     matrix: tuple[tuple[int, ...], ...]
     scale: int
@@ -55,15 +58,23 @@ def _integer_view(cells: tuple, player: int) -> IntegerPayoffs:
     return IntegerPayoffs.of(matrix, scale)
 
 
+def _lowest_view(matrix: tuple[tuple[int, ...], ...], scale: int) -> IntegerPayoffs:
+    """The view of payoffs matrix / scale on the lcm of their denominators,
+    the one `_integer_view` computes from the `Fraction`s."""
+    g = math.gcd(scale, *chain.from_iterable(matrix))
+    if g > 1:
+        matrix = tuple(tuple(v // g for v in row) for row in matrix)
+    return IntegerPayoffs.of(matrix, scale // g)
+
+
 @dataclass(frozen=True)
 class BimatrixGame:
     """`cost` is the monitoring cost of an SGCM form, None for a base form;
     which rows pay it is read off their labels by `monitor_bit`.
 
     `sender_integers` and `receiver_integers` are the integer views of the
-    two players' payoffs, computed on first use and cached on this object;
-    a game made from it by `replace`, `with_cost` or `reduce_normal_form`
-    computes its own."""
+    two players' payoffs, cached on this object: passed on by `with_cost` and
+    `reduce_normal_form`, computed from the cells on first use otherwise."""
 
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
@@ -87,6 +98,24 @@ class BimatrixGame:
     @cached_property
     def receiver_integers(self) -> IntegerPayoffs:
         return _integer_view(self.cells, 1)
+
+
+def _with_views(gamma: BimatrixGame, sender: IntegerPayoffs, receiver: IntegerPayoffs) -> BimatrixGame:
+    """`gamma` with these views in its cache, passed on instead of computed."""
+    vars(gamma).update(sender_integers=sender, receiver_integers=receiver)
+    return gamma
+
+
+class ReducedViews(NamedTuple):
+    """A reduced game without `Fraction` cells: its class labels and integer
+    views, all that enumeration and outcomes read, and each class's members."""
+
+    row_labels: tuple[StrategyClass, ...]
+    col_labels: tuple[StrategyClass, ...]
+    sender_integers: IntegerPayoffs
+    receiver_integers: IntegerPayoffs
+    row_groups: list[list[int]]
+    col_groups: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -165,9 +194,8 @@ def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tupl
     The prior and the payoff table are each scaled to integers by the lcm of
     their denominators, so a cell is an integer sum over the types and each
     entry is one Fraction over the product of the two scales."""
-    prior_scale = math.lcm(*(game.prior[t].denominator for t in game.types))
+    weights, prior_scale = numerators([game.prior[t] for t in game.types])
     payoff_scale = math.lcm(*(v.denominator for pair in game.payoff.values() for v in pair))
-    weights = [game.prior[t].numerator * (prior_scale // game.prior[t].denominator) for t in game.types]
     # weighted[(i, m, a)]: type i's prior weight times its payoffs after message m and action a
     weighted = {
         (i, m, a): tuple(w * v.numerator * (payoff_scale // v.denominator) for v in game.payoff[(t, m, a)])
@@ -206,13 +234,7 @@ def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
     return with_cost(free, cost)
 
 
-def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
-    """Reprice an SGCM form at a different cost; only monitoring rows change.
-    This is the one place the monitoring cost enters a payoff.
-
-    Raises ValueError when a row class mixes monitoring and non-monitoring
-    strategies: they were payoff-equal only at the old cost.
-    """
+def _monitor_bits(gamma: BimatrixGame, new_cost: Fraction) -> list[int]:
     if gamma.cost is None:
         raise ValueError("game carries no monitoring cost")
     if new_cost < 0:
@@ -221,11 +243,35 @@ def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
     if None in bits:
         mixed = gamma.row_labels[bits.index(None)]
         raise ValueError(f"row {label_of(mixed)} mixes monitor bits; reprice before reducing")
+    return bits
+
+
+def _repriced(view: IntegerPayoffs, bits: list[int], delta: Fraction) -> IntegerPayoffs:
+    """The receiver view with `delta` = p/q added on the monitoring rows: on
+    the scale lcm(scale, q) they shift by p times its cofactor."""
+    scale = math.lcm(view.scale, delta.denominator)
+    up, shift = scale // view.scale, delta.numerator * (scale // delta.denominator)
+    return _lowest_view(tuple(tuple(v * up + shift * bit for v in row) for row, bit in zip(view.matrix, bits)), scale)
+
+
+def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
+    """Reprice an SGCM form at a different cost; only monitoring rows change.
+    This is the one place the monitoring cost enters a payoff. The form gets
+    the repriced receiver view and `gamma`'s sender view; an unchanged cost
+    returns `gamma` itself.
+
+    Raises ValueError when a row class mixes monitoring and non-monitoring
+    strategies: they were payoff-equal only at the old cost.
+    """
+    bits = _monitor_bits(gamma, new_cost)
+    if new_cost == gamma.cost:
+        return gamma
     delta = gamma.cost - new_cost
     cells = tuple(
         tuple((u1, u2 + delta) for (u1, u2) in row) if bit else row for row, bit in zip(gamma.cells, bits)
     )
-    return replace(gamma, cells=cells, cost=new_cost)
+    receiver = _repriced(gamma.receiver_integers, bits, delta)
+    return _with_views(replace(gamma, cells=cells, cost=new_cost), gamma.sender_integers, receiver)
 
 
 def _group_equal(vectors: list[tuple]) -> list[list[int]]:
@@ -235,39 +281,45 @@ def _group_equal(vectors: list[tuple]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _reduce(row_labels: tuple, col_labels: tuple, sender: IntegerPayoffs, receiver: IntegerPayoffs) -> ReducedViews:
+    """Group the strategies whose payoff vectors for both players coincide
+    against every opponent strategy; slice the views to one per class."""
+    row_groups = _group_equal([s + r for s, r in zip(sender.matrix, receiver.matrix)])
+    col_groups = _group_equal(list(zip(*sender.matrix, *receiver.matrix)))
+
+    def classes(labels, groups, side):
+        return tuple(
+            StrategyClass(deep_representative(labels[g[0]]), tuple(labels[i] for i in g), side) for g in groups
+        )
+
+    def sliced(view):
+        matrix = view.matrix
+        return _lowest_view(tuple(tuple(matrix[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups), view.scale)
+
+    rows, cols = classes(row_labels, row_groups, "row"), classes(col_labels, col_groups, "col")
+    return ReducedViews(rows, cols, sliced(sender), sliced(receiver), row_groups, col_groups)
+
+
 def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[StrategyClass, ...]]:
     """Collapse strategically equivalent strategies on both sides.
 
     Two strategies merge exactly when their payoff vectors for both players
     coincide against every opponent strategy, compared on the game's integer
-    views. Returns the reduced game (its labels are StrategyClass instances)
-    together with all classes, rows first.
+    views. Returns the reduced game (its labels are StrategyClass instances,
+    its views the sliced ones) together with all classes, rows first.
     """
-    sender, receiver = gamma.sender_integers.matrix, gamma.receiver_integers.matrix
-    row_groups = _group_equal([s + r for s, r in zip(sender, receiver)])
-    col_groups = _group_equal(list(zip(*sender, *receiver)))
+    views = _reduce(gamma.row_labels, gamma.col_labels, gamma.sender_integers, gamma.receiver_integers)
+    cells = tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in views.col_groups) for rg in views.row_groups)
+    reduced = BimatrixGame(views.row_labels, views.col_labels, cells, gamma.cost)
+    return _with_views(reduced, views.sender_integers, views.receiver_integers), views.row_labels + views.col_labels
 
-    row_classes = tuple(
-        StrategyClass(
-            representative=deep_representative(gamma.row_labels[group[0]]),
-            members=tuple(gamma.row_labels[i] for i in group),
-            side="row",
-        )
-        for group in row_groups
-    )
-    col_classes = tuple(
-        StrategyClass(
-            representative=deep_representative(gamma.col_labels[group[0]]),
-            members=tuple(gamma.col_labels[i] for i in group),
-            side="col",
-        )
-        for group in col_groups
-    )
-    cells = tuple(
-        tuple(gamma.cells[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups
-    )
-    reduced = BimatrixGame(row_labels=row_classes, col_labels=col_classes, cells=cells, cost=gamma.cost)
-    return reduced, row_classes + col_classes
+
+def reduce_at_cost(gamma: BimatrixGame, cost: Fraction) -> ReducedViews:
+    """The labels and views of `reduce_normal_form(with_cost(gamma, cost))[0]`,
+    repriced and reduced on `gamma`'s views alone. The classes are found
+    afresh at each cost: strategies can become payoff-equal at one cost."""
+    receiver = _repriced(gamma.receiver_integers, _monitor_bits(gamma, cost), gamma.cost - cost)
+    return _reduce(gamma.row_labels, gamma.col_labels, gamma.sender_integers, receiver)
 
 
 def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:

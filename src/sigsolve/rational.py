@@ -1,4 +1,5 @@
-"""Helpers for exact rationals: parsing, rendering, decimal square roots.
+"""Helpers for exact rationals: parsing, rendering, decimal square roots,
+integers over a common denominator.
 
 All quantities in this package are `fractions.Fraction`; floats never enter
 any computation. Decimal output exists purely for human-readable rendering.
@@ -6,10 +7,18 @@ any computation. Decimal output exists purely for human-readable rendering.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 SIGNIFICANT_DIGITS = 12
+
+
+def numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rational(token: str) -> Fraction:

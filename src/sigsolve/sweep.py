@@ -31,14 +31,7 @@ from .equilibrium import (
 )
 from .game import Outcome, SignalingGame, outcome_distance
 from .indices import IndexResult, PerturbationConfig, component_index
-from .normalform import (
-    BimatrixGame,
-    build_normal_form,
-    build_sgcm_normal_form,
-    monitor_bit,
-    reduce_normal_form,
-    with_cost,
-)
+from .normalform import BimatrixGame, build_normal_form, build_sgcm_normal_form, monitor_bit, reduce_at_cost
 from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
@@ -154,9 +147,9 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
 
 
 def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
-    """Reprice the base's monitored form at one cost, solve its reduction
-    and face it off against the base component's outcome."""
-    reduced, _ = reduce_normal_form(with_cost(base.monitored, cost))
+    """Reprice and reduce the base's monitored form at one cost on its integer
+    views, solve it and face it off against the base component's outcome."""
+    reduced = reduce_at_cost(base.monitored, cost)
     equilibria = enumerate_extreme_equilibria(reduced)
     squared, eq = min(
         ((outcome_distance(outcome_of_equilibrium(game, reduced, e), base.outcome), e) for e in equilibria),

@@ -21,8 +21,11 @@ shares between components and for the far screen in front of the LPs.
 Walking both best-response polytopes in full and matching labels, which
 `equilibrium.extreme_vertex_pairs` replaced with one walk and partner faces,
 is the oracle for its pairs, and a sympy regularity check for its
-`degenerate` flag. `frontier_probe` builds the seeded frontier games and
-`dominance_filter` the strict-dominance core as a game."""
+`degenerate` flag. The `Fraction` path of a cost sweep, which repriced and
+reduced `Fraction` cells and recomputed each form's views from them, with
+outcomes and distances summed in `Fraction`s, is the oracle for
+`sweep.evaluate_cost` on integer views. `frontier_probe` builds the seeded
+frontier games and `dominance_filter` the strict-dominance core as a game."""
 
 from __future__ import annotations
 
@@ -44,8 +47,9 @@ from sigsolve.equilibrium import (
     _padded,
     _polytope_vertices,
     enumerate_extreme_equilibria,
+    profile_of_equilibrium,
 )
-from sigsolve.game import MixedProfile, ReceiverStrategyC, SignalingGame
+from sigsolve.game import MixedProfile, Outcome, ReceiverStrategyC, SignalingGame, enumerate_plays
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
@@ -54,7 +58,15 @@ from sigsolve.indices import (
     equilibrium_index,
 )
 from sigsolve.linalg import linf_distance_to_hull
-from sigsolve.normalform import BimatrixGame, IntegerPayoffs, strict_core
+from sigsolve.normalform import (
+    BimatrixGame,
+    IntegerPayoffs,
+    monitor_bit,
+    reduce_normal_form,
+    strict_core,
+    with_cost,
+)
+from sigsolve.sweep import BaseContext, SweepRecord
 
 F = Fraction
 
@@ -195,6 +207,43 @@ def reference_expected_payoffs(game: SignalingGame, profile: MixedProfile, cost:
                 u1 += weight * p1
                 u2 += weight * (p2 - cost if pays else p2)
     return u1, u2
+
+
+def reference_outcome(game: SignalingGame, profile: MixedProfile) -> Outcome:
+    """`game.outcome_of_profile` summed in `Fraction`s, one term per type,
+    sender strategy and receiver strategy."""
+    masses = dict.fromkeys(enumerate_plays(game), Fraction(0))
+    for ti, t in enumerate(game.types):
+        for s1, w1 in profile.sender.items():
+            m = s1.messages[ti]
+            for s2, w2 in profile.receiver.items():
+                masses[(t, m, s2.reply(game.messages.index(m)))] += game.prior[t] * w1 * w2
+    return Outcome(masses=masses)
+
+
+def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
+    """`sweep.evaluate_cost` on the `Fraction` path: reprice and reduce the
+    cells with `with_cost` and `reduce_normal_form`, recompute each form's
+    views from its cells (a `replace` copy has none cached), enumerate, and
+    sum outcomes and squared distances in `Fraction`s."""
+    reduced = replace(reduce_normal_form(replace(with_cost(base.monitored, cost)))[0])
+    equilibria = enumerate_extreme_equilibria(reduced)
+
+    def squared_distance(eq):
+        masses = reference_outcome(game, profile_of_equilibrium(reduced, eq)).masses
+        return sum(((v - base.outcome.masses[play]) ** 2 for play, v in masses.items()), Fraction(0))
+
+    squared, eq = min(((squared_distance(e), e) for e in equilibria), key=lambda pair: (pair[0], pair[1].sort_key()))
+    return SweepRecord(
+        c=cost,
+        found=any(e.payoffs == base.payoffs for e in equilibria),
+        nearest=eq,
+        monitor_probability=sum((w for label, w in zip(reduced.row_labels, eq.row_mix) if monitor_bit(label)), F(0)),
+        squared_distance=squared,
+        payoffs=eq.payoffs,
+        sender_support=tuple(label for label, w in zip(reduced.col_labels, eq.col_mix) if w > 0),
+        receiver_support=tuple(label for label, w in zip(reduced.row_labels, eq.row_mix) if w > 0),
+    )
 
 
 def reference_strict_core(row_payoffs, col_payoffs) -> tuple[list[int], list[int]]:

@@ -39,7 +39,7 @@ def test_determinant_values():
 def test_leaving_row_breaks_ratio_ties_lexicographically(rows, rhs, first_row, expected):
     # after x0 enters, two rows tie on the rhs ratio for x1; the slack columns
     # decide, once in favour of the earlier row and once of the later one
-    tableau = Tableau([[F(v) for v in row] for row in rows], [F(b) for b in rhs], 2)
+    tableau = Tableau(rows, rhs, 2)
     tableau.pivot(first_row, 0)
     assert tableau.leaving_row(1) == expected
 
@@ -70,7 +70,7 @@ def test_leaving_row_is_the_lexicographic_minimum(seed):
         dim, count = rng.randint(1, 4), rng.randint(1, 5)
         rows = [[rng.randint(0, 2) for _ in range(dim)] for _ in range(count)]
         rhs = [rng.choice((0, 1, 1, 2)) for _ in range(count)]
-        tableau = Tableau([[F(v) for v in row] for row in rows], [F(b) for b in rhs], dim)
+        tableau = Tableau(rows, rhs, dim)
         for _ in range(8):
             nonbasic = [v for v in range(dim + count) if v not in tableau.basis]
             for v in nonbasic:

@@ -26,6 +26,7 @@ from sigsolve.normalform import (
     build_sgcm_normal_form,
     embed_map,
     monitor_bit,
+    reduce_at_cost,
     reduce_normal_form,
     reduced_sgcm_at_zero,
     strategy_spaces,
@@ -219,8 +220,11 @@ def test_repricing_refuses_classes_that_mix_monitor_bits(beerquiche):
     # at cost zero the monitoring CFFF and CNFF join the free class 0FFF, so
     # the zero-cost reduction cannot be repriced; reducing at 1/20 gives 6 rows
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
-    with pytest.raises(ValueError, match="reprice before reducing"):
-        with_cost(reduced, F(1, 20))
+    for cost in (F(1, 20), F(0)):  # an unchanged cost is no exception
+        with pytest.raises(ValueError, match="reprice before reducing"):
+            with_cost(reduced, cost)
+        with pytest.raises(ValueError, match="reprice before reducing"):
+            reduce_at_cost(reduced, cost)
     repriced_first, _ = reduce_normal_form(with_cost(build_sgcm_normal_form(beerquiche, F(0)), F(1, 20)))
     assert len(repriced_first.row_labels) == 6
 
@@ -358,13 +362,22 @@ def fixture_games():
     return [load_game(str(path)) for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg"))]
 
 
-def fixture_forms():
+def fixture_forms(unreduced=False):
     """Base forms and reduced monitored forms of the bundled games, down to
-    costs at which a monitoring row loses to a free one by only c."""
+    costs at which a monitoring row loses to a free one by only c. With
+    `unreduced`, also the monitored forms before reduction and
+    `reduced_sgcm_at_zero`, so that every kind of form whose views
+    `with_cost` or `reduce_normal_form` passes on is there; the exhaustive
+    oracle cannot afford the unreduced 32x9 form."""
     for game in fixture_games():
         yield build_normal_form(game)
         for cost in (F(0), F(1, 20), F(1, 4), F(1, 4 * 2**11)):
-            yield reduce_normal_form(build_sgcm_normal_form(game, cost))[0]
+            monitored = build_sgcm_normal_form(game, cost)
+            if unreduced:
+                yield monitored
+            yield reduce_normal_form(monitored)[0]
+        if unreduced:
+            yield reduced_sgcm_at_zero(game)
 
 
 @pytest.mark.parametrize(
@@ -445,7 +458,7 @@ def assert_integer_view(gamma):
 
 @pytest.mark.parametrize(
     "forms",
-    [fixture_forms, lambda: random_games(43), lambda: fraction_bimatrices(47)],
+    [lambda: fixture_forms(unreduced=True), lambda: random_games(43), lambda: fraction_bimatrices(47)],
     ids=["fixtures", "random-integer", "random-fraction"],
 )
 def test_integer_view_scales_each_payoff_exactly(forms):
@@ -453,22 +466,45 @@ def test_integer_view_scales_each_payoff_exactly(forms):
         assert_integer_view(gamma)
 
 
-def test_derived_forms_compute_their_own_integer_view(beerquiche):
+def test_derived_forms_pass_on_their_integer_views(beerquiche):
+    """`with_cost` reprices the receiver view and keeps the sender's,
+    `reduce_normal_form` slices both, and each passed-on view is the one
+    computed from the cells; a form made by `replace` computes its own."""
     free = build_sgcm_normal_form(beerquiche, F(0))
     parent = free.receiver_integers
+    assert with_cost(free, F(0)) is free
     repriced = with_cost(free, F(1, 4))
     view = repriced.receiver_integers
+    assert repriced.sender_integers is free.sender_integers
     assert view.matrix != parent.matrix
     for i, label in enumerate(repriced.row_labels):
         for j in range(len(repriced.col_labels)):
             assert F(view.matrix[i][j], view.scale) == free.cells[i][j][1] - F(1, 4) * label.monitor
-    assert_integer_view(repriced)
     reduced, _ = reduce_normal_form(repriced)
     assert (len(reduced.receiver_integers.matrix), len(reduced.receiver_integers.matrix[0])) == reduced.shape
-    assert_integer_view(reduced)
+    # 1/3 and 1/1000 change the scale; back at 1/4 the view returns to lowest terms
+    for gamma in (repriced, reduced, with_cost(reduced, F(1, 3)), with_cost(with_cost(reduced, F(1, 1000)), F(1, 4))):
+        fresh = replace(gamma)
+        assert (gamma.sender_integers, gamma.receiver_integers) == (fresh.sender_integers, fresh.receiver_integers)
+        assert_integer_view(gamma)
     swapped = replace(free, cells=tuple(tuple((u2, u1) for u1, u2 in row) for row in free.cells))
     assert swapped.receiver_integers == free.sender_integers
     assert swapped.sender_integers == parent
+
+
+def test_reduction_at_a_cost_is_the_reduced_repriced_form():
+    """`reduce_at_cost` gives the labels and views of reducing the repriced
+    form, for every monitored fixture form at costs that change the scale."""
+    for game in fixture_games():
+        free = build_sgcm_normal_form(game, F(0))
+        for cost in (F(0), F(1, 3), F(1, 20), F(1, 1024)):
+            reduced, _ = reduce_normal_form(replace(with_cost(free, cost)))
+            views = reduce_at_cost(free, cost)
+            assert (views.row_labels, views.col_labels) == (reduced.row_labels, reduced.col_labels)
+            assert (views.sender_integers, views.receiver_integers) == (
+                replace(reduced).sender_integers,
+                replace(reduced).receiver_integers,
+            )
 
 
 def test_reduction_classes_match_fraction_grouping():

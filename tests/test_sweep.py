@@ -1,13 +1,20 @@
+from contextlib import suppress
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from helpers import message_blind_receiver_game
+from helpers import message_blind_receiver_game, reference_evaluate_cost
 
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
-from sigsolve.cli import render_label
+from sigsolve.cli import load_game, render_label
+from sigsolve.equilibrium import solve_components
+from sigsolve.game import SignalingGame
+from sigsolve.normalform import build_normal_form, build_sgcm_normal_form, monitor_bit, reduce_at_cost
 from sigsolve.sweep import (
+    C_MAX,
+    THEOREM_GRID_STEPS,
     NoSurvivalError,
     SweepConfig,
     UnknownComponentError,
@@ -15,6 +22,7 @@ from sigsolve.sweep import (
     cost_sweep,
     distance_scaling,
     evaluate_cost,
+    halving_grid,
     resolve_base_component,
     survival_threshold,
     verify_theorem_bound,
@@ -158,3 +166,45 @@ def test_threshold_rejects_nonpositive_tolerance(game, tolerance, monkeypatch):
     monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
     with pytest.raises(ValueError, match="positive"):
         survival_threshold(game, BEER, bracket_tolerance=tolerance)
+
+
+def monitoring_merges_at_one_quarter():
+    """One type, whose sender payoff ignores the action. The receiver values
+    x at 1 and y at 3/4, so the monitoring class that always plays x and the
+    free class whose default is y are payoff-equal exactly at cost 1/4."""
+    sender, receiver = {"m1": F(1), "m2": F(0)}, {"x": F(1), "y": F(3, 4)}
+    payoff = {("t", m, a): (sender[m], receiver[a]) for m in ("m1", "m2") for a in ("x", "y")}
+    return SignalingGame(("t",), ("m1", "m2"), ("x", "y"), {"t": F(1)}, payoff)
+
+
+def test_integer_cost_grid_matches_fraction_path(monkeypatch):
+    """`evaluate_cost` on integer views gives the `Fraction` path's record at
+    every cost the threshold scan and bisection and the theorem grid price,
+    for every bundled game's components with a constant outcome, and at
+    every theorem cost of a game whose classes merge at one of them."""
+    evaluate = sweep.evaluate_cost
+    priced = []
+
+    def checked(game, base, cost):
+        record = evaluate(game, base, cost)
+        assert record == reference_evaluate_cost(game, base, cost), (cost, base.component)
+        priced.append(cost)
+        return record
+
+    monkeypatch.setattr(sweep, "evaluate_cost", checked)
+    games = [load_game(str(path)) for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg"))]
+    for game in [*games, monitoring_merges_at_one_quarter()]:
+        for component_id in component_ids(solve_components(build_normal_form(game))):
+            try:
+                base = resolve_base_component(game, component_id)
+            except ValueError:  # no constant outcome
+                continue
+            with suppress(NoSurvivalError):
+                survival_threshold(game, component_id)
+            for cost in halving_grid(C_MAX, THEOREM_GRID_STEPS):
+                checked(game, base, cost)
+    assert len(set(priced)) > THEOREM_GRID_STEPS  # bisection costs off the grid were priced too
+    merged = monitoring_merges_at_one_quarter()
+    free = build_sgcm_normal_form(merged, F(0))
+    for cost, mixed in ((F(1, 4), 1), (F(1, 8), 0)):
+        assert [monitor_bit(label) for label in reduce_at_cost(free, cost).row_labels].count(None) == mixed
