@@ -14,13 +14,7 @@ from sigsolve.catalog import beer_quiche
 from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
-from sigsolve.normalform import (
-    build_normal_form,
-    build_sgcm_normal_form,
-    embed_map,
-    reduce_normal_form,
-    reduced_sgcm_at_zero,
-)
+from sigsolve.normalform import build_normal_form, embed_map, reduced_sgcm, reduced_sgcm_at_zero
 from sigsolve.rational import parse_rational
 from sigsolve.sweep import (
     SweepConfig,
@@ -40,7 +34,7 @@ def main() -> None:
     args = parser.parse_args()
     game = beer_quiche()
     try:
-        reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, parse_rational(args.cost)))
+        reduced = reduced_sgcm(game, parse_rational(args.cost))
     except ValueError as exc:
         parser.error(f"--cost: {exc}")
     out_dir = Path(args.out_dir)
@@ -72,7 +66,7 @@ def main() -> None:
 
     print("\n== zero-cost duplicate containment ==")
     gamma0 = reduced_sgcm_at_zero(game)
-    containment = duplicate_containment_check(gamma0, gamma, embed_map(gamma0, gamma), cfg)
+    containment = duplicate_containment_check(gamma0, gamma, embed_map(gamma0), cfg)
     for entry in containment.entries:
         print(
             f"duplicate-game index {entry.duplicate_index.value:+d} maps onto base index "

@@ -22,16 +22,16 @@ from .game import (
 )
 from .normalform import (
     BimatrixGame,
-    EmbedMap,
     StrategyClass,
     build_normal_form,
     build_sgcm_normal_form,
     embed_map,
+    monitored_form,
     reduce_normal_form,
+    reduced_sgcm,
     reduced_sgcm_at_zero,
     strategy_spaces,
     strategy_spaces_c,
-    with_cost,
 )
 from .equilibrium import (
     Component,

@@ -46,6 +46,7 @@ from .normalform import (
     label_of,
     monitor_bit,
     reduce_normal_form,
+    reduced_sgcm,
 )
 from .rational import format_compact, parse_rational
 from .sweep import (
@@ -311,16 +312,15 @@ def _cmd_sgcm(args) -> CommandResult:
     game = load_game(args.game)
     classic = _classic_labels(game)
     cost = parse_rational(args.cost)
-    gamma = build_sgcm_normal_form(game, cost)
     lines = []
     if args.reduce:
-        gamma, classes = reduce_normal_form(gamma)
+        gamma = reduced_sgcm(game, cost)
         lines.append(f"reduced monitored normal form at c={cost} ({len(gamma.row_labels)} rows)")
-        for cls in classes:
-            if cls.side == "row":
-                members = ", ".join(render_label(m, classic) for m in cls.members)
-                lines.append(f"  class {render_label(cls, classic)} <- {members}")
+        for cls in gamma.row_labels:
+            members = ", ".join(render_label(m, classic) for m in cls.members)
+            lines.append(f"  class {render_label(cls, classic)} <- {members}")
     else:
+        gamma = build_sgcm_normal_form(game, cost)
         lines.append(f"monitored normal form at c={cost} ({len(gamma.row_labels)} rows)")
     lines.append(render_table(gamma, classic, symbolic=args.symbolic))
     return CommandResult(0, "\n".join(lines), {"rows": len(gamma.row_labels), "cost": str(cost)})
@@ -333,7 +333,7 @@ def _cmd_solve(args) -> CommandResult:
     if cost is None:
         gamma = build_normal_form(game)
     else:
-        gamma, _ = reduce_normal_form(build_sgcm_normal_form(game, cost))
+        gamma = reduced_sgcm(game, cost)
     lines = []
     summary: dict = {"cost": str(cost) if cost is not None else None}
     equilibria = enumerate_extreme_equilibria(gamma)

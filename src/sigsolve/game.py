@@ -4,9 +4,10 @@ A signaling game couples a typed sender (player 1, picks a message after
 learning her type) with a receiver (player 2, picks an action). The costly
 monitoring variant gives the receiver a prior binary choice: pay a cost to
 observe the message, or act on a message-independent default. A receiver
-strategy of either game answers "which action after message i" (`reply`);
-`normalform.monitor_bit` alone says who pays the cost. Outcomes are
-distributions over (type, message, action) plays.
+strategy of either game answers "which action after message i" (`reply`),
+so a monitored one pays like the base strategy with the same replies, less
+the cost if it monitors. Outcomes are distributions over (type, message,
+action) plays.
 
 All probabilities and payoffs are Fractions; every operation here is a pure
 function over immutable values.

@@ -49,7 +49,7 @@ from .equilibrium import (  # noqa: F401
     solve_components,
 )
 from .linalg import determinant, linf_distance_to_hull
-from .normalform import BimatrixGame, EmbedMap, IntegerPayoffs, deep_representative
+from .normalform import BimatrixGame, IntegerPayoffs, deep_representative
 from .rational import numerators
 
 ONE = Fraction(1)
@@ -337,45 +337,33 @@ def index_sum_check(gamma: BimatrixGame, cfg: PerturbationConfig = PerturbationC
 def duplicate_containment_check(
     gamma0: BimatrixGame,
     gamma_base: BimatrixGame,
-    embedding: EmbedMap,
+    embedding: dict,
     cfg: PerturbationConfig = PerturbationConfig(),
 ) -> ContainmentReport:
     """Every non-zero-index component of the duplicate-strategy game must map
     onto a non-zero-index component of the base game.
 
     The image of a component is the set of base strategies reached by mapping
-    its row support through the embedding (columns map by representative).
+    its row support through `embedding`, a dict from the rows of `gamma0` to
+    those of `gamma_base` (columns map by representative).
     """
-    base_components = solve_components(gamma_base)
+
+    def image(labels, mapping=deep_representative):
+        return tuple(sorted({mapping(label) for label in labels}, key=repr))
+
     base_draws = DrawStore(gamma_base, cfg)
-    base_results = [component_index(gamma_base, comp, cfg, base_draws) for comp in base_components]
+    base = [
+        ((image(comp.row_support()), image(comp.col_support())), component_index(gamma_base, comp, cfg, base_draws))
+        for comp in solve_components(gamma_base)
+    ]
     draws = DrawStore(gamma0, cfg)
     entries = []
     for comp in solve_components(gamma0):
         result = component_index(gamma0, comp, cfg, draws)
         if result.value == 0 and not result.indeterminate:
             continue
-        image_rows = tuple(sorted({embedding.map_row(lbl) for lbl in comp.row_support()}, key=repr))
-        image_cols = tuple(
-            sorted({deep_representative(lbl) for lbl in comp.col_support()}, key=repr)
-        )
-        match = None
-        match_result = None
-        for base_comp, base_result in zip(base_components, base_results):
-            rows = tuple(sorted(set(base_comp.row_support()), key=repr))
-            cols = tuple(sorted({deep_representative(l) for l in base_comp.col_support()}, key=repr))
-            if rows == image_rows and cols == image_cols:
-                match = base_comp
-                match_result = base_result
-                break
-        contained = match is not None and match_result.value != 0
-        entries.append(
-            ContainmentEntry(
-                duplicate_index=result,
-                image_rows=image_rows,
-                image_cols=image_cols,
-                base_index=match_result,
-                contained=contained,
-            )
-        )
+        rows, cols = image(comp.row_support(), embedding.__getitem__), image(comp.col_support())
+        base_index = next((index for support, index in base if support == (rows, cols)), None)
+        contained = base_index is not None and base_index.value != 0
+        entries.append(ContainmentEntry(result, rows, cols, base_index, contained))
     return ContainmentReport(entries=tuple(entries), ok=all(e.contained for e in entries))

@@ -4,12 +4,12 @@ left by removing strictly dominated pure strategies.
 
 Pricing runs in integers: the prior and the payoff table are scaled to
 integers once per game, each cell is an integer sum, and each entry becomes
-one `Fraction`. Only `with_cost` applies the monitoring cost, so a monitored
-form is built once and repriced at every other cost. Each `BimatrixGame`
-keeps one integer view of each player's payoffs (`IntegerPayoffs`), which
-enumeration, indices, dominance and reduction all read; `with_cost` and
-`reduce_normal_form` pass it on, repriced or sliced, and cost sweeps reprice
-and reduce the views alone (`reduce_at_cost`), so a game is scaled once.
+one `Fraction`. Each `BimatrixGame` keeps one integer view of each player's
+payoffs (`IntegerPayoffs`), which enumeration, indices, dominance and
+reduction all read; derived forms are handed theirs. A monitoring receiver
+strategy (1, s, d) pays like base row s minus the cost, a free one (0, s, d)
+like the constant base row (d, ..., d), so the reduced monitored form is
+built from the base form's rows (`monitored_form`, `reduce_at_cost`).
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -25,15 +25,12 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .game import ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
+from .game import ReceiverStrategy, ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
 from .rational import numerators
 
 ZERO = Fraction(0)
 
 Cell = tuple[Fraction, Fraction]
-
-# The positive cost at which reduced_sgcm_at_zero fixes the class structure.
-REFERENCE_COST = Fraction(1, 20)
 
 
 class IntegerPayoffs(NamedTuple):
@@ -73,8 +70,9 @@ class BimatrixGame:
     which rows pay it is read off their labels by `monitor_bit`.
 
     `sender_integers` and `receiver_integers` are the integer views of the
-    two players' payoffs, cached on this object: passed on by `with_cost` and
-    `reduce_normal_form`, computed from the cells on first use otherwise."""
+    two players' payoffs, cached on this object: passed on to the forms that
+    `monitored_form`, `reduce_normal_form` and `reduce_at_cost` build,
+    computed from the cells on first use otherwise."""
 
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
@@ -122,8 +120,8 @@ class ReducedViews(NamedTuple):
 class StrategyClass:
     """A set of strategically equivalent strategies collapsed to one row/column.
 
-    `representative` is the lexicographically least underlying strategy, with
-    nested classes flattened.
+    `members` are underlying strategies, never classes, and `representative`
+    is the first of them.
     """
 
     representative: object
@@ -148,32 +146,13 @@ class StrategyClass:
         return label_of(self.masked)
 
 
-@dataclass(frozen=True)
-class EmbedMap:
-    """How zero-cost receiver classes sit inside the base game.
-
-    Monitoring classes are in bijection with the base receiver strategies;
-    non-monitoring classes duplicate the message-independent (constant) ones.
-    """
-
-    monitor_to_base: dict[StrategyClass, object]
-    duplicate_to_base: dict[StrategyClass, object]
-
-    def map_row(self, label: object) -> object:
-        if label in self.monitor_to_base:
-            return self.monitor_to_base[label]
-        if label in self.duplicate_to_base:
-            return self.duplicate_to_base[label]
-        raise KeyError(f"no embedding recorded for {label}")
-
-
 def label_of(obj: object) -> str:
     return getattr(obj, "label", str(obj))
 
 
 def monitor_bit(label: object) -> int | None:
     """Whether a row of a monitored form pays the cost: the bit of a monitored
-    receiver strategy, or the bit all members of a (nested) class share.
+    receiver strategy, or the bit all members of a class share.
     None for classes whose members disagree and for every other label."""
     if isinstance(label, StrategyClass):
         bits = {monitor_bit(member) for member in label.members}
@@ -182,9 +161,17 @@ def monitor_bit(label: object) -> int | None:
 
 
 def deep_representative(label: object) -> object:
-    while isinstance(label, StrategyClass):
-        label = label.representative
-    return label
+    return label.representative if isinstance(label, StrategyClass) else label
+
+
+def _members_of(label: object) -> tuple:
+    return label.members if isinstance(label, StrategyClass) else (label,)
+
+
+def _pays_like(s2: ReceiverStrategyC) -> ReceiverStrategy:
+    """The base receiver strategy that takes the same action after every
+    message: s for (1, s, d), the constant (d, ..., d) for (0, s, d)."""
+    return ReceiverStrategy(tuple(s2.reply(i) for i in range(len(s2.on_message))))
 
 
 def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
@@ -226,24 +213,39 @@ def build_normal_form(game: SignalingGame) -> BimatrixGame:
 
 
 def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
-    """Bimatrix of the monitored game: the cost-free form repriced by
-    `with_cost`, so the receiver pays `cost` on monitoring rows."""
+    """The full monitored bimatrix, one row per strategy of
+    `strategy_spaces_c`; the receiver pays `cost` on monitoring rows."""
+    _check_cost(cost)
     senders, _ = strategy_spaces(game)
     receivers = strategy_spaces_c(game)
-    free = BimatrixGame(receivers, senders, _payoff_cells(game, senders, receivers), cost=ZERO)
-    return with_cost(free, cost)
+    cells = _payoff_cells(game, senders, receivers)
+    priced = (tuple((u1, u2 - cost) for u1, u2 in row) if s2.monitor else row for s2, row in zip(receivers, cells))
+    return BimatrixGame(receivers, senders, tuple(priced), cost)
 
 
-def _monitor_bits(gamma: BimatrixGame, new_cost: Fraction) -> list[int]:
-    if gamma.cost is None:
-        raise ValueError("game carries no monitoring cost")
-    if new_cost < 0:
-        raise ValueError(f"monitoring cost must be nonnegative, got {new_cost}")
-    bits = [monitor_bit(label) for label in gamma.row_labels]
-    if None in bits:
-        mixed = gamma.row_labels[bits.index(None)]
-        raise ValueError(f"row {label_of(mixed)} mixes monitor bits; reprice before reducing")
-    return bits
+def _check_cost(cost: Fraction) -> None:
+    if cost < 0:
+        raise ValueError(f"monitoring cost must be nonnegative, got {cost}")
+
+
+def monitored_form(game: SignalingGame, base: BimatrixGame) -> BimatrixGame:
+    """The monitored form at cost zero, one row per class of receiver
+    strategies that pay alike at every cost: the free classes (0,*,d) in
+    action order, then a monitoring class (1,s,*) per row s of the base form.
+    Members are in `strategy_spaces_c` order. A row takes the cells and views
+    of the base row it pays like; every base row is among them, so the sliced
+    views stay in lowest terms."""
+    free = [tuple(ReceiverStrategyC(0, s2.actions, d) for s2 in base.row_labels) for d in game.actions]
+    monitoring = [tuple(ReceiverStrategyC(1, s2.actions, d) for d in game.actions) for s2 in base.row_labels]
+    labels = tuple(StrategyClass(members[0], members, "row") for members in free + monitoring)
+    base_row = {s2: i for i, s2 in enumerate(base.row_labels)}
+    rows = [base_row[_pays_like(label.representative)] for label in labels]
+    sender, receiver = (
+        view._replace(matrix=tuple(view.matrix[i] for i in rows))
+        for view in (base.sender_integers, base.receiver_integers)
+    )
+    cells = tuple(base.cells[i] for i in rows)
+    return _with_views(BimatrixGame(labels, base.col_labels, cells, ZERO), sender, receiver)
 
 
 def _repriced(view: IntegerPayoffs, bits: list[int], delta: Fraction) -> IntegerPayoffs:
@@ -254,26 +256,6 @@ def _repriced(view: IntegerPayoffs, bits: list[int], delta: Fraction) -> Integer
     return _lowest_view(tuple(tuple(v * up + shift * bit for v in row) for row, bit in zip(view.matrix, bits)), scale)
 
 
-def with_cost(gamma: BimatrixGame, new_cost: Fraction) -> BimatrixGame:
-    """Reprice an SGCM form at a different cost; only monitoring rows change.
-    This is the one place the monitoring cost enters a payoff. The form gets
-    the repriced receiver view and `gamma`'s sender view; an unchanged cost
-    returns `gamma` itself.
-
-    Raises ValueError when a row class mixes monitoring and non-monitoring
-    strategies: they were payoff-equal only at the old cost.
-    """
-    bits = _monitor_bits(gamma, new_cost)
-    if new_cost == gamma.cost:
-        return gamma
-    delta = gamma.cost - new_cost
-    cells = tuple(
-        tuple((u1, u2 + delta) for (u1, u2) in row) if bit else row for row, bit in zip(gamma.cells, bits)
-    )
-    receiver = _repriced(gamma.receiver_integers, bits, delta)
-    return _with_views(replace(gamma, cells=cells, cost=new_cost), gamma.sender_integers, receiver)
-
-
 def _group_equal(vectors: list[tuple]) -> list[list[int]]:
     groups: dict[tuple, list[int]] = {}
     for idx, vec in enumerate(vectors):
@@ -281,22 +263,30 @@ def _group_equal(vectors: list[tuple]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _reduce(row_labels: tuple, col_labels: tuple, sender: IntegerPayoffs, receiver: IntegerPayoffs) -> ReducedViews:
+def _reduce(
+    row_labels: tuple, col_labels: tuple, sender: IntegerPayoffs, receiver: IntegerPayoffs, row_order=None
+) -> ReducedViews:
     """Group the strategies whose payoff vectors for both players coincide
-    against every opponent strategy; slice the views to one per class."""
+    against every opponent strategy; slice the views to one per class. A
+    class lists the underlying strategies of the labels it merges, in label
+    order or, where several merge, sorted by the key `row_order` if given."""
     row_groups = _group_equal([s + r for s, r in zip(sender.matrix, receiver.matrix)])
     col_groups = _group_equal(list(zip(*sender.matrix, *receiver.matrix)))
 
-    def classes(labels, groups, side):
-        return tuple(
-            StrategyClass(deep_representative(labels[g[0]]), tuple(labels[i] for i in g), side) for g in groups
-        )
+    def classes(labels, groups, side, order):
+        merged = []
+        for g in groups:
+            members = tuple(chain.from_iterable(_members_of(labels[i]) for i in g))
+            if order and len(g) > 1:
+                members = tuple(sorted(members, key=order))
+            merged.append(StrategyClass(members[0], members, side))
+        return tuple(merged)
 
     def sliced(view):
         matrix = view.matrix
         return _lowest_view(tuple(tuple(matrix[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups), view.scale)
 
-    rows, cols = classes(row_labels, row_groups, "row"), classes(col_labels, col_groups, "col")
+    rows, cols = classes(row_labels, row_groups, "row", row_order), classes(col_labels, col_groups, "col", None)
     return ReducedViews(rows, cols, sliced(sender), sliced(receiver), row_groups, col_groups)
 
 
@@ -314,67 +304,58 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     return _with_views(reduced, views.sender_integers, views.receiver_integers), views.row_labels + views.col_labels
 
 
-def reduce_at_cost(gamma: BimatrixGame, cost: Fraction) -> ReducedViews:
-    """The labels and views of `reduce_normal_form(with_cost(gamma, cost))[0]`,
-    repriced and reduced on `gamma`'s views alone. The classes are found
-    afresh at each cost: strategies can become payoff-equal at one cost."""
-    receiver = _repriced(gamma.receiver_integers, _monitor_bits(gamma, cost), gamma.cost - cost)
-    return _reduce(gamma.row_labels, gamma.col_labels, gamma.sender_integers, receiver)
+def reduce_at_cost(monitored: BimatrixGame, cost: Fraction) -> ReducedViews:
+    """The reduced monitored form at `cost` from `monitored_form`'s views:
+    monitoring rows lowered by the cost, then classes found afresh, since a
+    free row can equal a monitoring row at one cost. Merged classes list
+    their strategies in `strategy_spaces_c` order."""
+    _check_cost(cost)
+    reps = [label.representative for label in monitored.row_labels]
+    rank = {rep.default: i for i, rep in enumerate(reps) if not rep.monitor}  # free rows lead, in action order
+
+    def order(s2: ReceiverStrategyC) -> tuple:
+        return s2.monitor, [rank[a] for a in s2.on_message], rank[s2.default]
+
+    receiver = _repriced(monitored.receiver_integers, [rep.monitor for rep in reps], -cost)
+    return _reduce(monitored.row_labels, monitored.col_labels, monitored.sender_integers, receiver, order)
+
+
+def _game(views: ReducedViews, cost: Fraction) -> BimatrixGame:
+    """The reduced form with `Fraction` cells read off its views."""
+    sender, receiver = views.sender_integers, views.receiver_integers
+    cells = tuple(
+        tuple((Fraction(u1, sender.scale), Fraction(u2, receiver.scale)) for u1, u2 in zip(srow, rrow))
+        for srow, rrow in zip(sender.matrix, receiver.matrix)
+    )
+    return _with_views(BimatrixGame(views.row_labels, views.col_labels, cells, cost), sender, receiver)
+
+
+def reduced_sgcm(game: SignalingGame, cost: Fraction) -> BimatrixGame:
+    """`reduce_normal_form(build_sgcm_normal_form(game, cost))[0]`, built
+    from the base form."""
+    return _game(reduce_at_cost(monitored_form(game, build_normal_form(game)), cost), cost)
 
 
 def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
-    """The reduced monitored form with its class structure frozen at the
-    positive REFERENCE_COST, then repriced at cost zero.
+    """The reduced monitored form with the classes it has at any cost above
+    the receiver's payoff range, where no free row equals a monitoring row,
+    priced at cost zero.
 
-    At cost zero this game is no longer purely reduced: each non-monitoring
-    class duplicates the constant monitoring class with the same action.
+    At cost zero this game is no longer purely reduced: each free class
+    (0,*,d) duplicates the monitoring class of the constant base row.
     """
-    reduced, _ = reduce_normal_form(build_sgcm_normal_form(game, REFERENCE_COST))
-    return with_cost(reduced, ZERO)
+    monitored = monitored_form(game, build_normal_form(game))
+    view = monitored.receiver_integers
+    spread = max(map(max, view.matrix)) + view.shift - 1  # the largest payoff minus the least, times the scale
+    apart = reduce_at_cost(monitored, Fraction(spread + 1, view.scale))
+    cells = tuple(tuple(monitored.cells[rg[0]][cg[0]] for cg in apart.col_groups) for rg in apart.row_groups)
+    return BimatrixGame(apart.row_labels, apart.col_labels, cells, ZERO)
 
 
-def embed_map(gamma0: BimatrixGame, gamma: BimatrixGame) -> EmbedMap:
-    """Match every receiver class of the zero-cost reduced SGCM form to the
-    base receiver strategy with the identical payoff column.
-
-    Raises ValueError when a class has no matching base strategy or when the
-    monitoring classes fail to be in bijection with the base strategies; both
-    signal a construction bug or a mismatched game pair.
-    """
-    if gamma0.cost != 0:
-        raise ValueError("first argument must be an SGCM form evaluated at cost zero")
-    n_rows0, n_cols0 = gamma0.shape
-    n_rows, _ = gamma.shape
-    # align sender columns by their underlying strategies (the zero-cost form
-    # may have merged payoff-equal sender columns into classes)
-    base_col_of = {deep_representative(lbl): j for j, lbl in enumerate(gamma.col_labels)}
-    try:
-        col_map = [base_col_of[deep_representative(lbl)] for lbl in gamma0.col_labels]
-    except KeyError as exc:
-        raise ValueError(f"sender strategy {exc} missing from the base form") from exc
-
-    base_rows: dict[tuple, object] = {}
-    for r in range(n_rows):
-        key = tuple(gamma.cells[r][col_map[c]] for c in range(n_cols0))
-        base_rows.setdefault(key, gamma.row_labels[r])
-    monitor_to_base: dict[StrategyClass, object] = {}
-    duplicate_to_base: dict[StrategyClass, object] = {}
-    for r, lbl in enumerate(gamma0.row_labels):
-        bit = monitor_bit(lbl)
-        if bit is None:
-            raise ValueError(f"row {label_of(lbl)} carries no single monitor bit")
-        column = tuple(gamma0.cells[r])
-        base = base_rows.get(column)
-        if base is None:
-            raise ValueError(f"no base strategy matches the payoffs of class {label_of(lbl)}")
-        if bit:
-            monitor_to_base[lbl] = base
-        else:
-            duplicate_to_base[lbl] = base
-    images = list(monitor_to_base.values())
-    if len(set(images)) != len(images) or set(images) != set(gamma.row_labels):
-        raise ValueError("monitoring classes are not in bijection with the base receiver strategies")
-    return EmbedMap(monitor_to_base=monitor_to_base, duplicate_to_base=duplicate_to_base)
+def embed_map(gamma0: BimatrixGame) -> dict[StrategyClass, ReceiverStrategy]:
+    """Where each receiver class of `reduced_sgcm_at_zero` sits in the base
+    game, by construction: on the base row its strategies pay like."""
+    return {label: _pays_like(label.representative) for label in gamma0.row_labels}
 
 
 def _undominated(payoffs, own: list[int], others: list[int]) -> list[int]:

@@ -31,7 +31,7 @@ from .equilibrium import (
 )
 from .game import Outcome, SignalingGame, outcome_distance
 from .indices import IndexResult, PerturbationConfig, component_index
-from .normalform import BimatrixGame, build_normal_form, build_sgcm_normal_form, monitor_bit, reduce_at_cost
+from .normalform import BimatrixGame, build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
@@ -109,7 +109,7 @@ class TheoremEvidence:
 @dataclass(frozen=True)
 class BaseContext:
     gamma: BimatrixGame
-    monitored: BimatrixGame  # the monitored form at cost zero, repriced at every cost
+    monitored: BimatrixGame  # `monitored_form` of the game, reduced at every cost
     components: tuple[Component, ...]
     component: Component
     outcome: Outcome
@@ -138,7 +138,7 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
         raise ValueError(f"component {component_id} has no constant outcome; the game is not generic")
     return BaseContext(
         gamma=gamma,
-        monitored=build_sgcm_normal_form(game, ZERO),
+        monitored=monitored_form(game, gamma),
         components=components,
         component=component,
         outcome=report.outcome,
@@ -147,8 +147,8 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
 
 
 def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
-    """Reprice and reduce the base's monitored form at one cost on its integer
-    views, solve it and face it off against the base component's outcome."""
+    """Reduce the base's monitored form at one cost on its integer views,
+    solve it and face it off against the base component's outcome."""
     reduced = reduce_at_cost(base.monitored, cost)
     equilibria = enumerate_extreme_equilibria(reduced)
     squared, eq = min(

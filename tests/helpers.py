@@ -21,10 +21,11 @@ shares between components and for the far screen in front of the LPs.
 Walking both best-response polytopes in full and matching labels, which
 `equilibrium.extreme_vertex_pairs` replaced with one walk and partner faces,
 is the oracle for its pairs, and a sympy regularity check for its
-`degenerate` flag. The `Fraction` path of a cost sweep, which repriced and
-reduced `Fraction` cells and recomputed each form's views from them, with
-outcomes and distances summed in `Fraction`s, is the oracle for
-`sweep.evaluate_cost` on integer views. `frontier_probe` builds the seeded
+`degenerate` flag. The `Fraction` path of a cost sweep, which reduces the
+full monitored table of `Fraction` cells and recomputes each form's views
+from them, with outcomes and distances summed in `Fraction`s, is the oracle
+for `sweep.evaluate_cost` on the integer views of the form built from the
+base form. `frontier_probe` builds the seeded
 frontier games and `dominance_filter` the strict-dominance core as a game."""
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ from sigsolve.linalg import linf_distance_to_hull
 from sigsolve.normalform import (
     BimatrixGame,
     IntegerPayoffs,
+    build_sgcm_normal_form,
     monitor_bit,
     reduce_normal_form,
     strict_core,
-    with_cost,
 )
 from sigsolve.sweep import BaseContext, SweepRecord
 
@@ -119,6 +120,21 @@ def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):
             continue
         produced += 1
         yield gamma, enumerate_extreme_equilibria(gamma)
+
+
+def monitoring_merges_at_one_quarter():
+    """One type, whose sender payoff ignores the action. The receiver values
+    x at 1 and y at 3/4, so the monitoring class that always plays x and the
+    free class whose default is y are payoff-equal exactly at cost 1/4."""
+    return merging_game(F(3, 4))
+
+
+def merging_game(y_value):
+    """`monitoring_merges_at_one_quarter` with y valued at `y_value`: the
+    always-x monitoring class and the free y class merge at cost 1 - y_value."""
+    sender, receiver = {"m1": F(1), "m2": F(0)}, {"x": F(1), "y": y_value}
+    payoff = {("t", m, a): (sender[m], receiver[a]) for m in ("m1", "m2") for a in ("x", "y")}
+    return SignalingGame(("t",), ("m1", "m2"), ("x", "y"), {"t": F(1)}, payoff)
 
 
 def message_blind_receiver_game():
@@ -222,11 +238,11 @@ def reference_outcome(game: SignalingGame, profile: MixedProfile) -> Outcome:
 
 
 def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
-    """`sweep.evaluate_cost` on the `Fraction` path: reprice and reduce the
-    cells with `with_cost` and `reduce_normal_form`, recompute each form's
-    views from its cells (a `replace` copy has none cached), enumerate, and
-    sum outcomes and squared distances in `Fraction`s."""
-    reduced = replace(reduce_normal_form(replace(with_cost(base.monitored, cost)))[0])
+    """`sweep.evaluate_cost` on the `Fraction` path: reduce the full
+    monitored table at `cost` with `reduce_normal_form`, recompute the
+    reduced form's views from its cells (a `replace` copy has none cached),
+    enumerate, and sum outcomes and squared distances in `Fraction`s."""
+    reduced = replace(reduce_normal_form(build_sgcm_normal_form(game, cost))[0])
     equilibria = enumerate_extreme_equilibria(reduced)
 
     def squared_distance(eq):

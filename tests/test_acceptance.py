@@ -257,7 +257,7 @@ def test_criterion_10_property_suite(game):
     assert checked == 50
     gamma0 = reduced_sgcm_at_zero(game)
     base = build_normal_form(game)
-    report = duplicate_containment_check(gamma0, base, embed_map(gamma0, base))
+    report = duplicate_containment_check(gamma0, base, embed_map(gamma0))
     assert report.ok
     assert len(report.entries) == 1
     assert report.entries[0].duplicate_index.value != 0

@@ -29,7 +29,6 @@ from sigsolve.indices import (
 )
 from sigsolve.normalform import (
     BimatrixGame,
-    EmbedMap,
     build_normal_form,
     build_sgcm_normal_form,
     embed_map,
@@ -143,7 +142,7 @@ def test_component_index_invariant_under_receiver_payoff_shift(beerquiche):
 def test_duplicate_containment_for_beer_quiche(beerquiche):
     gamma0 = reduced_sgcm_at_zero(beerquiche)
     base = build_normal_form(beerquiche)
-    report = duplicate_containment_check(gamma0, base, embed_map(gamma0, base), CFG)
+    report = duplicate_containment_check(gamma0, base, embed_map(gamma0), CFG)
     assert report.ok
     assert len(report.entries) == 1  # only the beer component carries index
     entry = report.entries[0]
@@ -162,10 +161,7 @@ def test_duplicate_containment_for_synthetic_duplicate_row():
     base = BimatrixGame(("top", "bottom"), ("left", "right"), base_cells)
     dup_cells = base_cells + (base_cells[0],)
     duplicated = BimatrixGame(("top", "bottom", "copy"), ("left", "right"), dup_cells)
-    embedding = EmbedMap(
-        monitor_to_base={"top": "top", "bottom": "bottom"},
-        duplicate_to_base={"copy": "top"},
-    )
+    embedding = {"top": "top", "bottom": "bottom", "copy": "top"}
     report = duplicate_containment_check(duplicated, base, embedding, CFG)
     assert report.ok
     assert len(report.entries) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from itertools import chain
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from helpers import (
     TABLE_THREE,
     TABLE_TWO,
     dominance_filter,
+    merging_game,
+    monitoring_merges_at_one_quarter,
     reference_classes,
     reference_extreme_equilibria,
     reference_payoff_cells,
@@ -19,20 +22,22 @@ from helpers import (
 
 from sigsolve.cli import load_game, render_label
 from sigsolve.equilibrium import enumerate_extreme_equilibria
-from sigsolve.game import SignalingGame
+from sigsolve.game import ReceiverStrategy, SignalingGame
+from sigsolve.indices import PerturbationConfig, duplicate_containment_check
 from sigsolve.normalform import (
     BimatrixGame,
+    StrategyClass,
     build_normal_form,
     build_sgcm_normal_form,
     embed_map,
     monitor_bit,
-    reduce_at_cost,
+    monitored_form,
     reduce_normal_form,
+    reduced_sgcm,
     reduced_sgcm_at_zero,
     strategy_spaces,
     strict_core,
     strategy_spaces_c,
-    with_cost,
 )
 
 
@@ -205,8 +210,10 @@ def test_reduce_is_idempotent(beerquiche):
 
 
 def test_repricing_changes_only_monitoring_rows(beerquiche):
-    a = build_sgcm_normal_form(beerquiche, F(1, 20))
-    b = with_cost(a, F(1, 8))
+    """The reduced monitored forms at two costs with the same classes differ
+    by the cost difference on the monitoring rows' receiver payoffs only."""
+    a, b = reduced_sgcm(beerquiche, F(1, 20)), reduced_sgcm(beerquiche, F(1, 8))
+    assert a.row_labels == b.row_labels
     delta = F(1, 20) - F(1, 8)
     for i in range(len(a.row_labels)):
         for j in range(len(a.col_labels)):
@@ -216,17 +223,18 @@ def test_repricing_changes_only_monitoring_rows(beerquiche):
             assert du2 == (delta if monitor_bit(a.row_labels[i]) else 0)
 
 
-def test_repricing_refuses_classes_that_mix_monitor_bits(beerquiche):
-    # at cost zero the monitoring CFFF and CNFF join the free class 0FFF, so
-    # the zero-cost reduction cannot be repriced; reducing at 1/20 gives 6 rows
-    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
-    for cost in (F(1, 20), F(0)):  # an unchanged cost is no exception
-        with pytest.raises(ValueError, match="reprice before reducing"):
-            with_cost(reduced, cost)
-        with pytest.raises(ValueError, match="reprice before reducing"):
-            reduce_at_cost(reduced, cost)
-    repriced_first, _ = reduce_normal_form(with_cost(build_sgcm_normal_form(beerquiche, F(0)), F(1, 20)))
-    assert len(repriced_first.row_labels) == 6
+def test_zero_cost_form_keeps_apart_rows_that_merge_at_one_twentieth():
+    """The receiver values x at 1 and y at 19/20, so at cost 1/20 the free
+    class that plays y equals the monitoring class that always plays x. The
+    zero-cost form finds its classes where no free row equals a monitoring
+    one: two free classes and four monitoring ones."""
+    game = merging_game(F(19, 20))
+    assert len(reduce_normal_form(build_sgcm_normal_form(game, F(1, 20)))[0].row_labels) == 5
+    gamma0 = reduced_sgcm_at_zero(game)
+    assert [render_label(label, classic=False) for label in gamma0.row_labels] == [
+        "0**x", "0**y", "1xx*", "1xy*", "1yx*", "1yy*"
+    ]
+    assert duplicate_containment_check(gamma0, build_normal_form(game), embed_map(gamma0), PerturbationConfig()).ok
 
 
 def test_unreached_information_sets_never_matter(beerquiche):
@@ -242,19 +250,12 @@ def test_unreached_information_sets_never_matter(beerquiche):
 
 def test_embedding_of_zero_cost_classes(beerquiche):
     gamma0 = reduced_sgcm_at_zero(beerquiche)
-    base = build_normal_form(beerquiche)
-    embedding = embed_map(gamma0, base)
-    assert len(embedding.monitor_to_base) == 4
-    duplicates = {
-        render_label(cls, classic=True): render_label(strat, classic=True)
-        for cls, strat in embedding.duplicate_to_base.items()
+    embedding = {
+        render_label(cls, classic=True): render_label(strat, classic=True) for cls, strat in embed_map(gamma0).items()
     }
-    assert duplicates == {"0N**": "NN", "0F**": "FF"}
-    bijection = {
-        render_label(cls, classic=True): render_label(strat, classic=True)
-        for cls, strat in embedding.monitor_to_base.items()
+    assert embedding == {
+        "0F**": "FF", "0N**": "NN", "C*FF": "FF", "C*FN": "FN", "C*NF": "NF", "C*NN": "NN"
     }
-    assert bijection == {"C*FF": "FF", "C*FN": "FN", "C*NF": "NF", "C*NN": "NN"}
 
 
 def test_embedding_single_action_game():
@@ -266,18 +267,24 @@ def test_embedding_single_action_game():
         payoff={("t", m, "x"): (F(1), F(2)) for m in "mn"},
     )
     gamma0 = reduced_sgcm_at_zero(game)
-    base = build_normal_form(game)
-    embedding = embed_map(gamma0, base)
-    assert len(embedding.monitor_to_base) == 1
-    assert len(embedding.duplicate_to_base) == 1
-    assert set(embedding.monitor_to_base.values()) == set(embedding.duplicate_to_base.values())
+    assert [monitor_bit(label) for label in gamma0.row_labels] == [0, 1]
+    assert set(embed_map(gamma0).values()) == {ReceiverStrategy(("x", "x"))}
 
 
-def test_embedding_rejects_positive_cost_form(beerquiche):
-    gamma = build_sgcm_normal_form(beerquiche, F(1, 20))
-    reduced, _ = reduce_normal_form(gamma)
-    with pytest.raises(ValueError):
-        embed_map(reduced, build_normal_form(beerquiche))
+def test_embedding_maps_each_class_onto_a_base_row_with_its_payoffs():
+    """Each class of the zero-cost form pays what the base row it is mapped
+    onto pays, column for column; no payoff is matched to build the map."""
+    for game in [*fixture_games(), *random_signaling_games(11, count=10)]:
+        base = build_normal_form(game)
+        base_row = {label: i for i, label in enumerate(base.row_labels)}
+        gamma0 = reduced_sgcm_at_zero(game)
+        embedding = embed_map(gamma0)
+        assert list(embedding) == list(gamma0.row_labels)
+        for label, cells in zip(gamma0.row_labels, gamma0.cells):
+            assert list(cells) == [
+                base.cells[base_row[embedding[label]]][base.col_labels.index(col.representative)]
+                for col in gamma0.col_labels
+            ]
 
 
 def test_never_monitoring_strictly_dominates_monitoring_the_constant_way(beerquiche):
@@ -365,19 +372,20 @@ def fixture_games():
 def fixture_forms(unreduced=False):
     """Base forms and reduced monitored forms of the bundled games, down to
     costs at which a monitoring row loses to a free one by only c. With
-    `unreduced`, also the monitored forms before reduction and
-    `reduced_sgcm_at_zero`, so that every kind of form whose views
-    `with_cost` or `reduce_normal_form` passes on is there; the exhaustive
-    oracle cannot afford the unreduced 32x9 form."""
+    `unreduced`, also the full monitored tables, `monitored_form`,
+    `reduced_sgcm` and `reduced_sgcm_at_zero`, so that every kind of form
+    that is handed its views is there; the exhaustive oracle cannot afford
+    the unreduced 32x9 form."""
     for game in fixture_games():
-        yield build_normal_form(game)
+        base = build_normal_form(game)
+        yield base
         for cost in (F(0), F(1, 20), F(1, 4), F(1, 4 * 2**11)):
             monitored = build_sgcm_normal_form(game, cost)
             if unreduced:
-                yield monitored
+                yield from (monitored, reduced_sgcm(game, cost))
             yield reduce_normal_form(monitored)[0]
         if unreduced:
-            yield reduced_sgcm_at_zero(game)
+            yield from (monitored_form(game, base), reduced_sgcm_at_zero(game))
 
 
 @pytest.mark.parametrize(
@@ -467,49 +475,62 @@ def test_integer_view_scales_each_payoff_exactly(forms):
 
 
 def test_derived_forms_pass_on_their_integer_views(beerquiche):
-    """`with_cost` reprices the receiver view and keeps the sender's,
-    `reduce_normal_form` slices both, and each passed-on view is the one
-    computed from the cells; a form made by `replace` computes its own."""
-    free = build_sgcm_normal_form(beerquiche, F(0))
-    parent = free.receiver_integers
-    assert with_cost(free, F(0)) is free
-    repriced = with_cost(free, F(1, 4))
-    view = repriced.receiver_integers
-    assert repriced.sender_integers is free.sender_integers
-    assert view.matrix != parent.matrix
-    for i, label in enumerate(repriced.row_labels):
-        for j in range(len(repriced.col_labels)):
-            assert F(view.matrix[i][j], view.scale) == free.cells[i][j][1] - F(1, 4) * label.monitor
-    reduced, _ = reduce_normal_form(repriced)
-    assert (len(reduced.receiver_integers.matrix), len(reduced.receiver_integers.matrix[0])) == reduced.shape
-    # 1/3 and 1/1000 change the scale; back at 1/4 the view returns to lowest terms
-    for gamma in (repriced, reduced, with_cost(reduced, F(1, 3)), with_cost(with_cost(reduced, F(1, 1000)), F(1, 4))):
+    """`monitored_form` slices the base views, `reduce_normal_form` and
+    `reduced_sgcm` hand on sliced ones, and each is the view computed from
+    the cells; a form made by `replace` computes its own."""
+    base = build_normal_form(beerquiche)
+    monitored = monitored_form(beerquiche, base)
+    assert set(monitored.receiver_integers.matrix) == set(base.receiver_integers.matrix)
+    assert monitored.receiver_integers.scale == base.receiver_integers.scale
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 4)))
+    # 1/3 and 1/1000 change the scale; at 1/4 the view returns to lowest terms
+    derived = [monitored, reduced, *(reduced_sgcm(beerquiche, c) for c in (F(1, 3), F(1, 1000), F(1, 4)))]
+    for gamma in derived:
         fresh = replace(gamma)
         assert (gamma.sender_integers, gamma.receiver_integers) == (fresh.sender_integers, fresh.receiver_integers)
         assert_integer_view(gamma)
+    free = build_sgcm_normal_form(beerquiche, F(0))
     swapped = replace(free, cells=tuple(tuple((u2, u1) for u1, u2 in row) for row in free.cells))
     assert swapped.receiver_integers == free.sender_integers
-    assert swapped.sender_integers == parent
+    assert swapped.sender_integers == free.receiver_integers
 
 
-def test_reduction_at_a_cost_is_the_reduced_repriced_form():
-    """`reduce_at_cost` gives the labels and views of reducing the repriced
-    form, for every monitored fixture form at costs that change the scale."""
-    for game in fixture_games():
-        free = build_sgcm_normal_form(game, F(0))
-        for cost in (F(0), F(1, 3), F(1, 20), F(1, 1024)):
-            reduced, _ = reduce_normal_form(replace(with_cost(free, cost)))
-            views = reduce_at_cost(free, cost)
-            assert (views.row_labels, views.col_labels) == (reduced.row_labels, reduced.col_labels)
-            assert (views.sender_integers, views.receiver_integers) == (
-                replace(reduced).sender_integers,
-                replace(reduced).receiver_integers,
-            )
+def all_zero_game():
+    """Every payoff zero, and actions declared out of alphabetical order: at
+    every cost the free classes merge, and at cost zero everything does."""
+    types, messages, actions = ("t", "u"), ("m", "n"), ("y", "x", "z")
+    payoff = {(t, m, a): (F(0), F(0)) for t in types for m in messages for a in actions}
+    return SignalingGame(types, messages, actions, {"t": F(1, 3), "u": F(2, 3)}, payoff)
+
+
+def test_reduced_monitored_form_matches_the_full_table_reduction():
+    """The reduced monitored form built from the base form has the labels,
+    the members in their order, the cells and the views of the reduced full
+    monitored table, at costs that change the scale and at costs where free
+    and monitoring rows merge."""
+    games = [
+        *fixture_games(),
+        *random_signaling_games(13, count=10),
+        monitoring_merges_at_one_quarter(),
+        all_zero_game(),
+    ]
+    for game in games:
+        for cost in (F(0), F(1, 3), F(1, 20), F(1, 4), F(1, 1024)):
+            expected, classes = reduce_normal_form(build_sgcm_normal_form(game, cost))
+            built = reduced_sgcm(game, cost)
+            assert (built.row_labels, built.col_labels) == (expected.row_labels, expected.col_labels), (game, cost)
+            assert [cls.members for cls in built.row_labels + built.col_labels] == [cls.members for cls in classes]
+            assert (built.cells, built.cost) == (expected.cells, expected.cost)
+            fresh = replace(expected)
+            assert (built.sender_integers, built.receiver_integers) == (fresh.sender_integers, fresh.receiver_integers)
+    merged = reduced_sgcm(all_zero_game(), F(1, 3)).row_labels[0]
+    assert [render_label(s2, classic=False) for s2 in merged.members[:3]] == ["0yyy", "0yyx", "0yyz"]
 
 
 def test_reduction_classes_match_fraction_grouping():
     """Grouping on the integer views finds the classes that hashing the
-    Fraction payoff pairs finds, in the same order."""
+    Fraction payoff pairs finds, in the same order; a class of classes lists
+    their members."""
     forms = []
     for game in [*fixture_games(), *random_signaling_games(7, count=10)]:
         forms.append(build_normal_form(game))
@@ -519,7 +540,11 @@ def test_reduction_classes_match_fraction_grouping():
     for gamma in forms:
         row_groups, col_groups = reference_classes(gamma)
         reduced, classes = reduce_normal_form(gamma)
-        assert [cls.members for cls in classes] == [
-            tuple(gamma.row_labels[i] for i in group) for group in row_groups
-        ] + [tuple(gamma.col_labels[j] for j in group) for group in col_groups]
+        def members(labels, group):
+            return tuple(chain.from_iterable(getattr(labels[i], "members", (labels[i],)) for i in group))
+
+        assert [cls.members for cls in classes] == [members(gamma.row_labels, group) for group in row_groups] + [
+            members(gamma.col_labels, group) for group in col_groups
+        ]
+        assert all(not isinstance(m, StrategyClass) for cls in classes for m in cls.members)
         assert reduced.cells == tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups)

@@ -4,14 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import message_blind_receiver_game, reference_evaluate_cost
+from helpers import message_blind_receiver_game, monitoring_merges_at_one_quarter, reference_evaluate_cost
 
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
 from sigsolve.cli import load_game, render_label
 from sigsolve.equilibrium import solve_components
-from sigsolve.game import SignalingGame
-from sigsolve.normalform import build_normal_form, build_sgcm_normal_form, monitor_bit, reduce_at_cost
+from sigsolve.normalform import build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from sigsolve.sweep import (
     C_MAX,
     THEOREM_GRID_STEPS,
@@ -168,15 +167,6 @@ def test_threshold_rejects_nonpositive_tolerance(game, tolerance, monkeypatch):
         survival_threshold(game, BEER, bracket_tolerance=tolerance)
 
 
-def monitoring_merges_at_one_quarter():
-    """One type, whose sender payoff ignores the action. The receiver values
-    x at 1 and y at 3/4, so the monitoring class that always plays x and the
-    free class whose default is y are payoff-equal exactly at cost 1/4."""
-    sender, receiver = {"m1": F(1), "m2": F(0)}, {"x": F(1), "y": F(3, 4)}
-    payoff = {("t", m, a): (sender[m], receiver[a]) for m in ("m1", "m2") for a in ("x", "y")}
-    return SignalingGame(("t",), ("m1", "m2"), ("x", "y"), {"t": F(1)}, payoff)
-
-
 def test_integer_cost_grid_matches_fraction_path(monkeypatch):
     """`evaluate_cost` on integer views gives the `Fraction` path's record at
     every cost the threshold scan and bisection and the theorem grid price,
@@ -205,6 +195,6 @@ def test_integer_cost_grid_matches_fraction_path(monkeypatch):
                 checked(game, base, cost)
     assert len(set(priced)) > THEOREM_GRID_STEPS  # bisection costs off the grid were priced too
     merged = monitoring_merges_at_one_quarter()
-    free = build_sgcm_normal_form(merged, F(0))
+    monitored = monitored_form(merged, build_normal_form(merged))
     for cost, mixed in ((F(1, 4), 1), (F(1, 8), 0)):
-        assert [monitor_bit(label) for label in reduce_at_cost(free, cost).row_labels].count(None) == mixed
+        assert [monitor_bit(label) for label in reduce_at_cost(monitored, cost).row_labels].count(None) == mixed
