@@ -6,7 +6,7 @@ components with integer indices, and sweeps the monitoring cost to check
 which pooling components survive small costs close to their original outcome.
 """
 
-from .catalog import beer_quiche, coordination_2x2, matching_pennies
+from .catalog import beer_quiche
 from .game import (
     MixedProfile,
     Outcome,
@@ -51,7 +51,6 @@ from .indices import (
     component_index,
     duplicate_containment_check,
     equilibrium_index,
-    index_sum_check,
 )
 from .sweep import (
     SweepConfig,

@@ -1,12 +1,12 @@
-"""Ready-made games used across tests, scripts, and documentation."""
+"""Ready-made games: beer-quiche and seeded random bimatrices."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .cli import parse_game_file
 from .game import SignalingGame
+from .gamefile import parse_game_file
 from .normalform import BimatrixGame
 
 F = Fraction
@@ -35,24 +35,6 @@ def beer_quiche() -> SignalingGame:
     dueling the weak type or leaving the strong type alone.
     """
     return parse_game_file(BEER_QUICHE_TEXT)
-
-
-def matching_pennies() -> BimatrixGame:
-    """Row wants to match, column wants to mismatch; unique mixed equilibrium."""
-    cells = (
-        ((F(-1), F(1)), (F(1), F(-1))),
-        ((F(1), F(-1)), (F(-1), F(1))),
-    )
-    return BimatrixGame(row_labels=("H", "T"), col_labels=("h", "t"), cells=cells)
-
-
-def coordination_2x2() -> BimatrixGame:
-    """Two strict pure equilibria on the diagonal plus one mixed equilibrium."""
-    cells = (
-        ((F(3), F(3)), (F(0), F(1))),
-        ((F(1), F(0)), (F(2), F(2))),
-    )
-    return BimatrixGame(row_labels=("A", "B"), col_labels=("a", "b"), cells=cells)
 
 
 def random_bimatrix(rng: random.Random, rows: int, cols: int) -> BimatrixGame:

@@ -1,14 +1,5 @@
-"""Command line front end: game files, table rendering, and the pipeline.
-
-Game file format (line oriented, '#' starts a comment, rationals are 'p/q'
-or integers):
-
-    types: S:9/10 W:1/10
-    messages: B Q
-    actions: F N
-    payoffs:
-    S B F 1 0
-    ...
+"""Command line front end: table rendering, sweep CSVs and the subcommands,
+which read game files through `gamefile`.
 
 Subcommands: validate, nf, sgcm, solve, sweep, threshold, theorem.
 Exit status: 0 success, 1 computation failure, 2 usage error.
@@ -30,13 +21,12 @@ from .equilibrium import (
     group_components,
     maximal_nash_subsets,
 )
-from .game import (
-    Outcome,
-    ReceiverStrategy,
-    ReceiverStrategyC,
-    SignalingGame,
-    validate_game,
-)
+from .game import Outcome, ReceiverStrategy, ReceiverStrategyC, SignalingGame
+from .gamefile import GameFileError, load_game
+
+# Nothing here serializes a game; perfbench/workloads.py reads
+# `cli.serialize_game`.
+from .gamefile import serialize_game  # noqa: F401
 from .indices import DegenerateDrawsError, DrawStore, PerturbationConfig, component_index, index_sum_ok
 from .normalform import (
     BimatrixGame,
@@ -50,7 +40,6 @@ from .normalform import (
 )
 from .rational import format_compact, parse_rational
 from .sweep import (
-    BRACKET_TOLERANCE,
     NoSurvivalError,
     SweepConfig,
     SweepRecord,
@@ -63,116 +52,11 @@ from .sweep import (
 )
 
 
-class GameFileError(ValueError):
-    pass
-
-
-class GameFileSyntaxError(GameFileError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class GameFileSemanticError(GameFileError):
-    pass
-
-
 @dataclass(frozen=True)
 class CommandResult:
     status: int
     text: str
     summary: dict
-
-
-def parse_game_file(text: str) -> SignalingGame:
-    """Parse the line-oriented game format, preserving declaration order."""
-    types: list[str] = []
-    prior: dict[str, Fraction] = {}
-    messages: list[str] = []
-    actions: list[str] = []
-    payoff: dict[tuple[str, str, str], tuple[Fraction, Fraction]] = {}
-    in_payoffs = False
-    seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not in_payoffs:
-            if ":" not in line:
-                raise GameFileSyntaxError(line_no, f"expected a 'section:' header, got {line!r}")
-            head, _, rest = line.partition(":")
-            head = head.strip()
-            if head in seen:
-                raise GameFileSyntaxError(line_no, f"duplicate section {head!r}")
-            seen.add(head)
-            if head == "types":
-                for entry in rest.split():
-                    label, sep, value = entry.partition(":")
-                    if not sep:
-                        raise GameFileSyntaxError(line_no, f"type entry {entry!r} needs label:probability")
-                    try:
-                        prob = parse_rational(value)
-                    except ValueError as exc:
-                        raise GameFileSyntaxError(line_no, str(exc)) from exc
-                    types.append(label)
-                    prior[label] = prob
-            elif head == "messages":
-                messages.extend(rest.split())
-            elif head == "actions":
-                actions.extend(rest.split())
-            elif head == "payoffs":
-                if rest.strip():
-                    raise GameFileSyntaxError(line_no, "payoffs section header takes no values")
-                in_payoffs = True
-            else:
-                raise GameFileSyntaxError(line_no, f"unknown section {head!r}")
-        else:
-            parts = line.split()
-            if len(parts) != 5:
-                raise GameFileSyntaxError(line_no, f"payoff line needs 'type message action u1 u2', got {line!r}")
-            t, m, a, raw1, raw2 = parts
-            try:
-                u1, u2 = parse_rational(raw1), parse_rational(raw2)
-            except ValueError as exc:
-                raise GameFileSyntaxError(line_no, str(exc)) from exc
-            if (t, m, a) in payoff:
-                raise GameFileSemanticError(f"payoff for {(t, m, a)} given twice")
-            payoff[(t, m, a)] = (u1, u2)
-    for name, values in (("types", types), ("messages", messages), ("actions", actions)):
-        if not values:
-            raise GameFileSemanticError(f"{name} section missing or empty")
-    game = SignalingGame(
-        types=tuple(types),
-        messages=tuple(messages),
-        actions=tuple(actions),
-        prior=prior,
-        payoff=payoff,
-    )
-    problems = validate_game(game)
-    if problems:
-        raise GameFileSemanticError("; ".join(problems))
-    return game
-
-
-def serialize_game(game: SignalingGame) -> str:
-    """Canonical text form; parse(serialize(g)) reproduces g exactly."""
-    lines = [
-        "types: " + " ".join(f"{t}:{game.prior[t]}" for t in game.types),
-        "messages: " + " ".join(game.messages),
-        "actions: " + " ".join(game.actions),
-        "payoffs:",
-    ]
-    for t in game.types:
-        for m in game.messages:
-            for a in game.actions:
-                u1, u2 = game.payoff[(t, m, a)]
-                lines.append(f"{t} {m} {a} {u1} {u2}")
-    return "\n".join(lines) + "\n"
-
-
-def load_game(path: str) -> SignalingGame:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_game_file(handle.read())
 
 
 # --- label rendering -------------------------------------------------------
@@ -205,18 +89,19 @@ def render_label(label: object, classic: bool) -> str:
     return label_of(label)
 
 
-def render_table(gamma: BimatrixGame, classic: bool, symbolic: bool = False) -> str:
-    """Aligned grid of (sender, receiver) payoff cells."""
+def render_table(gamma: BimatrixGame, classic: bool, cost: Fraction | None = None) -> str:
+    """Aligned grid of (sender, receiver) payoff cells; given the monitoring
+    cost, the rows that pay it show the receiver payoff as 'base-c'."""
     col_names = [render_label(lbl, classic) for lbl in gamma.col_labels]
     row_names = [render_label(lbl, classic) for lbl in gamma.row_labels]
     rows = []
     for i in range(len(gamma.row_labels)):
-        pays_cost = symbolic and monitor_bit(gamma.row_labels[i])
+        pays_cost = cost is not None and monitor_bit(gamma.row_labels[i])
         cells = []
         for j in range(len(gamma.col_labels)):
             u1, u2 = gamma.cells[i][j]
             if pays_cost:
-                base = u2 + gamma.cost
+                base = u2 + cost
                 shown = "-c" if base == 0 else f"{format_compact(base)}-c"
                 cells.append(f"({format_compact(u1)}, {shown})")
             else:
@@ -300,7 +185,7 @@ def _cmd_nf(args) -> CommandResult:
     gamma = build_normal_form(game)
     lines = []
     if args.reduce:
-        gamma, classes = reduce_normal_form(gamma)
+        gamma, _ = reduce_normal_form(gamma)
         lines.append(f"reduced normal form ({len(gamma.row_labels)}x{len(gamma.col_labels)})")
     else:
         lines.append(f"normal form ({len(gamma.row_labels)}x{len(gamma.col_labels)})")
@@ -322,7 +207,7 @@ def _cmd_sgcm(args) -> CommandResult:
     else:
         gamma = build_sgcm_normal_form(game, cost)
         lines.append(f"monitored normal form at c={cost} ({len(gamma.row_labels)} rows)")
-    lines.append(render_table(gamma, classic, symbolic=args.symbolic))
+    lines.append(render_table(gamma, classic, cost if args.symbolic else None))
     return CommandResult(0, "\n".join(lines), {"rows": len(gamma.row_labels), "cost": str(cost)})
 
 
@@ -348,9 +233,10 @@ def _cmd_solve(args) -> CommandResult:
         components = group_components(maximal_nash_subsets(equilibria), gamma)
         ids = component_ids(components)
         summary["components"] = len(components)
-        cfg = PerturbationConfig(seed=args.seed)
-        draws = DrawStore(gamma, cfg)
-        results = []
+        if args.index:
+            cfg = PerturbationConfig(seed=args.seed)
+            draws = DrawStore(gamma, cfg)
+            results = []
         for cid, comp in zip(ids, components):
             report = component_outcome(game, comp)
             lines.append(f"component {cid}:")
@@ -418,11 +304,7 @@ def _cmd_sweep(args) -> CommandResult:
 def _cmd_threshold(args) -> CommandResult:
     game = load_game(args.game)
     try:
-        result = survival_threshold(
-            game,
-            args.component,
-            bracket_tolerance=parse_rational(args.tolerance),
-        )
+        result = survival_threshold(game, args.component)
     except NoSurvivalError as exc:
         lines = [str(exc)]
         for rec in exc.records:
@@ -520,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisect the survival threshold of a component")
     p.add_argument("game")
     p.add_argument("--component", required=True)
-    p.add_argument("--tolerance", default=str(BRACKET_TOLERANCE))
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("theorem", help="epsilon-closeness evidence for small costs")

@@ -93,13 +93,6 @@ class IndexResult:
 
 
 @dataclass(frozen=True)
-class IndexSumReport:
-    per_component: tuple[IndexResult, ...]
-    total: int
-    ok: bool
-
-
-@dataclass(frozen=True)
 class ContainmentEntry:
     duplicate_index: IndexResult
     image_rows: tuple[object, ...]
@@ -325,13 +318,6 @@ def _perturbation_index(
 def index_sum_ok(results) -> bool:
     """The verdict on a game's component indices: all determinate, summing to +1."""
     return sum(r.value for r in results) == 1 and not any(r.indeterminate for r in results)
-
-
-def index_sum_check(gamma: BimatrixGame, cfg: PerturbationConfig = PerturbationConfig()) -> IndexSumReport:
-    """Component indices must sum to +1 over the whole game."""
-    draws = DrawStore(gamma, cfg)
-    results = tuple(component_index(gamma, comp, cfg, draws) for comp in solve_components(gamma))
-    return IndexSumReport(per_component=results, total=sum(r.value for r in results), ok=index_sum_ok(results))
 
 
 def duplicate_containment_check(

@@ -28,8 +28,6 @@ from typing import NamedTuple
 from .game import ReceiverStrategy, ReceiverStrategyC, SignalingGame, strategy_spaces, strategy_spaces_c
 from .rational import numerators
 
-ZERO = Fraction(0)
-
 Cell = tuple[Fraction, Fraction]
 
 
@@ -66,8 +64,9 @@ def _lowest_view(matrix: tuple[tuple[int, ...], ...], scale: int) -> IntegerPayo
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    """`cost` is the monitoring cost of an SGCM form, None for a base form;
-    which rows pay it is read off their labels by `monitor_bit`.
+    """Receiver rows by sender cols of (sender, receiver) payoff cells. In a
+    monitored form, the rows that pay the cost are read off their labels by
+    `monitor_bit`; the cost itself is already in their cells.
 
     `sender_integers` and `receiver_integers` are the integer views of the
     two players' payoffs, cached on this object: passed on to the forms that
@@ -77,7 +76,6 @@ class BimatrixGame:
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
     cells: tuple[tuple[Cell, ...], ...]
-    cost: Fraction | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,13 +118,14 @@ class ReducedViews(NamedTuple):
 class StrategyClass:
     """A set of strategically equivalent strategies collapsed to one row/column.
 
-    `members` are underlying strategies, never classes, and `representative`
-    is the first of them.
+    `members` are underlying strategies, never classes.
     """
 
-    representative: object
     members: tuple[object, ...]
-    side: str
+
+    @property
+    def representative(self) -> object:
+        return self.members[0]
 
     @property
     def masked(self) -> object:
@@ -220,7 +219,7 @@ def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
     receivers = strategy_spaces_c(game)
     cells = _payoff_cells(game, senders, receivers)
     priced = (tuple((u1, u2 - cost) for u1, u2 in row) if s2.monitor else row for s2, row in zip(receivers, cells))
-    return BimatrixGame(receivers, senders, tuple(priced), cost)
+    return BimatrixGame(receivers, senders, tuple(priced))
 
 
 def _check_cost(cost: Fraction) -> None:
@@ -237,7 +236,7 @@ def monitored_form(game: SignalingGame, base: BimatrixGame) -> BimatrixGame:
     views stay in lowest terms."""
     free = [tuple(ReceiverStrategyC(0, s2.actions, d) for s2 in base.row_labels) for d in game.actions]
     monitoring = [tuple(ReceiverStrategyC(1, s2.actions, d) for d in game.actions) for s2 in base.row_labels]
-    labels = tuple(StrategyClass(members[0], members, "row") for members in free + monitoring)
+    labels = tuple(StrategyClass(members) for members in free + monitoring)
     base_row = {s2: i for i, s2 in enumerate(base.row_labels)}
     rows = [base_row[_pays_like(label.representative)] for label in labels]
     sender, receiver = (
@@ -245,7 +244,7 @@ def monitored_form(game: SignalingGame, base: BimatrixGame) -> BimatrixGame:
         for view in (base.sender_integers, base.receiver_integers)
     )
     cells = tuple(base.cells[i] for i in rows)
-    return _with_views(BimatrixGame(labels, base.col_labels, cells, ZERO), sender, receiver)
+    return _with_views(BimatrixGame(labels, base.col_labels, cells), sender, receiver)
 
 
 def _repriced(view: IntegerPayoffs, bits: list[int], delta: Fraction) -> IntegerPayoffs:
@@ -273,20 +272,20 @@ def _reduce(
     row_groups = _group_equal([s + r for s, r in zip(sender.matrix, receiver.matrix)])
     col_groups = _group_equal(list(zip(*sender.matrix, *receiver.matrix)))
 
-    def classes(labels, groups, side, order):
+    def classes(labels, groups, order):
         merged = []
         for g in groups:
             members = tuple(chain.from_iterable(_members_of(labels[i]) for i in g))
             if order and len(g) > 1:
                 members = tuple(sorted(members, key=order))
-            merged.append(StrategyClass(members[0], members, side))
+            merged.append(StrategyClass(members))
         return tuple(merged)
 
     def sliced(view):
         matrix = view.matrix
         return _lowest_view(tuple(tuple(matrix[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups), view.scale)
 
-    rows, cols = classes(row_labels, row_groups, "row", row_order), classes(col_labels, col_groups, "col", None)
+    rows, cols = classes(row_labels, row_groups, row_order), classes(col_labels, col_groups, None)
     return ReducedViews(rows, cols, sliced(sender), sliced(receiver), row_groups, col_groups)
 
 
@@ -300,7 +299,7 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     """
     views = _reduce(gamma.row_labels, gamma.col_labels, gamma.sender_integers, gamma.receiver_integers)
     cells = tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in views.col_groups) for rg in views.row_groups)
-    reduced = BimatrixGame(views.row_labels, views.col_labels, cells, gamma.cost)
+    reduced = BimatrixGame(views.row_labels, views.col_labels, cells)
     return _with_views(reduced, views.sender_integers, views.receiver_integers), views.row_labels + views.col_labels
 
 
@@ -320,20 +319,20 @@ def reduce_at_cost(monitored: BimatrixGame, cost: Fraction) -> ReducedViews:
     return _reduce(monitored.row_labels, monitored.col_labels, monitored.sender_integers, receiver, order)
 
 
-def _game(views: ReducedViews, cost: Fraction) -> BimatrixGame:
+def _game(views: ReducedViews) -> BimatrixGame:
     """The reduced form with `Fraction` cells read off its views."""
     sender, receiver = views.sender_integers, views.receiver_integers
     cells = tuple(
         tuple((Fraction(u1, sender.scale), Fraction(u2, receiver.scale)) for u1, u2 in zip(srow, rrow))
         for srow, rrow in zip(sender.matrix, receiver.matrix)
     )
-    return _with_views(BimatrixGame(views.row_labels, views.col_labels, cells, cost), sender, receiver)
+    return _with_views(BimatrixGame(views.row_labels, views.col_labels, cells), sender, receiver)
 
 
 def reduced_sgcm(game: SignalingGame, cost: Fraction) -> BimatrixGame:
     """`reduce_normal_form(build_sgcm_normal_form(game, cost))[0]`, built
     from the base form."""
-    return _game(reduce_at_cost(monitored_form(game, build_normal_form(game)), cost), cost)
+    return _game(reduce_at_cost(monitored_form(game, build_normal_form(game)), cost))
 
 
 def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
@@ -349,7 +348,7 @@ def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
     spread = max(map(max, view.matrix)) + view.shift - 1  # the largest payoff minus the least, times the scale
     apart = reduce_at_cost(monitored, Fraction(spread + 1, view.scale))
     cells = tuple(tuple(monitored.cells[rg[0]][cg[0]] for cg in apart.col_groups) for rg in apart.row_groups)
-    return BimatrixGame(apart.row_labels, apart.col_labels, cells, ZERO)
+    return BimatrixGame(apart.row_labels, apart.col_labels, cells)
 
 
 def embed_map(gamma0: BimatrixGame) -> dict[StrategyClass, ReceiverStrategy]:

@@ -36,7 +36,7 @@ from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
 # `threshold` scans C_MAX, C_MAX/2, ..., C_MAX/2**11 before bisecting to
-# BRACKET_TOLERANCE by default; `theorem` samples C_MAX/2**9, ..., C_MAX
+# BRACKET_TOLERANCE; `theorem` samples C_MAX/2**9, ..., C_MAX
 C_MAX = Fraction(1, 4)
 THRESHOLD_GRID_STEPS = 12
 THEOREM_GRID_STEPS = 10
@@ -100,7 +100,6 @@ class ThresholdResult:
 @dataclass(frozen=True)
 class TheoremEvidence:
     c_epsilon: Fraction | None
-    epsilon: Fraction
     records: tuple[SweepRecord, ...]
     index_result: IndexResult
     index_warning: bool
@@ -175,12 +174,9 @@ def cost_sweep(game: SignalingGame, cfg: SweepConfig) -> list[SweepRecord]:
     return [evaluate_cost(game, base, c) for c in grid]
 
 
-def survival_threshold(
-    game: SignalingGame,
-    base_component_id: str,
-    bracket_tolerance: Fraction = BRACKET_TOLERANCE,
-) -> ThresholdResult:
-    """Bisect the cost at which the component's payoffs stop being supported.
+def survival_threshold(game: SignalingGame, base_component_id: str) -> ThresholdResult:
+    """Bisect the cost at which the component's payoffs stop being supported,
+    to a bracket no wider than BRACKET_TOLERANCE.
 
     Scans the halving grid from C_MAX down for a surviving/failing pair
     first, stopping at the first surviving cost. A component that survives at
@@ -188,8 +184,6 @@ def survival_threshold(
     bracket after that one evaluation; one that never survives raises
     NoSurvivalError with the grid records attached.
     """
-    if bracket_tolerance <= 0:
-        raise ValueError(f"bracket tolerance must be positive, got {bracket_tolerance}")
     base = resolve_base_component(game, base_component_id)
     records = []
     surviving = None
@@ -208,7 +202,7 @@ def survival_threshold(
     if failing is None:
         return ThresholdResult(last_surviving=surviving, first_failing=None)
     lo, hi = surviving, failing
-    while hi - lo > bracket_tolerance:
+    while hi - lo > BRACKET_TOLERANCE:
         mid = (lo + hi) / 2
         if evaluate_cost(game, base, mid).found:
             lo = mid
@@ -243,7 +237,6 @@ def verify_theorem_bound(
         c_epsilon = upper.c
     return TheoremEvidence(
         c_epsilon=c_epsilon,
-        epsilon=epsilon,
         records=tuple(records),
         index_result=index_result,
         index_warning=index_warning,

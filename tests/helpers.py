@@ -26,7 +26,10 @@ full monitored table of `Fraction` cells and recomputes each form's views
 from them, with outcomes and distances summed in `Fraction`s, is the oracle
 for `sweep.evaluate_cost` on the integer views of the form built from the
 base form. `frontier_probe` builds the seeded
-frontier games and `dominance_filter` the strict-dominance core as a game."""
+frontier games and `dominance_filter` the strict-dominance core as a game.
+`matching_pennies` and `coordination_2x2` are small bimatrix fixtures, and
+`component_indices` indexes every component of a game as `solve --index`
+does."""
 
 from __future__ import annotations
 
@@ -49,13 +52,16 @@ from sigsolve.equilibrium import (
     _polytope_vertices,
     enumerate_extreme_equilibria,
     profile_of_equilibrium,
+    solve_components,
 )
 from sigsolve.game import MixedProfile, Outcome, ReceiverStrategyC, SignalingGame, enumerate_plays
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
+    DrawStore,
     IndexResult,
     PerturbationConfig,
+    component_index,
     equilibrium_index,
 )
 from sigsolve.linalg import linf_distance_to_hull
@@ -103,6 +109,31 @@ TABLE_THREE = {
     "0F**": (TABLE_ONE["FF"], False),
     "0N**": (TABLE_ONE["NN"], False),
 }
+
+
+def matching_pennies() -> BimatrixGame:
+    """Row wants to match, column wants to mismatch; unique mixed equilibrium."""
+    cells = (
+        ((F(-1), F(1)), (F(1), F(-1))),
+        ((F(1), F(-1)), (F(-1), F(1))),
+    )
+    return BimatrixGame(row_labels=("H", "T"), col_labels=("h", "t"), cells=cells)
+
+
+def coordination_2x2() -> BimatrixGame:
+    """Two strict pure equilibria on the diagonal plus one mixed equilibrium."""
+    cells = (
+        ((F(3), F(3)), (F(0), F(1))),
+        ((F(1), F(0)), (F(2), F(2))),
+    )
+    return BimatrixGame(row_labels=("A", "B"), col_labels=("a", "b"), cells=cells)
+
+
+def component_indices(gamma: BimatrixGame, cfg: PerturbationConfig = PerturbationConfig()) -> list[IndexResult]:
+    """The index of every component of `gamma`, in component order, sharing
+    one draw store as `solve --index` does."""
+    draws = DrawStore(gamma, cfg)
+    return [component_index(gamma, comp, cfg, draws) for comp in solve_components(gamma)]
 
 
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):
@@ -288,7 +319,6 @@ def dominance_filter(gamma: BimatrixGame) -> BimatrixGame:
         row_labels=tuple(gamma.row_labels[r] for r in rows),
         col_labels=tuple(gamma.col_labels[c] for c in cols),
         cells=tuple(tuple(gamma.cells[r][c] for c in cols) for r in rows),
-        cost=gamma.cost,
     )
 
 

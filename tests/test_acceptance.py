@@ -184,7 +184,7 @@ def test_criterion_06_mixed_equilibrium_at_one_twentieth(game):
 
 
 def test_criterion_07_survival_threshold(game):
-    result = survival_threshold(game, "C0", bracket_tolerance=F(1, 1000))
+    result = survival_threshold(game, "C0")
     assert result.first_failing is not None
     assert result.bracket_width <= F(1, 1000)
     assert result.last_surviving <= F(1, 10) <= result.first_failing

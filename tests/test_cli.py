@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from helpers import message_blind_receiver_game
 
-from sigsolve import cli, indices, sweep
+from sigsolve import cli, indices
 from sigsolve.catalog import BEER_QUICHE_TEXT, beer_quiche
+from sigsolve.cli import run_command, write_sweep_csv
 from sigsolve.equilibrium import VertexPairs
-from sigsolve.cli import (
+from sigsolve.gamefile import (
     GameFileSemanticError,
     GameFileSyntaxError,
     load_game,
     parse_game_file,
-    run_command,
     serialize_game,
-    write_sweep_csv,
 )
 
 
@@ -82,6 +81,25 @@ def test_validate_command_rejects_bad_file(tmp_path):
     result = run_command(["validate", str(path)])
     assert result.status == 1
     assert "prior sums" in result.text
+
+
+def test_validate_command_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.sg"
+    path.write_bytes(b"\xef\xbb\xbf" + BEER_QUICHE_TEXT.encode("utf-8"))
+    result = run_command(["validate", str(path)])
+    assert (result.status, result.text) == (0, "ok")
+    assert load_game(str(path)) == beer_quiche()
+
+
+def test_file_that_is_not_utf8_is_a_game_file_error(tmp_path):
+    path = tmp_path / "latin1.sg"
+    path.write_bytes(b"\xff" + BEER_QUICHE_TEXT.encode("utf-8"))
+    result = run_command(["validate", str(path)])
+    assert result.status == 1
+    assert result.text.startswith("invalid: not UTF-8 text: ")
+    result = run_command(["solve", str(path)])
+    assert result.status == 1
+    assert result.text.startswith("game file error: not UTF-8 text: ")
 
 
 def test_nf_command_prints_table_one_values(beerquiche_file):
@@ -236,16 +254,6 @@ def test_threshold_command(beerquiche_file):
     hi = F(result.summary["first_failing"])
     assert lo <= F(1, 10) <= hi
     assert hi - lo <= F(1, 1000)
-
-
-def test_threshold_command_rejects_zero_tolerance(beerquiche_file, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a cost was evaluated")
-
-    monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
-    result = run_command(["threshold", beerquiche_file, "--component", "C0", "--tolerance", "0"])
-    assert result.status == 1
-    assert "tolerance must be positive" in result.text
 
 
 def test_threshold_command_reports_quiche_failure(beerquiche_file):

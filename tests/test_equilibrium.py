@@ -2,7 +2,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from sigsolve.catalog import coordination_2x2, matching_pennies
+from helpers import coordination_2x2, matching_pennies
+
 from sigsolve.cli import render_label
 from sigsolve.equilibrium import (
     MixedEquilibrium,

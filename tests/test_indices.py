@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    component_indices,
+    coordination_2x2,
+    matching_pennies,
     perturbed_game,
     random_nondegenerate_games,
     reference_determinant_index,
@@ -13,8 +16,8 @@ from helpers import (
 )
 
 from sigsolve import indices
-from sigsolve.catalog import coordination_2x2, matching_pennies
-from sigsolve.cli import load_game, render_label
+from sigsolve.cli import render_label
+from sigsolve.gamefile import load_game
 from sigsolve.equilibrium import enumerate_extreme_equilibria, extreme_vertex_pairs, solve_components
 from sigsolve.indices import (
     DegenerateDrawsError,
@@ -25,7 +28,7 @@ from sigsolve.indices import (
     component_index,
     duplicate_containment_check,
     equilibrium_index,
-    index_sum_check,
+    index_sum_ok,
 )
 from sigsolve.normalform import (
     BimatrixGame,
@@ -101,15 +104,15 @@ def test_singleton_component_matches_determinant_index():
 
 
 def test_index_sum_check_beer_quiche(beerquiche):
-    report = index_sum_check(build_normal_form(beerquiche))
-    assert report.total == 1
-    assert report.ok
-    assert sorted(r.value for r in report.per_component) == [0, 1]
+    results = component_indices(build_normal_form(beerquiche))
+    assert sum(r.value for r in results) == 1
+    assert index_sum_ok(results)
+    assert sorted(r.value for r in results) == [0, 1]
 
 
 def test_index_sum_check_matching_pennies():
-    report = index_sum_check(matching_pennies())
-    assert report.total == 1 and report.ok
+    results = component_indices(matching_pennies())
+    assert sum(r.value for r in results) == 1 and index_sum_ok(results)
 
 
 def test_index_sum_on_random_games():

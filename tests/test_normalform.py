@@ -12,6 +12,7 @@ from helpers import (
     TABLE_THREE,
     TABLE_TWO,
     dominance_filter,
+    matching_pennies,
     merging_game,
     monitoring_merges_at_one_quarter,
     reference_classes,
@@ -20,9 +21,10 @@ from helpers import (
     reference_strict_core,
 )
 
-from sigsolve.cli import load_game, render_label
+from sigsolve.cli import render_label
 from sigsolve.equilibrium import enumerate_extreme_equilibria
 from sigsolve.game import ReceiverStrategy, SignalingGame
+from sigsolve.gamefile import load_game
 from sigsolve.indices import PerturbationConfig, duplicate_containment_check
 from sigsolve.normalform import (
     BimatrixGame,
@@ -145,12 +147,11 @@ def test_negative_cost_rejected(beerquiche):
 
 def test_reduction_to_six_classes(beerquiche):
     gamma = build_sgcm_normal_form(beerquiche, F(1, 20))
-    reduced, classes = reduce_normal_form(gamma)
+    reduced, _ = reduce_normal_form(gamma)
     assert len(reduced.row_labels) == 6
-    row_classes = [c for c in classes if c.side == "row"]
-    labels = {render_label(c, classic=True) for c in row_classes}
+    labels = {render_label(c, classic=True) for c in reduced.row_labels}
     assert labels == set(TABLE_THREE)
-    sizes = {render_label(c, classic=True): len(c.members) for c in row_classes}
+    sizes = {render_label(c, classic=True): len(c.members) for c in reduced.row_labels}
     assert sizes == {"C*FF": 2, "C*FN": 2, "C*NF": 2, "C*NN": 2, "0F**": 4, "0N**": 4}
 
 
@@ -165,16 +166,16 @@ def test_reduced_cells_match_printed_values(beerquiche):
 
 
 def test_monitor_bits_cover_all_classes(beerquiche):
-    reduced, classes = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
-    bits = [monitor_bit(c) for c in classes if c.side == "row"]
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
+    bits = [monitor_bit(c) for c in reduced.row_labels]
     assert sorted(bits) == [0] * 2 + [1] * 4
     nested, _ = reduce_normal_form(reduced)
     assert [monitor_bit(c) for c in nested.row_labels] == [monitor_bit(c) for c in reduced.row_labels]
     # classes merging both bits, sender classes and base strategies carry none
-    _, zero_classes = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
-    bits = {render_label(c, classic=True): monitor_bit(c) for c in zero_classes if c.side == "row"}
+    zero, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
+    bits = {render_label(c, classic=True): monitor_bit(c) for c in zero.row_labels}
     assert bits == {"0FFF": None, "0NFF": None, "C*NF": 1, "C*FN": 1}
-    assert all(monitor_bit(c) is None for c in classes if c.side == "col")
+    assert all(monitor_bit(c) is None for c in reduced.col_labels)
     assert monitor_bit(build_normal_form(beerquiche).row_labels[0]) is None
 
 
@@ -192,13 +193,13 @@ def test_zero_cost_six_row_game_collapses_to_four(beerquiche):
 
 
 def test_full_reduction_at_zero_gives_base_rows_with_constant_duplicates(beerquiche):
-    reduced, classes = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
+    reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(0)))
     assert len(reduced.row_labels) == 4
     base = build_normal_form(beerquiche)
     base_cells = {tuple(base.cells[i]) for i in range(4)}
     assert {tuple(row) for row in reduced.cells} == base_cells
     # the two constant-action classes soak up the non-monitoring duplicates
-    constant_classes = [c for c in classes if c.side == "row" and len(c.members) == 6]
+    constant_classes = [c for c in reduced.row_labels if len(c.members) == 6]
     assert len(constant_classes) == 2
 
 
@@ -292,12 +293,11 @@ def test_never_monitoring_strictly_dominates_monitoring_the_constant_way(beerqui
     filtered = dominance_filter(reduced)
     assert {render_label(label, classic=True) for label in filtered.row_labels} == {"0N**", "C*NF", "C*FN"}
     assert filtered.col_labels == reduced.col_labels
-    assert filtered.cost == F(1, 20)
+    # the filter keeps the rows it keeps cell for cell, monitoring cost included
+    assert filtered.cells == tuple(reduced.cells[reduced.row_labels.index(label)] for label in filtered.row_labels)
 
 
 def test_dominance_leaves_clean_games_alone():
-    from sigsolve.catalog import matching_pennies
-
     gamma = matching_pennies()
     filtered = dominance_filter(gamma)
     assert filtered.shape == gamma.shape
@@ -520,7 +520,7 @@ def test_reduced_monitored_form_matches_the_full_table_reduction():
             built = reduced_sgcm(game, cost)
             assert (built.row_labels, built.col_labels) == (expected.row_labels, expected.col_labels), (game, cost)
             assert [cls.members for cls in built.row_labels + built.col_labels] == [cls.members for cls in classes]
-            assert (built.cells, built.cost) == (expected.cells, expected.cost)
+            assert built.cells == expected.cells
             fresh = replace(expected)
             assert (built.sender_integers, built.receiver_integers) == (fresh.sender_integers, fresh.receiver_integers)
     merged = reduced_sgcm(all_zero_game(), F(1, 3)).row_labels[0]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from helpers import random_nondegenerate_games, reference_expected_payoffs
 
-from sigsolve.cli import parse_game_file, serialize_game
 from sigsolve.equilibrium import is_equilibrium
 from sigsolve.game import (
     MixedProfile,
@@ -17,6 +16,7 @@ from sigsolve.game import (
     outcome_of_profile,
     validate_game,
 )
+from sigsolve.gamefile import parse_game_file, serialize_game
 from sigsolve.normalform import (
     build_sgcm_normal_form,
     reduce_normal_form,

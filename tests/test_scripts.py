@@ -1,5 +1,7 @@
-"""Smoke runs of the scripts in a fresh interpreter, as a user starts them."""
+"""Smoke runs of the scripts in a fresh interpreter, as a user starts them,
+and the boundary between the library and its command line front end."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -91,6 +93,32 @@ def test_package_runs_as_a_module():
     result = run_script(["-m", "sigsolve", "solve", "games/beerquiche.sg", "--components", "--index"])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / "beerquiche.solve_components_index.txt").read_text(encoding="utf-8")
+
+
+def test_importing_the_package_leaves_the_front_end_unloaded():
+    probe = "import sys, sigsolve; print(sorted({'sigsolve.cli', 'argparse', 'csv'} & set(sys.modules)))"
+    result = run_script(["-c", probe])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_no_library_module_imports_the_front_end():
+    """Only `__main__` may import `.cli`; the library below it knows nothing of it."""
+    importers = []
+    for path in sorted((ROOT / "src" / "sigsolve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                # `from .cli import x`, `from . import cli` and `from sigsolve import cli` all name it
+                module = "." * node.level + (node.module or "")
+                sep = "." if node.module else ""
+                targets = {module, *(f"{module}{sep}{alias.name}" for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                targets = {alias.name for alias in node.names}
+            else:
+                continue
+            if targets & {".cli", "sigsolve.cli"}:
+                importers.append(path.name)
+    assert importers == ["__main__.py"]
 
 
 def script_env():

@@ -8,8 +8,9 @@ from helpers import message_blind_receiver_game, monitoring_merges_at_one_quarte
 
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
-from sigsolve.cli import load_game, render_label
+from sigsolve.cli import render_label
 from sigsolve.equilibrium import solve_components
+from sigsolve.gamefile import load_game
 from sigsolve.normalform import build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from sigsolve.sweep import (
     C_MAX,
@@ -148,23 +149,6 @@ def test_theorem_bound_fails_for_quiche_component(game):
 def test_theorem_bound_trivial_for_huge_epsilon(game):
     evidence = verify_theorem_bound(game, BEER, F(50))
     assert evidence.c_epsilon == F(1, 4)
-
-
-def test_threshold_honors_custom_tolerance(game):
-    result = survival_threshold(game, BEER, bracket_tolerance=F(1, 64))
-    assert result.bracket_width <= F(1, 64)
-    assert result.last_surviving <= F(1, 10) <= result.first_failing
-
-
-@pytest.mark.parametrize("tolerance", [F(0), F(-1)])
-def test_threshold_rejects_nonpositive_tolerance(game, tolerance, monkeypatch):
-    # a bracket cannot shrink below a non-positive width, so bisection would never stop
-    def unreachable(*args):
-        raise AssertionError("a cost was evaluated")
-
-    monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
-    with pytest.raises(ValueError, match="positive"):
-        survival_threshold(game, BEER, bracket_tolerance=tolerance)
 
 
 def test_integer_cost_grid_matches_fraction_path(monkeypatch):

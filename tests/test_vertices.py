@@ -30,8 +30,8 @@ from helpers import (
 
 from sigsolve import equilibrium
 from sigsolve.catalog import beer_quiche, random_bimatrix
-from sigsolve.cli import load_game
 from sigsolve.game import SignalingGame
+from sigsolve.gamefile import load_game
 from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
