@@ -329,12 +329,8 @@ def _cmd_threshold(args) -> CommandResult:
 
 def _cmd_theorem(args) -> CommandResult:
     game = load_game(args.game)
-    evidence = verify_theorem_bound(
-        game,
-        args.component,
-        parse_rational(args.epsilon),
-        index_cfg=PerturbationConfig(seed=args.seed),
-    )
+    epsilon = parse_rational(args.epsilon)
+    evidence = verify_theorem_bound(game, args.component, epsilon, index_cfg=PerturbationConfig(seed=args.seed))
     lines = [
         f"component index: {evidence.index_result.value:+d}"
         f" (agreement={evidence.index_result.agreement}, seed={args.seed})"
@@ -348,7 +344,7 @@ def _cmd_theorem(args) -> CommandResult:
         lines.append(f"c_epsilon = {evidence.c_epsilon}")
         status = 0
     for rec in evidence.records:
-        marker = "pass" if rec.squared_distance < parse_rational(args.epsilon) ** 2 else "fail"
+        marker = "pass" if rec.squared_distance < epsilon * epsilon else "fail"
         lines.append(
             f"  c={rec.c}: distance {rec.distance_decimal} [{marker}]"
         )

@@ -7,10 +7,10 @@ integer dictionary: the rhs and the nonbasic columns only, as in lrs/lrsnash
 column as det times a unit vector instead of storing it. The vertex walk in
 `equilibrium` and the max-norm distance from a point to a convex hull are
 built on it. `bareiss` eliminates a square integer block fraction-free; the
-determinant and the partner solve in `equilibrium` are built on it. Both
-take integers; the determinant and the hull distance scale `Fraction` input
-to integers by the common denominator, numerator times cofactor, and read
-their results off exactly as Fractions.
+determinant of an integer matrix and the partner solve in `equilibrium` are
+built on it. Both take integers; the hull distance scales its `Fraction`
+input to integers by the common denominator, numerator times cofactor, and
+reads its result off exactly as a Fraction.
 """
 
 from __future__ import annotations
@@ -151,12 +151,9 @@ def bareiss(rows: list[list[int]]) -> int:
     return sign * previous
 
 
-def determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant: `bareiss` on the matrix scaled to integers by the
-    common denominator `scale`, which multiplies it by scale^n."""
-    scale = math.lcm(*(v.denominator for row in matrix for v in row))
-    scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
-    return Fraction(bareiss(scaled), scale ** len(matrix))
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix: `bareiss` on a copy."""
+    return bareiss([list(row) for row in matrix])
 
 
 def linf_distance_to_hull(point: Sequence[Fraction], vertices: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -6,10 +6,12 @@ Pricing runs in integers: the prior and the payoff table are scaled to
 integers once per game, each cell is an integer sum, and each entry becomes
 one `Fraction`. Each `BimatrixGame` keeps one integer view of each player's
 payoffs (`IntegerPayoffs`), which enumeration, indices, dominance and
-reduction all read; derived forms are handed theirs. A monitoring receiver
-strategy (1, s, d) pays like base row s minus the cost, a free one (0, s, d)
-like the constant base row (d, ..., d), so the reduced monitored form is
-built from the base form's rows (`monitored_form`, `reduce_at_cost`).
+reduction all read; it computes them from its own cells. A reduced form is
+its labels and views (`ReducedViews`), and `_game` alone reads `Fraction`
+cells off them. A monitoring receiver strategy (1, s, d) pays like base row
+s minus the cost, a free one (0, s, d) like the constant base row
+(d, ..., d), so the reduced monitored form is built from the base form's
+rows (`monitored_form`, `reduce_at_cost`).
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -33,9 +35,9 @@ Cell = tuple[Fraction, Fraction]
 
 class IntegerPayoffs(NamedTuple):
     """One player's payoffs times `scale`, a common denominator of them, and
-    the `shift` that lifts the least of them to 1. A game's own views, passed
-    on or computed, use the lcm of the denominators; the index's perturbation
-    draws use that lcm times 10^6."""
+    the `shift` that lifts the least of them to 1. A game's own views use the
+    lcm of the denominators; the index's perturbation draws use that lcm
+    times 10^6."""
 
     matrix: tuple[tuple[int, ...], ...]
     scale: int
@@ -69,9 +71,8 @@ class BimatrixGame:
     `monitor_bit`; the cost itself is already in their cells.
 
     `sender_integers` and `receiver_integers` are the integer views of the
-    two players' payoffs, cached on this object: passed on to the forms that
-    `monitored_form`, `reduce_normal_form` and `reduce_at_cost` build,
-    computed from the cells on first use otherwise."""
+    two players' payoffs, computed from the cells on first read and cached
+    on this object; nothing else sets them."""
 
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
@@ -96,22 +97,14 @@ class BimatrixGame:
         return _integer_view(self.cells, 1)
 
 
-def _with_views(gamma: BimatrixGame, sender: IntegerPayoffs, receiver: IntegerPayoffs) -> BimatrixGame:
-    """`gamma` with these views in its cache, passed on instead of computed."""
-    vars(gamma).update(sender_integers=sender, receiver_integers=receiver)
-    return gamma
-
-
 class ReducedViews(NamedTuple):
     """A reduced game without `Fraction` cells: its class labels and integer
-    views, all that enumeration and outcomes read, and each class's members."""
+    views, all that enumeration and outcomes read; `_game` makes its cells."""
 
     row_labels: tuple[StrategyClass, ...]
     col_labels: tuple[StrategyClass, ...]
     sender_integers: IntegerPayoffs
     receiver_integers: IntegerPayoffs
-    row_groups: list[list[int]]
-    col_groups: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -231,20 +224,14 @@ def monitored_form(game: SignalingGame, base: BimatrixGame) -> BimatrixGame:
     """The monitored form at cost zero, one row per class of receiver
     strategies that pay alike at every cost: the free classes (0,*,d) in
     action order, then a monitoring class (1,s,*) per row s of the base form.
-    Members are in `strategy_spaces_c` order. A row takes the cells and views
-    of the base row it pays like; every base row is among them, so the sliced
-    views stay in lowest terms."""
+    Members are in `strategy_spaces_c` order. A row takes the cells of the
+    base row it pays like."""
     free = [tuple(ReceiverStrategyC(0, s2.actions, d) for s2 in base.row_labels) for d in game.actions]
     monitoring = [tuple(ReceiverStrategyC(1, s2.actions, d) for d in game.actions) for s2 in base.row_labels]
     labels = tuple(StrategyClass(members) for members in free + monitoring)
     base_row = {s2: i for i, s2 in enumerate(base.row_labels)}
-    rows = [base_row[_pays_like(label.representative)] for label in labels]
-    sender, receiver = (
-        view._replace(matrix=tuple(view.matrix[i] for i in rows))
-        for view in (base.sender_integers, base.receiver_integers)
-    )
-    cells = tuple(base.cells[i] for i in rows)
-    return _with_views(BimatrixGame(labels, base.col_labels, cells), sender, receiver)
+    cells = tuple(base.cells[base_row[_pays_like(label.representative)]] for label in labels)
+    return BimatrixGame(labels, base.col_labels, cells)
 
 
 def _repriced(view: IntegerPayoffs, bits: list[int], delta: Fraction) -> IntegerPayoffs:
@@ -286,7 +273,7 @@ def _reduce(
         return _lowest_view(tuple(tuple(matrix[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups), view.scale)
 
     rows, cols = classes(row_labels, row_groups, row_order), classes(col_labels, col_groups, None)
-    return ReducedViews(rows, cols, sliced(sender), sliced(receiver), row_groups, col_groups)
+    return ReducedViews(rows, cols, sliced(sender), sliced(receiver))
 
 
 def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[StrategyClass, ...]]:
@@ -295,12 +282,10 @@ def reduce_normal_form(gamma: BimatrixGame) -> tuple[BimatrixGame, tuple[Strateg
     Two strategies merge exactly when their payoff vectors for both players
     coincide against every opponent strategy, compared on the game's integer
     views. Returns the reduced game (its labels are StrategyClass instances,
-    its views the sliced ones) together with all classes, rows first.
+    its cells read off the sliced views) together with all classes, rows first.
     """
     views = _reduce(gamma.row_labels, gamma.col_labels, gamma.sender_integers, gamma.receiver_integers)
-    cells = tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in views.col_groups) for rg in views.row_groups)
-    reduced = BimatrixGame(views.row_labels, views.col_labels, cells)
-    return _with_views(reduced, views.sender_integers, views.receiver_integers), views.row_labels + views.col_labels
+    return _game(views), views.row_labels + views.col_labels
 
 
 def reduce_at_cost(monitored: BimatrixGame, cost: Fraction) -> ReducedViews:
@@ -320,13 +305,14 @@ def reduce_at_cost(monitored: BimatrixGame, cost: Fraction) -> ReducedViews:
 
 
 def _game(views: ReducedViews) -> BimatrixGame:
-    """The reduced form with `Fraction` cells read off its views."""
+    """The reduced form with `Fraction` cells read off its views, the one
+    place a reduced form's cells are made."""
     sender, receiver = views.sender_integers, views.receiver_integers
     cells = tuple(
         tuple((Fraction(u1, sender.scale), Fraction(u2, receiver.scale)) for u1, u2 in zip(srow, rrow))
         for srow, rrow in zip(sender.matrix, receiver.matrix)
     )
-    return _with_views(BimatrixGame(views.row_labels, views.col_labels, cells), sender, receiver)
+    return BimatrixGame(views.row_labels, views.col_labels, cells)
 
 
 def reduced_sgcm(game: SignalingGame, cost: Fraction) -> BimatrixGame:
@@ -338,7 +324,7 @@ def reduced_sgcm(game: SignalingGame, cost: Fraction) -> BimatrixGame:
 def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
     """The reduced monitored form with the classes it has at any cost above
     the receiver's payoff range, where no free row equals a monitoring row,
-    priced at cost zero.
+    priced at cost zero by adding that cost back to the monitoring rows.
 
     At cost zero this game is no longer purely reduced: each free class
     (0,*,d) duplicates the monitoring class of the constant base row.
@@ -346,9 +332,10 @@ def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
     monitored = monitored_form(game, build_normal_form(game))
     view = monitored.receiver_integers
     spread = max(map(max, view.matrix)) + view.shift - 1  # the largest payoff minus the least, times the scale
-    apart = reduce_at_cost(monitored, Fraction(spread + 1, view.scale))
-    cells = tuple(tuple(monitored.cells[rg[0]][cg[0]] for cg in apart.col_groups) for rg in apart.row_groups)
-    return BimatrixGame(apart.row_labels, apart.col_labels, cells)
+    cost = Fraction(spread + 1, view.scale)
+    apart = reduce_at_cost(monitored, cost)
+    bits = [monitor_bit(label) for label in apart.row_labels]
+    return _game(apart._replace(receiver_integers=_repriced(apart.receiver_integers, bits, cost)))
 
 
 def embed_map(gamma0: BimatrixGame) -> dict[StrategyClass, ReceiverStrategy]:

@@ -109,7 +109,6 @@ class TheoremEvidence:
 class BaseContext:
     gamma: BimatrixGame
     monitored: BimatrixGame  # `monitored_form` of the game, reduced at every cost
-    components: tuple[Component, ...]
     component: Component
     outcome: Outcome
     payoffs: tuple[Fraction, Fraction]
@@ -138,7 +137,6 @@ def resolve_base_component(game: SignalingGame, component_id: str) -> BaseContex
     return BaseContext(
         gamma=gamma,
         monitored=monitored_form(game, gamma),
-        components=components,
         component=component,
         outcome=report.outcome,
         payoffs=report.payoffs,

@@ -9,7 +9,7 @@ from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimiz
 
 from sigsolve.indices import _box, _outside
 from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
-from sigsolve.rational import format_compact, parse_rational, sqrt_decimal
+from sigsolve.rational import format_compact, numerators, parse_rational, sqrt_decimal
 
 
 def test_solve_square_exact():
@@ -23,10 +23,22 @@ def test_solve_square_singular_returns_none():
     assert solve_square(matrix, [F(1), F(2)]) is None
 
 
+def scaled(matrix):
+    """A square `Fraction` matrix times the lcm of its denominators, and that lcm."""
+    flat, scale = numerators([v for row in matrix for v in row])
+    n = len(matrix)
+    return [flat[i * n : (i + 1) * n] for i in range(n)], scale
+
+
 def test_determinant_values():
-    assert determinant([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
-    assert determinant([[F(0), F(1)], [F(1), F(0)]]) == F(-1)
-    assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
+    matrix = [[1, 2], [3, 4]]
+    assert determinant(matrix) == -2
+    assert matrix == [[1, 2], [3, 4]]
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[1, 2], [2, 4]]) == 0
+    integers, scale = scaled([[F(1, 2), F(1, 3)], [F(1, 4), F(1)]])
+    assert (integers, scale) == ([[6, 4], [3, 12]], 12)
+    assert determinant(integers) == F(5, 12) * scale**2
 
 
 @pytest.mark.parametrize(
@@ -131,7 +143,8 @@ def test_determinant_matches_sympy():
     singular = 0
     for matrix in square_matrices(11):
         expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in matrix]).det()
-        assert determinant(matrix) == F(int(expected.p), int(expected.q)), matrix
+        integers, scale = scaled(matrix)
+        assert determinant(integers) == F(int(expected.p), int(expected.q)) * scale ** len(matrix), matrix
         singular += expected == 0
     assert singular >= 40
 

@@ -34,6 +34,7 @@ from sigsolve.normalform import (
     embed_map,
     monitor_bit,
     monitored_form,
+    reduce_at_cost,
     reduce_normal_form,
     reduced_sgcm,
     reduced_sgcm_at_zero,
@@ -474,20 +475,22 @@ def test_integer_view_scales_each_payoff_exactly(forms):
         assert_integer_view(gamma)
 
 
-def test_derived_forms_pass_on_their_integer_views(beerquiche):
-    """`monitored_form` slices the base views, `reduce_normal_form` and
-    `reduced_sgcm` hand on sliced ones, and each is the view computed from
-    the cells; a form made by `replace` computes its own."""
+def test_derived_forms_views_equal_the_views_of_their_cells(beerquiche):
+    """Every derived form computes its views from its own cells, and they
+    equal the cell-free views that `reduce_at_cost` hands the sweep."""
     base = build_normal_form(beerquiche)
     monitored = monitored_form(beerquiche, base)
     assert set(monitored.receiver_integers.matrix) == set(base.receiver_integers.matrix)
     assert monitored.receiver_integers.scale == base.receiver_integers.scale
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 4)))
     # 1/3 and 1/1000 change the scale; at 1/4 the view returns to lowest terms
-    derived = [monitored, reduced, *(reduced_sgcm(beerquiche, c) for c in (F(1, 3), F(1, 1000), F(1, 4)))]
+    costs = (F(1, 3), F(1, 1000), F(1, 4))
+    for cost in costs:
+        views = reduce_at_cost(monitored, cost)
+        gamma = reduced_sgcm(beerquiche, cost)
+        assert (gamma.sender_integers, gamma.receiver_integers) == (views.sender_integers, views.receiver_integers)
+    derived = [monitored, reduced, reduced_sgcm_at_zero(beerquiche), *(reduced_sgcm(beerquiche, c) for c in costs)]
     for gamma in derived:
-        fresh = replace(gamma)
-        assert (gamma.sender_integers, gamma.receiver_integers) == (fresh.sender_integers, fresh.receiver_integers)
         assert_integer_view(gamma)
     free = build_sgcm_normal_form(beerquiche, F(0))
     swapped = replace(free, cells=tuple(tuple((u2, u1) for u1, u2 in row) for row in free.cells))

@@ -121,6 +121,28 @@ def test_no_library_module_imports_the_front_end():
     assert importers == ["__main__.py"]
 
 
+def cache_bypasses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars":
+            found.append(f"line {node.lineno}: vars()")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append(f"line {node.lineno}: __dict__")
+    return found
+
+
+def test_no_library_module_writes_an_object_cache():
+    """A cached property is computed by its own object from its own fields:
+    no module reaches into an object's `__dict__`, by `vars()` or by name."""
+    assert sorted(cache_bypasses(ast.parse("vars(g).update(a=1)\ng.__dict__['a'] = 1\n"))) == [
+        "line 1: vars()",
+        "line 2: __dict__",
+    ]
+    paths = sorted((ROOT / "src" / "sigsolve").glob("*.py"))
+    found = {path.name: cache_bypasses(ast.parse(path.read_text(encoding="utf-8"))) for path in paths}
+    assert paths and not any(found.values()), found
+
+
 def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

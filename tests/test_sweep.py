@@ -44,7 +44,7 @@ def beer_base(game):
 
 def test_component_id_assignment(game):
     base = resolve_base_component(game, BEER)
-    assert component_ids(base.components) == ["C0", "C1"]
+    assert component_ids(solve_components(build_normal_form(game))) == ["C0", "C1"]
     assert render_label(base.component.col_support()[0], True) == "BB"
     assert base.payoffs == (F(29, 10), F(9, 10))
 
@@ -122,8 +122,7 @@ def test_quiche_component_never_survives(game):
 
 def test_message_blind_receiver_survives_every_cost():
     game = message_blind_receiver_game()
-    base = resolve_base_component(game, "C0")
-    assert len(base.components) == 1
+    assert len(solve_components(build_normal_form(game))) == 1
     result = survival_threshold(game, "C0")
     assert result.first_failing is None
     assert result.last_surviving == sweep.C_MAX
