@@ -15,7 +15,6 @@ from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
 from sigsolve.normalform import build_normal_form, embed_map, reduced_sgcm, reduced_sgcm_at_zero
-from sigsolve.rational import parse_rational
 from sigsolve.sweep import (
     SweepConfig,
     component_ids,
@@ -25,18 +24,14 @@ from sigsolve.sweep import (
     verify_theorem_bound,
 )
 
+COST = Fraction(1, 20)  # the showcase cost of the reduced table
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default=".", help="where to write sweep.csv")
-    parser.add_argument("--cost", default="1/20", help="showcase cost for the reduced table")
     args = parser.parse_args()
     game = beer_quiche()
-    try:
-        cost = parse_rational(args.cost)
-        reduced = reduced_sgcm(game, cost)
-    except ValueError as exc:
-        parser.error(f"--cost: {exc}")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -49,8 +44,8 @@ def main() -> None:
     gamma = build_normal_form(game)
     print(render_table(gamma, classic=True))
 
-    print(f"\n== reduced monitored form at c={args.cost} ==")
-    print(render_table(reduced, classic=True, cost=cost))
+    print(f"\n== reduced monitored form at c={COST} ==")
+    print(render_table(reduced_sgcm(game, COST), classic=True, cost=COST))
 
     print("\n== components of the base game ==")
     components = solve_components(gamma)

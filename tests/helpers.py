@@ -25,11 +25,16 @@ is the oracle for its pairs, and a sympy regularity check for its
 full monitored table of `Fraction` cells and recomputes each form's views
 from them, with outcomes and distances summed in `Fraction`s, is the oracle
 for `sweep.evaluate_cost` on the integer views of the form built from the
-base form. `frontier_probe` builds the seeded
-frontier games and `dominance_filter` the strict-dominance core as a game.
-`matching_pennies` and `coordination_2x2` are small bimatrix fixtures, and
-`component_indices` indexes every component of a game as `solve --index`
-does."""
+base form. `lexicographic_component_indices` is the exact oracle for the
+sampling index `indices.component_index` wherever its replications agree:
+each component's index is the sum of the determinant indices of the
+complementary pairs of lexicographically feasible bases, walked on both
+best-response polytopes of the full game, whose vertex pairs lie in it.
+`frontier_probe` builds the seeded frontier games, `binary_game` the binary
+2-type, 2-message, 2-action games by number, and `dominance_filter` the
+strict-dominance core as a game. `matching_pennies` and `coordination_2x2`
+are small bimatrix fixtures, and `component_indices` indexes every
+component of a game as `solve --index` does."""
 
 from __future__ import annotations
 
@@ -64,7 +69,7 @@ from sigsolve.indices import (
     component_index,
     equilibrium_index,
 )
-from sigsolve.linalg import linf_distance_to_hull
+from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
 from sigsolve.normalform import (
     BimatrixGame,
     IntegerPayoffs,
@@ -134,6 +139,103 @@ def component_indices(gamma: BimatrixGame, cfg: PerturbationConfig = Perturbatio
     one draw store as `solve --index` does."""
     draws = DrawStore(gamma, cfg)
     return [component_index(gamma, comp, cfg, draws) for comp in solve_components(gamma)]
+
+
+def _lexicographic_bases(rows: list[list[int]], dim: int, label) -> dict[int, tuple[int, ...]]:
+    """Every lexicographically feasible basis of {x >= 0 : rows . x <= 1},
+    as the label mask of its nonbasic variables (variable v is label bit
+    `label(v)`) mapped to its vertex key (det, *nums), the point nums / det
+    in lowest terms.
+
+    The walk starts at the all-slack basis of a `linalg.Tableau`, follows
+    every entering variable out of each basis and leaves by `leaving_row`.
+    Bases, not vertices, are the walk's nodes: a degenerate vertex has
+    several bases, and pruning at the vertex would miss some.
+    """
+    count = len(rows)
+    tableau = Tableau(rows, [1] * count, dim)
+    seen = {sum(1 << v for v in tableau.basis)}
+    stack = [tableau.snapshot()]
+    found = {}
+    while stack:
+        tableau.restore(stack.pop())
+        basic = sum(1 << v for v in tableau.basis)
+        nums = [0] * dim
+        for row, v in zip(tableau.rows, tableau.basis):
+            if v < dim:
+                nums[v] = row[0]
+        g = math.gcd(tableau.det, *nums)
+        nonbasic = sum(1 << label(v) for v in range(dim + count) if not basic >> v & 1)
+        found[nonbasic] = (tableau.det // g, *(x // g for x in nums))
+        for v in range(dim + count):
+            if basic >> v & 1:
+                continue
+            r = tableau.leaving_row(v)
+            child = basic ^ (1 << tableau.basis[r]) ^ (1 << v)
+            if child not in seen:
+                seen.add(child)
+                state = tableau.snapshot()
+                tableau.pivot(r, v)
+                stack.append(tableau.snapshot())
+                tableau.restore(state)
+    return found
+
+
+def lexicographic_component_indices(gamma: BimatrixGame) -> list[int]:
+    """The exact index of each component of `solve_components(gamma)`, in
+    that order, read off the lexicographic walks of both best-response
+    polytopes P = {x >= 0 : B^T x <= 1} and Q = {y >= 0 : A y <= 1} of the
+    full game, A and B the integer views lifted by their shifts.
+
+    Why it is exact: the lexicographic rhs 1 + (eps, eps^2, ...) rescales
+    each row of A and each column of B by a positive factor, a nondegenerate
+    game arbitrarily close to `gamma` whose equilibria are exactly the
+    complementary pairs of lexicographically feasible bases, the origin pair
+    aside (Shapley 1974; von Stengel 2002, Handbook of Game Theory 3, ch.
+    45). A pair with basic rows S and cols T has the determinant index
+    (-1)^(k+1) sign det A[S,T] sign det B[S,T], k = |S| = |T|, which the
+    positive rescaling keeps, and converges to the vertex pair read off its
+    rhs column. A component's index is the sum over the nearby equilibria
+    that converge into it. Row i is label bit i and col j bit m + j.
+    """
+    m, n = gamma.shape
+    receiver, sender = gamma.receiver_integers, gamma.sender_integers
+    a = [[v + receiver.shift for v in row] for row in receiver.matrix]
+    b = [[v + sender.shift for v in row] for row in sender.matrix]
+    p = _lexicographic_bases([[b[i][j] for i in range(m)] for j in range(n)], m, lambda v: v)
+    q = _lexicographic_bases(a, n, lambda v: m + v if v < n else v - n)
+    components = solve_components(gamma)
+    owner = {(eq.row_mix, eq.col_mix): k for k, comp in enumerate(components) for eq in comp.extremes}
+    everything, origin = (1 << (m + n)) - 1, (1 << m) - 1
+    indices = [0] * len(components)
+    for labels, x in p.items():
+        y = q.get(everything ^ labels)
+        if y is None or labels == origin:
+            continue
+        rows = [i for i in range(m) if not labels >> i & 1]
+        cols = [j for j in range(n) if labels >> (m + j) & 1]
+        assert len(rows) == len(cols), (rows, cols)
+        det_a = determinant([[a[i][j] for j in cols] for i in rows])
+        det_b = determinant([[b[i][j] for j in cols] for i in rows])
+        assert det_a and det_b, "a feasible basis is nonsingular"
+        sign = (-1) ** (len(rows) + 1) * (1 if det_a * det_b > 0 else -1)
+        limit = (tuple(F(v, sum(x[1:])) for v in x[1:]), tuple(F(v, sum(y[1:])) for v in y[1:]))
+        if limit not in owner:
+            raise ValueError(f"the limit {limit} of a complementary pair lies in no component")
+        indices[owner[limit]] += sign
+    return indices
+
+
+def binary_game(number: int) -> SignalingGame:
+    """The binary signaling game `number` in [0, 2^16): types A B with a
+    uniform prior, messages X Y, actions U V, and every payoff 0 or 1. For
+    each (type, message, action) in that order, the sender's payoff and then
+    the receiver's are the next bits of `number`, least significant first.
+    Game 40006 has a zero-index component pooling on Y whose payoffs
+    (1/2, 1/2) some equilibrium pooling on X also pays."""
+    bits = iter(number >> k & 1 for k in range(16))
+    table = {(t, m, a): (F(next(bits)), F(next(bits))) for t in "AB" for m in "XY" for a in "UV"}
+    return SignalingGame(("A", "B"), ("X", "Y"), ("U", "V"), {"A": F(1, 2), "B": F(1, 2)}, table)
 
 
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):

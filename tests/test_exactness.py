@@ -1,5 +1,5 @@
-"""No float enters a computation: a syntax-level lint over the package source
-and the float-free scripts.
+"""No float enters a computation: a syntax-level lint over the package source,
+the float-free scripts and the test oracles in `tests/helpers.py`.
 
 Fails on a float literal, on any use of the name `float`, and on `math`
 functions other than the integer ones.
@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "sigsolve").glob("*.py")) + [
     ROOT / "scripts" / "beerquiche_pipeline.py",
     ROOT / "scripts" / "random_game_audit.py",
+    ROOT / "tests" / "helpers.py",
 ]
 INTEGER_MATH = {"gcd", "lcm", "isqrt", "comb", "prod"}
 

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    binary_game,
     component_indices,
     coordination_2x2,
+    lexicographic_component_indices,
     matching_pennies,
     perturbed_game,
     random_nondegenerate_games,
@@ -18,7 +20,7 @@ from helpers import (
 from sigsolve import indices
 from sigsolve.cli import render_label
 from sigsolve.gamefile import load_game
-from sigsolve.equilibrium import enumerate_extreme_equilibria, extreme_vertex_pairs, solve_components
+from sigsolve.equilibrium import component_outcome, enumerate_extreme_equilibria, extreme_vertex_pairs, solve_components
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
@@ -36,6 +38,7 @@ from sigsolve.normalform import (
     build_sgcm_normal_form,
     embed_map,
     reduce_normal_form,
+    reduced_sgcm,
     reduced_sgcm_at_zero,
 )
 
@@ -88,6 +91,7 @@ def test_component_indices_of_beer_quiche(beerquiche):
     }
     assert by_sender["BB"].value == 1
     assert by_sender["QQ"].value == 0
+    assert lexicographic_component_indices(gamma) == [1, 0]  # BB, QQ
     for result in by_sender.values():
         assert result.agreement == 1
         assert result.replications == CFG.replications
@@ -171,9 +175,12 @@ def test_duplicate_containment_for_synthetic_duplicate_row():
     assert report.entries[0].image_rows == ("top",)
 
 
+GAMES = Path(__file__).resolve().parent.parent / "games"
+
+
 def fixture_forms():
     """The base form and the reduced monitored form at 1/20 of each bundled game."""
-    for path in sorted((Path(__file__).resolve().parent.parent / "games").glob("*.sg")):
+    for path in sorted(GAMES.glob("*.sg")):
         game = load_game(str(path))
         yield build_normal_form(game)
         yield reduce_normal_form(build_sgcm_normal_form(game, F(1, 20)))[0]
@@ -277,3 +284,57 @@ def test_draws_are_shared_within_a_store_and_never_across_calls(beerquiche, monk
     assert len(enumerated) == len(set(enumerated)) and set(enumerated) == needed  # each draw once
     with pytest.raises(ValueError):
         component_index(build_normal_form(beerquiche), components[0], CFG, draws)
+
+
+def signaling_forms(games):
+    """The base form, the reduced monitored form at 1/20 and the zero-cost
+    reduced monitored form of each signaling game."""
+    for game in games:
+        yield build_normal_form(game)
+        yield reduced_sgcm(game, F(1, 20))
+        yield reduced_sgcm_at_zero(game)
+
+
+def binary_games(seed, count=100):
+    """Game 40006 and `count` seeded binary games (`helpers.binary_game`)."""
+    rng = random.Random(seed)
+    return [binary_game(number) for number in [40006] + [rng.randrange(1 << 16) for _ in range(count)]]
+
+
+@pytest.mark.parametrize(
+    "forms, least_multi, indeterminate",
+    [
+        (lambda: signaling_forms(load_game(str(path)) for path in sorted(GAMES.glob("*.sg"))), 13, 0),
+        (lambda: tied_bimatrices(47), 142, 0),
+        (lambda: rational_bimatrices(53), 52, 4),
+        (lambda: signaling_forms(binary_games(59)), 312, 0),
+    ],
+    ids=["fixtures", "tied", "rational", "binary"],
+)
+def test_lexicographic_index_equals_the_sampling_index(forms, least_multi, indeterminate):
+    """The exact index sums to +1 on every form and equals the sampling
+    index on every component whose replications all agree; the components
+    where they disagree are counted, not compared."""
+    multi = undecided = 0
+    for gamma in forms():
+        exact = lexicographic_component_indices(gamma)
+        assert sum(exact) == 1, gamma
+        for comp, value, sampled in zip(solve_components(gamma), exact, component_indices(gamma), strict=True):
+            if sampled.indeterminate:
+                undecided += 1
+            else:
+                assert value == sampled.value, gamma
+            multi += len(comp.extremes) > 1
+    assert multi >= least_multi  # components with several extremes, the ones the sampling index samples
+    assert undecided == indeterminate
+
+
+def test_lexicographic_indices_of_game_40006():
+    """C0 carries the index; C1, pooling on Y with payoffs (1/2, 1/2), has index 0."""
+    game = binary_game(40006)
+    gamma = build_normal_form(game)
+    assert lexicographic_component_indices(gamma) == [1, 0]
+    pooling = component_outcome(game, solve_components(gamma)[1])
+    assert pooling.classification == "pooling"
+    assert pooling.payoffs == (F(1, 2), F(1, 2))
+    assert all(mass == 0 for (_, message, _), mass in pooling.outcome.masses.items() if message == "X")

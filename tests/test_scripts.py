@@ -48,8 +48,6 @@ def test_pipeline_rejects_out_dir_that_is_a_file(tmp_path):
     "argv, option",
     [
         (["scripts/random_game_audit.py", "--max-size", "1"], "--max-size"),
-        (["scripts/beerquiche_pipeline.py", "--cost", "abc"], "--cost"),
-        (["scripts/beerquiche_pipeline.py", "--cost", "-1"], "--cost"),
         # the tests directory holds no BENCHMARK.json
         (["scripts/bench.py", "tests", ".", "--seeds", "1", "--out", "unused.json"], "BENCHMARK.json"),
     ],
