@@ -16,7 +16,6 @@ from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
 from sigsolve.normalform import build_normal_form, embed_map, reduced_sgcm, reduced_sgcm_at_zero
 from sigsolve.sweep import (
-    SweepConfig,
     component_ids,
     cost_sweep,
     distance_scaling,
@@ -69,10 +68,7 @@ def main() -> None:
         )
 
     print("\n== cost sweep toward zero ==")
-    sweep_cfg = SweepConfig(
-        c_min=Fraction(0), c_max=Fraction(1, 8), steps=8, base_component_id="C0"
-    )
-    records = cost_sweep(game, sweep_cfg)
+    records = cost_sweep(game, "C0", c_min=Fraction(0), c_max=Fraction(1, 8), steps=8)
     out_path = out_dir / "sweep.csv"
     write_sweep_csv(records, str(out_path), classic=True)
     for rec in records:

@@ -8,8 +8,6 @@ which pooling components survive small costs close to their original outcome.
 
 from .catalog import beer_quiche
 from .game import (
-    MixedProfile,
-    Outcome,
     ReceiverStrategy,
     ReceiverStrategyC,
     SenderStrategy,
@@ -53,7 +51,6 @@ from .indices import (
     equilibrium_index,
 )
 from .sweep import (
-    SweepConfig,
     SweepRecord,
     ThresholdResult,
     cost_sweep,

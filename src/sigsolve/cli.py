@@ -21,7 +21,7 @@ from .equilibrium import (
     group_components,
     maximal_nash_subsets,
 )
-from .game import Outcome, ReceiverStrategy, ReceiverStrategyC, SignalingGame
+from .game import ReceiverStrategy, ReceiverStrategyC, SignalingGame
 from .gamefile import GameFileError, load_game
 
 # Nothing here serializes a game; perfbench/workloads.py reads
@@ -41,7 +41,6 @@ from .normalform import (
 from .rational import format_compact, parse_rational
 from .sweep import (
     NoSurvivalError,
-    SweepConfig,
     SweepRecord,
     UnknownComponentError,
     component_ids,
@@ -127,9 +126,9 @@ def render_mix(mix, labels, classic: bool) -> str:
     return " + ".join(parts)
 
 
-def render_outcome(outcome: Outcome) -> str:
+def render_outcome(outcome: dict[tuple, Fraction]) -> str:
     parts = []
-    for play, mass in outcome.masses.items():
+    for play, mass in outcome.items():
         if mass > 0:
             parts.append(f"{mass}*({','.join(str(x) for x in play)})")
     return " + ".join(parts)
@@ -270,29 +269,26 @@ def _cmd_solve(args) -> CommandResult:
 def _cmd_sweep(args) -> CommandResult:
     game = load_game(args.game)
     classic = _classic_labels(game)
-    cfg = SweepConfig(
-        c_min=parse_rational(args.cmin),
-        c_max=parse_rational(args.cmax),
-        steps=args.steps,
-        base_component_id=args.component,
-    )
+    c_min, c_max = parse_rational(args.cmin), parse_rational(args.cmax)
     expected = parse_rational(args.check_coefficient) if args.check_coefficient is not None else None
-    records = cost_sweep(game, cfg)
+    records = cost_sweep(game, args.component, c_min, c_max, args.steps)
     write_sweep_csv(records, args.out, classic)
     lines = [f"wrote {len(records)} records to {args.out}"]
     scaling = distance_scaling(records)
     if scaling is not None:
         lines.append(f"distance scaling: squared_distance = {scaling} * c^2")
-        if expected is not None:
-            if scaling == expected:
-                lines.append(f"scaling coefficient matches {expected}")
-            else:
-                lines.append(
-                    "DISCREPANCY: measured squared-distance coefficient "
-                    f"{scaling} differs from the stated {expected}"
-                )
     else:
         lines.append("distance scaling: not a constant multiple of c^2 over this grid")
+    if expected is not None:
+        if scaling == expected:
+            lines.append(f"scaling coefficient matches {expected}")
+        elif scaling is None:
+            lines.append(f"DISCREPANCY: no constant squared_distance/c^2 to compare with the stated {expected}")
+        else:
+            lines.append(
+                "DISCREPANCY: measured squared-distance coefficient "
+                f"{scaling} differs from the stated {expected}"
+            )
     summary = {
         "records": len(records),
         "out": args.out,

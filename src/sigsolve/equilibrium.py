@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .game import MixedProfile, Outcome, SignalingGame, classify_outcome, outcome_of_profile
+from .game import SignalingGame, classify_outcome, outcome_of_profile
 from .linalg import Tableau, bareiss
 from .normalform import BimatrixGame, IntegerPayoffs, ReducedViews, deep_representative, strict_core
 
@@ -115,10 +115,10 @@ class OutcomeReport:
     """Result of the constant-outcome check on a component."""
 
     constant: bool
-    outcome: Outcome | None
+    outcome: dict[tuple, Fraction] | None
     payoffs: tuple[Fraction, Fraction] | None
     classification: str | None
-    witnesses: tuple[tuple[MixedEquilibrium, Outcome], ...] = ()
+    witnesses: tuple[tuple[MixedEquilibrium, dict[tuple, Fraction]], ...] = ()
 
 
 def _validate_mix(mix, size: int, side: str) -> None:
@@ -446,34 +446,21 @@ def solve_components(gamma: BimatrixGame) -> tuple[Component, ...]:
     return group_components(maximal_nash_subsets(enumerate_extreme_equilibria(gamma)), gamma)
 
 
-def _collapse_to_strategies(labels, mix) -> dict:
-    """Weights per underlying strategy; class weights land on representatives."""
-    out: dict = {}
-    for label, weight in zip(labels, mix):
-        if weight > 0:
-            strat = deep_representative(label)
-            out[strat] = out.get(strat, ZERO) + weight
-    return out
-
-
-def profile_of_equilibrium(gamma: BimatrixGame | Component | ReducedViews, eq: MixedEquilibrium) -> MixedProfile:
-    """Translate a bimatrix equilibrium back into game strategies.
-
-    Strategy classes contribute through their representatives; class members
-    induce the same play distribution, so the choice does not matter.
-    """
-    return MixedProfile(
-        sender=_collapse_to_strategies(gamma.col_labels, eq.col_mix),
-        receiver=_collapse_to_strategies(gamma.row_labels, eq.row_mix),
-    )
-
-
 def outcome_of_equilibrium(
     game: SignalingGame, gamma: BimatrixGame | Component | ReducedViews, eq: MixedEquilibrium
-) -> Outcome:
+) -> dict[tuple, Fraction]:
     """The outcome of an equilibrium of a base or monitored form (or of one of
-    its components or reductions)."""
-    return outcome_of_profile(game, profile_of_equilibrium(gamma, eq))
+    its components or reductions).
+
+    Each weight lands on its label's strategy, a class's on its
+    representative: class members induce the same play distribution, and no
+    two labels of a form share a representative.
+    """
+    return outcome_of_profile(
+        game,
+        {deep_representative(label): w for label, w in zip(gamma.col_labels, eq.col_mix) if w},
+        {deep_representative(label): w for label, w in zip(gamma.row_labels, eq.row_mix) if w},
+    )
 
 
 def component_outcome(game: SignalingGame, component: Component) -> OutcomeReport:
@@ -489,7 +476,7 @@ def component_outcome(game: SignalingGame, component: Component) -> OutcomeRepor
     witnessed = [(eq, outcome_of_equilibrium(game, component, eq)) for eq in component.extremes]
     first = witnessed[0][1]
     for eq, mu in witnessed[1:]:
-        if mu.masses != first.masses:
+        if mu != first:
             return OutcomeReport(
                 constant=False,
                 outcome=None,

@@ -6,11 +6,14 @@ monitoring variant gives the receiver a prior binary choice: pay a cost to
 observe the message, or act on a message-independent default. A receiver
 strategy of either game answers "which action after message i" (`reply`),
 so a monitored one pays like the base strategy with the same replies, less
-the cost if it monitors. Outcomes are distributions over (type, message,
-action) plays.
+the cost if it monitors. A mixed strategy is a mapping from pure strategies
+to exact weights, and an outcome is a dict from (type, message, action)
+plays to their masses, zeros included, in `enumerate_plays` order. The
+monitor bit is not part of a play: whether the receiver observed the
+message changes only who pays.
 
-All probabilities and payoffs are Fractions; every operation here is a pure
-function over immutable values.
+All probabilities and payoffs are Fractions; every function here is pure:
+it returns new values and changes none of its arguments.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .rational import numerators
 
@@ -90,26 +93,6 @@ class ReceiverStrategyC:
         return self.on_message[i] if self.monitor else self.default
 
 
-ReceiverLike = Union[ReceiverStrategy, ReceiverStrategyC]
-
-
-@dataclass(frozen=True)
-class MixedProfile:
-    """Mixed strategies for both players; weights are exact and sum to one."""
-
-    sender: Mapping[SenderStrategy, Fraction]
-    receiver: Mapping[ReceiverLike, Fraction]
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Probability distribution over (type, message, action) plays, zeros
-    included, in `enumerate_plays` order. The monitor bit is not part of a
-    play: whether the receiver observed the message changes only who pays."""
-
-    masses: Mapping[tuple, Fraction]
-
-
 def validate_game(game: SignalingGame) -> list[str]:
     """Report every violated invariant; an empty list means the game is valid."""
     problems: list[str] = []
@@ -166,40 +149,45 @@ def strategy_spaces_c(game: SignalingGame) -> tuple[ReceiverStrategyC, ...]:
     )
 
 
-def outcome_of_profile(game: SignalingGame, profile: MixedProfile) -> Outcome:
-    """Distribution over (type, message, action) plays induced by a mixed
-    profile: each type's prior times the two weights lands on the action the
-    receiver strategy takes after the type's message. Summed as integers over
-    a common denominator, with one Fraction per play."""
+def outcome_of_profile(
+    game: SignalingGame,
+    sender: Mapping[SenderStrategy, Fraction],
+    receiver: Mapping[ReceiverStrategy | ReceiverStrategyC, Fraction],
+) -> dict[tuple[str, str, str], Fraction]:
+    """The outcome of a mixed profile, given as each player's strategy ->
+    weight mapping: each type's prior times the two weights lands on the
+    action the receiver strategy takes after the type's message. Summed as
+    integers over a common denominator, with one Fraction per play."""
     prior, prior_den = numerators([game.prior[t] for t in game.types])
-    senders, sender_den = numerators(list(profile.sender.values()))
-    receivers, receiver_den = numerators(list(profile.receiver.values()))
+    senders, sender_den = numerators(list(sender.values()))
+    receivers, receiver_den = numerators(list(receiver.values()))
     msg_index = {m: i for i, m in enumerate(game.messages)}
     totals = dict.fromkeys(enumerate_plays(game), 0)
     for ti, (t, p) in enumerate(zip(game.types, prior)):
-        for s1, w1 in zip(profile.sender, senders):
+        for s1, w1 in zip(sender, senders):
             m = s1.messages[ti]
             i = msg_index[m]
-            for s2, w2 in zip(profile.receiver, receivers):
+            for s2, w2 in zip(receiver, receivers):
                 totals[(t, m, s2.reply(i))] += p * w1 * w2
     den = prior_den * sender_den * receiver_den
-    return Outcome(masses={play: Fraction(total, den) for play, total in totals.items()})
+    return {play: Fraction(total, den) for play, total in totals.items()}
 
 
-def outcome_distance(a: Outcome, b: Outcome) -> Fraction:
-    """Exact squared Euclidean distance, summed as integers over a common
-    denominator; `rational.sqrt_decimal` renders its root."""
-    if set(a.masses) != set(b.masses):
+def outcome_distance(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction]) -> Fraction:
+    """Exact squared Euclidean distance between two outcomes, summed as
+    integers over a common denominator; `rational.sqrt_decimal` renders its
+    root."""
+    if set(a) != set(b):
         raise ValueError("outcomes are defined over different play sets")
-    left, den = numerators(list(a.masses.values()))
-    right, other = numerators([b.masses[p] for p in a.masses])
+    left, den = numerators(list(a.values()))
+    right, other = numerators([b[p] for p in a])
     return Fraction(sum((x * other - y * den) ** 2 for x, y in zip(left, right)), (den * other) ** 2)
 
 
-def classify_outcome(game: SignalingGame, mu: Outcome) -> str:
+def classify_outcome(game: SignalingGame, mu: Mapping[tuple, Fraction]) -> str:
     """'pooling' | 'separating' | 'hybrid', judged from per-type message supports."""
     supports: dict[str, set[str]] = {t: set() for t in game.types}
-    for (t, m, _a), mass in mu.masses.items():
+    for (t, m, _a), mass in mu.items():
         if mass > 0:
             supports[t].add(m)
     used = set().union(*supports.values()) if supports else set()

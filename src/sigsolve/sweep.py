@@ -29,7 +29,7 @@ from .equilibrium import (
     outcome_of_equilibrium,
     solve_components,
 )
-from .game import Outcome, SignalingGame, outcome_distance
+from .game import SignalingGame, outcome_distance
 from .indices import IndexResult, PerturbationConfig, component_index
 from .normalform import BimatrixGame, build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from .rational import sqrt_decimal
@@ -53,20 +53,6 @@ class NoSurvivalError(RuntimeError):
 
 class UnknownComponentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    c_min: Fraction
-    c_max: Fraction
-    steps: int
-    base_component_id: str
-
-    def __post_init__(self):
-        if not (0 <= self.c_min < self.c_max):
-            raise ValueError("need 0 <= c_min < c_max")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
 
 
 @dataclass(frozen=True)
@@ -110,13 +96,20 @@ class BaseContext:
     gamma: BimatrixGame
     monitored: BimatrixGame  # `monitored_form` of the game, reduced at every cost
     component: Component
-    outcome: Outcome
+    outcome: dict[tuple, Fraction]
     payoffs: tuple[Fraction, Fraction]
 
 
-def halving_grid(c_max: Fraction, steps: int) -> list[Fraction]:
-    """c_max, c_max/2, ..., c_max/2**(steps-1), descending."""
-    return [c_max / 2**i for i in range(steps)]
+def halving_grid(c_max: Fraction, steps: int, c_min: Fraction = ZERO) -> list[Fraction]:
+    """c_max, c_max/2, ..., c_max/2**(steps-1), descending, stopping before
+    the first cost below c_min."""
+    grid = []
+    for i in range(steps):
+        cost = c_max / 2**i
+        if cost < c_min:
+            break
+        grid.append(cost)
+    return grid
 
 
 def component_ids(components: tuple[Component, ...]) -> list[str]:
@@ -165,11 +158,16 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
     )
 
 
-def cost_sweep(game: SignalingGame, cfg: SweepConfig) -> list[SweepRecord]:
-    """One record per grid cost, ascending."""
-    base = resolve_base_component(game, cfg.base_component_id)
-    grid = sorted(c for c in halving_grid(cfg.c_max, cfg.steps) if c >= cfg.c_min)
-    return [evaluate_cost(game, base, c) for c in grid]
+def cost_sweep(
+    game: SignalingGame, component_id: str, c_min: Fraction, c_max: Fraction, steps: int
+) -> list[SweepRecord]:
+    """One record per cost of `halving_grid(c_max, steps, c_min)`, ascending."""
+    if not (0 <= c_min < c_max):
+        raise ValueError("need 0 <= c_min < c_max")
+    if steps < 1:
+        raise ValueError("need at least one step")
+    base = resolve_base_component(game, component_id)
+    return [evaluate_cost(game, base, c) for c in reversed(halving_grid(c_max, steps, c_min))]
 
 
 def survival_threshold(game: SignalingGame, base_component_id: str) -> ThresholdResult:

@@ -13,7 +13,10 @@ engine that `linalg.Tableau` replaced, is the oracle for
 integer views are the oracles for its cells and its strategy classes, and
 the generator form of `strict_core` is the oracle for its plain loops.
 Expected payoffs of a profile are priced play by play from the payoff
-table, apart from the normal forms and the enumerator. The sampling index
+table, apart from the normal forms and the enumerator; `mixed_strategies`
+reads a profile off an equilibrium by summing each class's weight onto its
+representative, which `equilibrium.outcome_of_equilibrium` skips because
+no two labels of a form share one. The sampling index
 of one component on draws of its own, each a game of perturbed `Fraction`
 payoffs enumerated afresh and each perturbed equilibrium measured by both
 hull LPs, is the oracle for the integer draws that `indices.DrawStore`
@@ -56,10 +59,9 @@ from sigsolve.equilibrium import (
     _padded,
     _polytope_vertices,
     enumerate_extreme_equilibria,
-    profile_of_equilibrium,
     solve_components,
 )
-from sigsolve.game import MixedProfile, Outcome, ReceiverStrategyC, SignalingGame, enumerate_plays
+from sigsolve.game import ReceiverStrategyC, SignalingGame, enumerate_plays
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
@@ -74,6 +76,7 @@ from sigsolve.normalform import (
     BimatrixGame,
     IntegerPayoffs,
     build_sgcm_normal_form,
+    deep_representative,
     monitor_bit,
     reduce_normal_form,
     strict_core,
@@ -336,13 +339,28 @@ def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple
     return tuple(cells)
 
 
-def reference_expected_payoffs(game: SignalingGame, profile: MixedProfile, cost: Fraction) -> tuple[Fraction, Fraction]:
+def mixed_strategies(gamma: BimatrixGame, eq: MixedEquilibrium) -> tuple[dict, dict]:
+    """The sender's and the receiver's strategy -> weight mappings of an
+    equilibrium of a form, each class's weight summed onto its representative."""
+    sender: dict = {}
+    receiver: dict = {}
+    for mixed, labels, mix in ((sender, gamma.col_labels, eq.col_mix), (receiver, gamma.row_labels, eq.row_mix)):
+        for label, weight in zip(labels, mix):
+            if weight:
+                strategy = deep_representative(label)
+                mixed[strategy] = mixed.get(strategy, Fraction(0)) + weight
+    return sender, receiver
+
+
+def reference_expected_payoffs(
+    game: SignalingGame, sender: dict, receiver: dict, cost: Fraction
+) -> tuple[Fraction, Fraction]:
     """Expected (sender, receiver) payoffs of a mixed profile, priced play by
     play from the payoff table; the receiver pays `cost` under every
     monitored strategy that monitors."""
     u1 = u2 = Fraction(0)
-    for s1, w1 in profile.sender.items():
-        for s2, w2 in profile.receiver.items():
+    for s1, w1 in sender.items():
+        for s2, w2 in receiver.items():
             monitored = isinstance(s2, ReceiverStrategyC)
             pays = monitored and s2.monitor == 1
             for t, m in zip(game.types, s1.messages):
@@ -358,16 +376,16 @@ def reference_expected_payoffs(game: SignalingGame, profile: MixedProfile, cost:
     return u1, u2
 
 
-def reference_outcome(game: SignalingGame, profile: MixedProfile) -> Outcome:
+def reference_outcome(game: SignalingGame, sender: dict, receiver: dict) -> dict:
     """`game.outcome_of_profile` summed in `Fraction`s, one term per type,
     sender strategy and receiver strategy."""
     masses = dict.fromkeys(enumerate_plays(game), Fraction(0))
     for ti, t in enumerate(game.types):
-        for s1, w1 in profile.sender.items():
+        for s1, w1 in sender.items():
             m = s1.messages[ti]
-            for s2, w2 in profile.receiver.items():
+            for s2, w2 in receiver.items():
                 masses[(t, m, s2.reply(game.messages.index(m)))] += game.prior[t] * w1 * w2
-    return Outcome(masses=masses)
+    return masses
 
 
 def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
@@ -379,8 +397,8 @@ def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fracti
     equilibria = enumerate_extreme_equilibria(reduced)
 
     def squared_distance(eq):
-        masses = reference_outcome(game, profile_of_equilibrium(reduced, eq)).masses
-        return sum(((v - base.outcome.masses[play]) ** 2 for play, v in masses.items()), Fraction(0))
+        masses = reference_outcome(game, *mixed_strategies(reduced, eq))
+        return sum(((v - base.outcome[play]) ** 2 for play, v in masses.items()), Fraction(0))
 
     squared, eq = min(((squared_distance(e), e) for e in equilibria), key=lambda pair: (pair[0], pair[1].sort_key()))
     return SweepRecord(

@@ -39,7 +39,6 @@ from sigsolve.normalform import (
     reduced_sgcm_at_zero,
 )
 from sigsolve.sweep import (
-    SweepConfig,
     cost_sweep,
     evaluate_cost,
     resolve_base_component,
@@ -122,13 +121,13 @@ def test_criterion_04_two_pooling_components(game):
     beer = component_outcome(game, by_sender["BB"])
     assert beer.constant and beer.classification == "pooling"
     assert beer.payoffs == (F(29, 10), F(9, 10))
-    assert beer.outcome.masses[("S", "B", "N")] == F(9, 10)
-    assert beer.outcome.masses[("W", "B", "N")] == F(1, 10)
+    assert beer.outcome[("S", "B", "N")] == F(9, 10)
+    assert beer.outcome[("W", "B", "N")] == F(1, 10)
     quiche = component_outcome(game, by_sender["QQ"])
     assert quiche.constant and quiche.classification == "pooling"
     assert quiche.payoffs == (F(21, 10), F(9, 10))
-    assert quiche.outcome.masses[("S", "Q", "N")] == F(9, 10)
-    assert quiche.outcome.masses[("W", "Q", "N")] == F(1, 10)
+    assert quiche.outcome[("S", "Q", "N")] == F(9, 10)
+    assert quiche.outcome[("W", "Q", "N")] == F(1, 10)
     # receiver segments end where the threat mixes exactly one half
     for component in components:
         weights = sorted(max(eq.row_mix) for eq in component.extremes)
@@ -199,8 +198,7 @@ def test_criterion_07_survival_threshold(game):
 
 
 def test_criterion_08_distance_scaling(game, beerquiche_file, tmp_path):
-    cfg = SweepConfig(c_min=F(0), c_max=F(1, 100), steps=3, base_component_id="C0")
-    records = cost_sweep(game, cfg)
+    records = cost_sweep(game, "C0", c_min=F(0), c_max=F(1, 100), steps=3)
     assert [r.c for r in records] == [F(1, 400), F(1, 200), F(1, 100)]
     ratios = {r.squared_distance / (r.c * r.c) for r in records}
     assert ratios == {ORACLE_SQUARED_COEFFICIENT}

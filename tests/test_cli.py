@@ -214,6 +214,22 @@ def test_sweep_discrepancy_report(beerquiche_file, tmp_path):
     assert result.summary["scaling_constant"] == "3/2"
 
 
+def test_sweep_discrepancy_report_without_a_constant_coefficient(beerquiche_file, tmp_path):
+    """C1 survives at no cost of this grid, so no coefficient is measured;
+    the stated one is still flagged."""
+    out = tmp_path / "sweep.csv"
+    result = run_command(
+        ["sweep", beerquiche_file, "--component", "C1", "--cmin", "0", "--cmax", "1/8", "--steps", "6",
+         "--out", str(out), "--check-coefficient", "3/2"]
+    )
+    assert result.status == 0
+    assert result.summary["scaling_constant"] is None
+    assert result.text.splitlines()[1:] == [
+        "distance scaling: not a constant multiple of c^2 over this grid",
+        "DISCREPANCY: no constant squared_distance/c^2 to compare with the stated 3/2",
+    ]
+
+
 def test_sweep_rejects_a_bad_coefficient_before_sweeping(beerquiche_file, tmp_path):
     out = tmp_path / "sweep.csv"
     result = run_command(

@@ -243,12 +243,12 @@ def test_component_outcomes_and_payoffs(beerquiche):
     assert beer.constant
     assert beer.payoffs == (F(29, 10), F(9, 10))
     assert beer.classification == "pooling"
-    assert beer.outcome.masses[("S", "B", "N")] == F(9, 10)
-    assert beer.outcome.masses[("W", "B", "N")] == F(1, 10)
+    assert beer.outcome[("S", "B", "N")] == F(9, 10)
+    assert beer.outcome[("W", "B", "N")] == F(1, 10)
     quiche = by_sender["QQ"]
     assert quiche.payoffs == (F(21, 10), F(9, 10))
-    assert quiche.outcome.masses[("S", "Q", "N")] == F(9, 10)
-    assert quiche.outcome.masses[("W", "Q", "N")] == F(1, 10)
+    assert quiche.outcome[("S", "Q", "N")] == F(9, 10)
+    assert quiche.outcome[("W", "Q", "N")] == F(1, 10)
 
 
 def test_outcomes_read_through_forms_and_components_agree(beerquiche):
@@ -262,8 +262,8 @@ def test_outcomes_read_through_forms_and_components_agree(beerquiche):
     reduced, _ = reduce_normal_form(build_sgcm_normal_form(beerquiche, F(1, 20)))
     for eq in enumerate_extreme_equilibria(reduced):
         mu = outcome_of_equilibrium(beerquiche, reduced, eq)
-        assert list(mu.masses) == enumerate_plays(beerquiche)
-        assert sum(mu.masses.values()) == 1
+        assert list(mu) == enumerate_plays(beerquiche)
+        assert sum(mu.values()) == 1
 
 
 def test_receiver_indifference_yields_non_constant_component():
@@ -282,4 +282,4 @@ def test_receiver_indifference_yields_non_constant_component():
     report = component_outcome(game, components[0])
     assert not report.constant
     (eq_a, out_a), (eq_b, out_b) = report.witnesses
-    assert out_a.masses != out_b.masses
+    assert out_a != out_b

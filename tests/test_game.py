@@ -4,8 +4,6 @@ import pytest
 
 from sigsolve.rational import sqrt_decimal
 from sigsolve.game import (
-    MixedProfile,
-    Outcome,
     ReceiverStrategy,
     ReceiverStrategyC,
     SenderStrategy,
@@ -19,7 +17,7 @@ from sigsolve.game import (
 
 
 def pure(sender, receiver):
-    return MixedProfile(sender={sender: F(1)}, receiver={receiver: F(1)})
+    return {sender: F(1)}, {receiver: F(1)}
 
 
 def test_beer_quiche_is_valid(beerquiche):
@@ -73,43 +71,39 @@ def test_play_count_three_types():
 def test_pooling_beer_outcome(beerquiche):
     mu = outcome_of_profile(
         beerquiche,
-        pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F"))),
+        *pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F"))),
     )
-    assert mu.masses[("S", "B", "N")] == F(9, 10)
-    assert mu.masses[("W", "B", "N")] == F(1, 10)
-    assert sum(mu.masses.values()) == 1
+    assert mu[("S", "B", "N")] == F(9, 10)
+    assert mu[("W", "B", "N")] == F(1, 10)
+    assert sum(mu.values()) == 1
 
 
 def test_pooling_quiche_outcome(beerquiche):
     mu = outcome_of_profile(
         beerquiche,
-        pure(SenderStrategy(("Q", "Q")), ReceiverStrategy(("F", "N"))),
+        *pure(SenderStrategy(("Q", "Q")), ReceiverStrategy(("F", "N"))),
     )
-    assert mu.masses[("S", "Q", "N")] == F(9, 10)
-    assert mu.masses[("W", "Q", "N")] == F(1, 10)
+    assert mu[("S", "Q", "N")] == F(9, 10)
+    assert mu[("W", "Q", "N")] == F(1, 10)
 
 
 def test_mixed_sender_mass_sums_to_one(beerquiche):
-    profile = MixedProfile(
-        sender={SenderStrategy(("B", "B")): F(1, 2), SenderStrategy(("B", "Q")): F(1, 2)},
-        receiver={ReceiverStrategy(("N", "N")): F(1)},
-    )
-    mu = outcome_of_profile(beerquiche, profile)
-    assert sum(mu.masses.values()) == 1
-    assert all(v >= 0 for v in mu.masses.values())
+    sender = {SenderStrategy(("B", "B")): F(1, 2), SenderStrategy(("B", "Q")): F(1, 2)}
+    receiver = {ReceiverStrategy(("N", "N")): F(1)}
+    mu = outcome_of_profile(beerquiche, sender, receiver)
+    assert sum(mu.values()) == 1
+    assert all(v >= 0 for v in mu.values())
 
 
 def test_projection_of_always_monitor_is_identity_on_triples(beerquiche):
     """An always-monitoring receiver strategy has the outcome of its base twin."""
-    profile = MixedProfile(
-        sender={SenderStrategy(("B", "Q")): F(1)},
-        receiver={ReceiverStrategyC(1, ("N", "F"), "F"): F(1)},
-    )
-    mu = outcome_of_profile(beerquiche, profile)
+    sender = {SenderStrategy(("B", "Q")): F(1)}
+    receiver = {ReceiverStrategyC(1, ("N", "F"), "F"): F(1)}
+    mu = outcome_of_profile(beerquiche, sender, receiver)
     base = outcome_of_profile(
-        beerquiche, pure(SenderStrategy(("B", "Q")), ReceiverStrategy(("N", "F")))
+        beerquiche, *pure(SenderStrategy(("B", "Q")), ReceiverStrategy(("N", "F")))
     )
-    assert mu.masses == base.masses
+    assert mu == base
 
 
 def test_projection_of_analytic_equilibrium_at_small_cost(beerquiche):
@@ -118,23 +112,21 @@ def test_projection_of_analytic_equilibrium_at_small_cost(beerquiche):
     # family at cost c: sender (1-10c) BB + 10c BQ, receiver half monitor-FN half default-N
     c = F(1, 20)
     y = 1 - 10 * c
-    profile = MixedProfile(
-        sender={SenderStrategy(("B", "B")): y, SenderStrategy(("B", "Q")): 1 - y},
-        receiver={
-            ReceiverStrategyC(1, ("N", "F"), "F"): F(1, 2),
-            ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
-        },
-    )
-    mu = outcome_of_profile(beerquiche, profile)
-    assert mu.masses[("S", "B", "N")] == F(9, 10)
-    assert mu.masses[("W", "B", "N")] == y / 10
-    assert mu.masses[("W", "Q", "F")] == c / 2
-    assert mu.masses[("W", "Q", "N")] == c / 2
+    sender = {SenderStrategy(("B", "B")): y, SenderStrategy(("B", "Q")): 1 - y}
+    receiver = {
+        ReceiverStrategyC(1, ("N", "F"), "F"): F(1, 2),
+        ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
+    }
+    mu = outcome_of_profile(beerquiche, sender, receiver)
+    assert mu[("S", "B", "N")] == F(9, 10)
+    assert mu[("W", "B", "N")] == y / 10
+    assert mu[("W", "Q", "F")] == c / 2
+    assert mu[("W", "Q", "N")] == c / 2
 
 
 def test_distance_of_outcome_to_itself_is_zero(beerquiche):
     mu = outcome_of_profile(
-        beerquiche, pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
+        beerquiche, *pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
     )
     result = outcome_distance(mu, mu)
     assert result == 0
@@ -147,40 +139,38 @@ def test_distance_of_disjoint_unit_masses(beerquiche):
     a[("S", "B", "N")] = F(1)
     b = dict(plays)
     b[("S", "Q", "N")] = F(1)
-    result = outcome_distance(Outcome(a), Outcome(b))
+    result = outcome_distance(a, b)
     assert result == 2
 
 
 def test_distance_rejects_mismatched_play_sets(beerquiche):
     mu = outcome_of_profile(
-        beerquiche, pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
+        beerquiche, *pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
     )
-    other = Outcome({("S", "B", "N"): F(1)})
+    other = {("S", "B", "N"): F(1)}
     with pytest.raises(ValueError):
         outcome_distance(mu, other)
 
 
 def test_distance_squared_scales_with_cost_squared(beerquiche):
     base = outcome_of_profile(
-        beerquiche, pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
+        beerquiche, *pure(SenderStrategy(("B", "B")), ReceiverStrategy(("N", "F")))
     )
     for c in (F(1, 100), F(1, 50)):
         y = 1 - 10 * c
-        profile = MixedProfile(
-            sender={SenderStrategy(("B", "B")): y, SenderStrategy(("B", "Q")): 1 - y},
-            receiver={
-                ReceiverStrategyC(1, ("N", "F"), "F"): F(1, 2),
-                ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
-            },
-        )
-        mu = outcome_of_profile(beerquiche, profile)
+        sender = {SenderStrategy(("B", "B")): y, SenderStrategy(("B", "Q")): 1 - y}
+        receiver = {
+            ReceiverStrategyC(1, ("N", "F"), "F"): F(1, 2),
+            ReceiverStrategyC(0, ("F", "F"), "N"): F(1, 2),
+        }
+        mu = outcome_of_profile(beerquiche, sender, receiver)
         assert outcome_distance(mu, base) == F(3, 2) * c * c
 
 
 def outcome_from_masses(beerquiche, positive):
     masses = {p: F(0) for p in enumerate_plays(beerquiche)}
     masses.update(positive)
-    return Outcome(masses)
+    return masses
 
 
 def test_classify_pooling(beerquiche):

@@ -337,4 +337,4 @@ def test_lexicographic_indices_of_game_40006():
     pooling = component_outcome(game, solve_components(gamma)[1])
     assert pooling.classification == "pooling"
     assert pooling.payoffs == (F(1, 2), F(1, 2))
-    assert all(mass == 0 for (_, message, _), mass in pooling.outcome.masses.items() if message == "X")
+    assert all(mass == 0 for (_, message, _), mass in pooling.outcome.items() if message == "X")

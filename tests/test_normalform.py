@@ -11,7 +11,9 @@ from helpers import (
     TABLE_ONE,
     TABLE_THREE,
     TABLE_TWO,
+    binary_game,
     dominance_filter,
+    frontier_probe,
     matching_pennies,
     merging_game,
     monitoring_merges_at_one_quarter,
@@ -31,6 +33,7 @@ from sigsolve.normalform import (
     StrategyClass,
     build_normal_form,
     build_sgcm_normal_form,
+    deep_representative,
     embed_map,
     monitor_bit,
     monitored_form,
@@ -551,3 +554,29 @@ def test_reduction_classes_match_fraction_grouping():
         ]
         assert all(not isinstance(m, StrategyClass) for cls in classes for m in cls.members)
         assert reduced.cells == tuple(tuple(gamma.cells[rg[0]][cg[0]] for cg in col_groups) for rg in row_groups)
+
+
+def test_every_label_of_every_form_has_its_own_representative():
+    """`equilibrium.outcome_of_equilibrium` puts each weight on its label's
+    `deep_representative` without summing, which is exact because no two row
+    labels and no two column labels of a form share one."""
+    rng = random.Random(67)
+    games = [
+        *fixture_games(),
+        *(frontier_probe(2, 2, 2, seed, jitter) for seed in range(30) for jitter in (False, True)),
+        binary_game(40006),
+        *(binary_game(rng.randrange(1 << 16)) for _ in range(66)),
+        all_zero_game(),
+    ]
+    for game in games:
+        base = build_normal_form(game)
+        forms = [
+            base,
+            reduce_normal_form(base)[0],
+            monitored_form(game, base),
+            reduced_sgcm_at_zero(game),
+            *(reduced_sgcm(game, cost) for cost in (F(0), F(1, 20), F(1, 4), F(1))),
+        ]
+        for gamma in forms:
+            for labels in (gamma.row_labels, gamma.col_labels):
+                assert len({deep_representative(label) for label in labels}) == len(labels), (game, gamma)

@@ -4,11 +4,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_nondegenerate_games, reference_expected_payoffs
+from helpers import mixed_strategies, random_nondegenerate_games, reference_expected_payoffs
 
 from sigsolve.equilibrium import is_equilibrium
 from sigsolve.game import (
-    MixedProfile,
     ReceiverStrategyC,
     SignalingGame,
     enumerate_plays,
@@ -62,57 +61,50 @@ def games_with_profiles(draw, monitored=False):
     game = draw(small_games())
     senders, receivers = strategy_spaces(game)
     pool = strategy_spaces_c(game) if monitored else receivers
-    profile = MixedProfile(sender=draw_mix(draw, senders), receiver=draw_mix(draw, pool))
-    return game, profile
+    return game, draw_mix(draw, senders), draw_mix(draw, pool)
 
 
 @given(games_with_profiles())
 @settings(max_examples=40, deadline=None)
 def test_outcome_masses_form_a_distribution(game_profile):
-    game, profile = game_profile
-    mu = outcome_of_profile(game, profile)
-    assert list(mu.masses) == enumerate_plays(game)
-    assert all(v >= 0 for v in mu.masses.values())
-    assert sum(mu.masses.values()) == 1
+    game, sender, receiver = game_profile
+    mu = outcome_of_profile(game, sender, receiver)
+    assert list(mu) == enumerate_plays(game)
+    assert all(v >= 0 for v in mu.values())
+    assert sum(mu.values()) == 1
 
 
 @given(games_with_profiles(monitored=True))
 @settings(max_examples=40, deadline=None)
 def test_projection_preserves_mass(game_profile):
     """A monitored profile's mass lands whole on the (type, message, action) plays."""
-    game, profile = game_profile
-    mu = outcome_of_profile(game, profile)
-    assert list(mu.masses) == enumerate_plays(game)
-    assert all(v >= 0 for v in mu.masses.values())
-    assert sum(mu.masses.values()) == 1
+    game, sender, receiver = game_profile
+    mu = outcome_of_profile(game, sender, receiver)
+    assert list(mu) == enumerate_plays(game)
+    assert all(v >= 0 for v in mu.values())
+    assert sum(mu.values()) == 1
 
 
 @given(games_with_profiles(monitored=True), st.integers(0, 8))
 @settings(max_examples=25, deadline=None)
 def test_projection_is_linear(game_profile, numerator):
     """The outcome of a blend of two receiver mixes is the blend of their outcomes."""
-    game, profile = game_profile
+    game, sender, receiver = game_profile
     lam = F(numerator, 8)
-    flipped = dict(zip(profile.receiver, reversed(profile.receiver.values())))
-    blend = {s: lam * profile.receiver[s] + (1 - lam) * flipped[s] for s in profile.receiver}
-    mu = outcome_of_profile(game, profile)
-    nu = outcome_of_profile(game, MixedProfile(sender=profile.sender, receiver=flipped))
-    left = outcome_of_profile(game, MixedProfile(sender=profile.sender, receiver=blend)).masses
-    assert left == {p: lam * mu.masses[p] + (1 - lam) * nu.masses[p] for p in mu.masses}
+    flipped = dict(zip(receiver, reversed(receiver.values())))
+    blend = {s: lam * receiver[s] + (1 - lam) * flipped[s] for s in receiver}
+    mu = outcome_of_profile(game, sender, receiver)
+    nu = outcome_of_profile(game, sender, flipped)
+    left = outcome_of_profile(game, sender, blend)
+    assert left == {p: lam * mu[p] + (1 - lam) * nu[p] for p in mu}
 
 
 @given(games_with_profiles())
 @settings(max_examples=40, deadline=None)
 def test_always_monitoring_matches_the_base_game(game_profile):
-    game, profile = game_profile
-    lifted = MixedProfile(
-        sender=profile.sender,
-        receiver={
-            ReceiverStrategyC(1, s.actions, game.actions[0]): w
-            for s, w in profile.receiver.items()
-        },
-    )
-    assert outcome_of_profile(game, lifted).masses == outcome_of_profile(game, profile).masses
+    game, sender, receiver = game_profile
+    lifted = {ReceiverStrategyC(1, s.actions, game.actions[0]): w for s, w in receiver.items()}
+    assert outcome_of_profile(game, sender, lifted) == outcome_of_profile(game, sender, receiver)
 
 
 @given(st.data())
@@ -122,14 +114,11 @@ def test_distance_axioms(data):
     senders, receivers = strategy_spaces(game)
     mus = []
     for _ in range(3):
-        profile = MixedProfile(
-            sender=draw_mix(data.draw, senders), receiver=draw_mix(data.draw, receivers)
-        )
-        mus.append(outcome_of_profile(game, profile))
+        mus.append(outcome_of_profile(game, draw_mix(data.draw, senders), draw_mix(data.draw, receivers)))
     a, b, c = mus
     ab, ba = outcome_distance(a, b), outcome_distance(b, a)
     assert ab == ba
-    assert (ab == 0) == (a.masses == b.masses)
+    assert (ab == 0) == (a == b)
     root = lambda d: math.sqrt(float(d))
     assert root(outcome_distance(a, c)) <= root(ab) + root(outcome_distance(b, c)) + 1e-12
 
@@ -168,7 +157,7 @@ def test_random_small_games_have_odd_regular_equilibrium_sets():
 def test_full_pipeline_runs_on_random_games(game, cost_num):
     """Components of the base and monitored forms always resolve to a clean
     constant-outcome report or an explicit non-generic witness pair."""
-    from sigsolve.equilibrium import component_outcome, profile_of_equilibrium, solve_components
+    from sigsolve.equilibrium import component_outcome, solve_components
     from sigsolve.normalform import build_normal_form
 
     # enumeration is exponential; keep both strategy spaces at desk scale
@@ -183,9 +172,9 @@ def test_full_pipeline_runs_on_random_games(game, cost_num):
         for component in components:
             report = component_outcome(game, component)
             if report.constant:
-                assert sum(report.outcome.masses.values()) == 1
-                first = profile_of_equilibrium(gamma, component.extremes[0])
-                assert report.payoffs == reference_expected_payoffs(game, first, cost)
+                assert sum(report.outcome.values()) == 1
+                first = mixed_strategies(gamma, component.extremes[0])
+                assert report.payoffs == reference_expected_payoffs(game, *first, cost)
             else:
                 (eq_a, out_a), (eq_b, out_b) = report.witnesses
-                assert out_a.masses != out_b.masses
+                assert out_a != out_b

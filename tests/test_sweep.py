@@ -16,7 +16,6 @@ from sigsolve.sweep import (
     C_MAX,
     THEOREM_GRID_STEPS,
     NoSurvivalError,
-    SweepConfig,
     UnknownComponentError,
     component_ids,
     cost_sweep,
@@ -83,8 +82,7 @@ def test_distance_shrinks_towards_zero_cost(game, beer_base):
 
 
 def test_sweep_grid_and_invariants(game):
-    cfg = SweepConfig(c_min=F(0), c_max=F(1, 16), steps=5, base_component_id=BEER)
-    records = cost_sweep(game, cfg)
+    records = cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 16), steps=5)
     assert [r.c for r in records] == sorted(r.c for r in records)
     assert len(records) == 5
     for r in records:
@@ -97,14 +95,37 @@ def test_sweep_grid_and_invariants(game):
 
 
 def test_distance_scaling_constant(game):
-    cfg = SweepConfig(c_min=F(0), c_max=F(1, 100), steps=3, base_component_id=BEER)
-    assert distance_scaling(cost_sweep(game, cfg)) == F(3, 2)
+    assert distance_scaling(cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 100), steps=3)) == F(3, 2)
 
 
 def test_distance_scaling_ignores_costs_where_the_component_failed(game):
-    records = cost_sweep(game, SweepConfig(F(0), F(1, 4), 6, BEER))
+    records = cost_sweep(game, BEER, F(0), F(1, 4), 6)
     assert [r.c for r in records if not r.found] == [F(1, 8), F(1, 4)]
     assert distance_scaling(records) == F(3, 2)
+
+
+def test_sweep_grid_stops_at_the_first_cost_below_c_min(game):
+    """The grid never builds the costs below c_min, so a huge step count
+    costs no more than the costs it keeps."""
+    kept = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
+    assert halving_grid(F(1, 8), 10**9, F(1, 100)) == halving_grid(F(1, 8), 8, F(1, 100)) == kept
+    assert halving_grid(F(1, 8), 3, F(1, 100)) == kept[:3]
+    assert halving_grid(C_MAX, THEOREM_GRID_STEPS) == [C_MAX / 2**i for i in range(THEOREM_GRID_STEPS)]
+    records = cost_sweep(game, BEER, c_min=F(1, 100), c_max=F(1, 8), steps=10**9)
+    assert [r.c for r in records] == kept[::-1]
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, steps, message",
+    [
+        (F(-1, 8), F(1, 8), 3, "need 0 <= c_min < c_max"),
+        (F(1, 8), F(1, 8), 3, "need 0 <= c_min < c_max"),
+        (F(0), F(1, 8), 0, "need at least one step"),
+    ],
+)
+def test_cost_sweep_checks_its_arguments_before_the_component(game, c_min, c_max, steps, message):
+    with pytest.raises(ValueError, match=message):
+        cost_sweep(game, "C7", c_min, c_max, steps)
 
 
 def test_threshold_brackets_one_tenth(game):
