@@ -15,6 +15,7 @@ from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
 from sigsolve.normalform import build_normal_form, embed_map, reduced_sgcm, reduced_sgcm_at_zero
+from sigsolve.rational import sqrt_decimal
 from sigsolve.sweep import (
     component_ids,
     cost_sweep,
@@ -74,7 +75,7 @@ def main() -> None:
     for rec in records:
         print(
             f"c={rec.c!s:>7}: found={int(rec.found)} monitor={rec.monitor_probability!s:>3} "
-            f"distance={rec.distance_decimal}"
+            f"distance={sqrt_decimal(rec.squared_distance)}"
         )
     scaling = distance_scaling(records)
     print(f"squared distance / c^2 = {scaling}")

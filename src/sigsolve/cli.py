@@ -21,7 +21,7 @@ from .equilibrium import (
     group_components,
     maximal_nash_subsets,
 )
-from .game import ReceiverStrategy, ReceiverStrategyC, SignalingGame
+from .game import ReceiverStrategy, ReceiverStrategyC, SenderStrategy, SignalingGame
 from .gamefile import GameFileError, load_game
 
 # Nothing here serializes a game; perfbench/workloads.py reads
@@ -33,12 +33,11 @@ from .normalform import (
     StrategyClass,
     build_normal_form,
     build_sgcm_normal_form,
-    label_of,
     monitor_bit,
     reduce_normal_form,
     reduced_sgcm,
 )
-from .rational import format_compact, parse_rational
+from .rational import format_compact, parse_rational, sqrt_decimal
 from .sweep import (
     NoSurvivalError,
     SweepRecord,
@@ -68,24 +67,43 @@ def _classic_labels(game: SignalingGame) -> bool:
 
 
 def render_label(label: object, classic: bool) -> str:
-    """Receiver labels in the classic beer-quiche convention when asked.
+    """The text of a strategy or class label, the only place one is made.
 
-    That convention lists the quiche action before the beer action, with the
-    unmonitored default squeezed between the monitor flag and the action
-    pair; canonical labels elsewhere.
+    A strategy lists its choices, comma-separated when some name is longer
+    than one letter; a monitored receiver strategy its monitor bit, replies
+    and default. A class shows its representative with '*' for the choices
+    that never reach play: the default of a monitoring class, the replies of
+    a free one; a class without a common monitor bit shows it whole. Any
+    other label prints as itself.
+
+    The classic beer-quiche convention lists the quiche action before the
+    beer action, with the unmonitored default squeezed between the monitor
+    flag (C or 0) and the action pair.
     """
-    if not classic:
-        return label_of(label)
-    if isinstance(label, ReceiverStrategy):
-        beer, quiche = label.actions
-        return f"{quiche}{beer}"
-    if isinstance(label, ReceiverStrategyC):
-        beer, quiche = label.on_message
-        flag = "C" if label.monitor else "0"
-        return f"{flag}{label.default}{quiche}{beer}"
     if isinstance(label, StrategyClass):
-        return render_label(label.masked, classic)
-    return label_of(label)
+        rep, bit = label.representative, monitor_bit(label)
+        if bit is None:
+            return render_label(rep, classic)
+        if bit:
+            return _monitored(bit, rep.on_message, "*", classic)
+        return _monitored(bit, ("*",) * len(rep.on_message), rep.default, classic)
+    if isinstance(label, ReceiverStrategyC):
+        return _monitored(label.monitor, label.on_message, label.default, classic)
+    if isinstance(label, ReceiverStrategy):
+        return _joined(label.actions[::-1] if classic else label.actions)
+    if isinstance(label, SenderStrategy):
+        return _joined(label.messages)
+    return str(label)
+
+
+def _joined(names: tuple[str, ...]) -> str:
+    return "".join(names) if all(len(n) == 1 for n in names) else ",".join(names)
+
+
+def _monitored(bit: int, on_message: tuple[str, ...], default: str, classic: bool) -> str:
+    if classic:
+        return f"{'C' if bit else '0'}{default}{''.join(on_message[::-1])}"
+    return f"{bit}{''.join(on_message)}{default}"
 
 
 def render_table(gamma: BimatrixGame, classic: bool, cost: Fraction | None = None) -> str:
@@ -158,7 +176,7 @@ def write_sweep_csv(records: list[SweepRecord], path: str, classic: bool = False
                     "1" if rec.found else "0",
                     rec.monitor_probability,
                     rec.squared_distance,
-                    rec.distance_decimal,
+                    sqrt_decimal(rec.squared_distance),
                     rec.payoffs[0],
                     rec.payoffs[1],
                     "+".join(render_label(l, classic) for l in rec.sender_support),
@@ -271,6 +289,7 @@ def _cmd_sweep(args) -> CommandResult:
     classic = _classic_labels(game)
     c_min, c_max = parse_rational(args.cmin), parse_rational(args.cmax)
     expected = parse_rational(args.check_coefficient) if args.check_coefficient is not None else None
+    open(args.out, "a").close()  # fail on an unwritable --out before solving; append mode truncates nothing
     records = cost_sweep(game, args.component, c_min, c_max, args.steps)
     write_sweep_csv(records, args.out, classic)
     lines = [f"wrote {len(records)} records to {args.out}"]
@@ -342,7 +361,7 @@ def _cmd_theorem(args) -> CommandResult:
     for rec in evidence.records:
         marker = "pass" if rec.squared_distance < epsilon * epsilon else "fail"
         lines.append(
-            f"  c={rec.c}: distance {rec.distance_decimal} [{marker}]"
+            f"  c={rec.c}: distance {sqrt_decimal(rec.squared_distance)} [{marker}]"
         )
     summary = {
         "c_epsilon": str(evidence.c_epsilon) if evidence.c_epsilon is not None else None,

@@ -118,7 +118,6 @@ class OutcomeReport:
     outcome: dict[tuple, Fraction] | None
     payoffs: tuple[Fraction, Fraction] | None
     classification: str | None
-    witnesses: tuple[tuple[MixedEquilibrium, dict[tuple, Fraction]], ...] = ()
 
 
 def _validate_mix(mix, size: int, side: str) -> None:
@@ -473,21 +472,12 @@ def component_outcome(game: SignalingGame, component: Component) -> OutcomeRepor
     ones. The payoffs are those the bimatrix priced the first extreme at,
     monitoring cost included.
     """
-    witnessed = [(eq, outcome_of_equilibrium(game, component, eq)) for eq in component.extremes]
-    first = witnessed[0][1]
-    for eq, mu in witnessed[1:]:
-        if mu != first:
-            return OutcomeReport(
-                constant=False,
-                outcome=None,
-                payoffs=None,
-                classification=None,
-                witnesses=(witnessed[0], (eq, mu)),
-            )
+    first, *rest = (outcome_of_equilibrium(game, component, eq) for eq in component.extremes)
+    if any(mu != first for mu in rest):
+        return OutcomeReport(constant=False, outcome=None, payoffs=None, classification=None)
     return OutcomeReport(
         constant=True,
         outcome=first,
         payoffs=component.extremes[0].payoffs,
         classification=classify_outcome(game, first),
-        witnesses=(),
     )

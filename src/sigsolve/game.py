@@ -10,7 +10,8 @@ the cost if it monitors. A mixed strategy is a mapping from pure strategies
 to exact weights, and an outcome is a dict from (type, message, action)
 plays to their masses, zeros included, in `enumerate_plays` order. The
 monitor bit is not part of a play: whether the receiver observed the
-message changes only who pays.
+message changes only who pays. Strategies carry no text; `cli.render_label`
+prints them.
 
 All probabilities and payoffs are Fractions; every function here is pure:
 it returns new values and changes none of its arguments.
@@ -49,20 +50,12 @@ class SenderStrategy:
 
     messages: tuple[str, ...]
 
-    @property
-    def label(self) -> str:
-        return "".join(self.messages) if all(len(m) == 1 for m in self.messages) else ",".join(self.messages)
-
 
 @dataclass(frozen=True, order=True)
 class ReceiverStrategy:
     """An action per message, aligned with the declared message order."""
 
     actions: tuple[str, ...]
-
-    @property
-    def label(self) -> str:
-        return "".join(self.actions) if all(len(a) == 1 for a in self.actions) else ",".join(self.actions)
 
     def reply(self, i: int) -> str:
         """The action after message i."""
@@ -82,10 +75,6 @@ class ReceiverStrategyC:
     monitor: int
     on_message: tuple[str, ...]
     default: str
-
-    @property
-    def label(self) -> str:
-        return f"{self.monitor}{''.join(self.on_message)}{self.default}"
 
     def reply(self, i: int) -> str:
         """The action after message i: the observed reply when monitoring,

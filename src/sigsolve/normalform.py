@@ -21,7 +21,7 @@ payoff).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -111,7 +111,8 @@ class ReducedViews(NamedTuple):
 class StrategyClass:
     """A set of strategically equivalent strategies collapsed to one row/column.
 
-    `members` are underlying strategies, never classes.
+    `members` are underlying strategies, never classes. Like them, a class
+    carries no text; `cli.render_label` prints it.
     """
 
     members: tuple[object, ...]
@@ -119,27 +120,6 @@ class StrategyClass:
     @property
     def representative(self) -> object:
         return self.members[0]
-
-    @property
-    def masked(self) -> object:
-        """The representative with the choices that never reach play shown as
-        '*': the default of a monitoring class, the per-message actions of a
-        non-monitoring one. Classes without a common monitor bit show it whole."""
-        rep = self.representative
-        bit = monitor_bit(self)
-        if bit is None:
-            return rep
-        if bit:
-            return replace(rep, default="*")
-        return replace(rep, on_message=("*",) * len(rep.on_message))
-
-    @property
-    def label(self) -> str:
-        return label_of(self.masked)
-
-
-def label_of(obj: object) -> str:
-    return getattr(obj, "label", str(obj))
 
 
 def monitor_bit(label: object) -> int | None:

@@ -32,7 +32,6 @@ from .equilibrium import (
 from .game import SignalingGame, outcome_distance
 from .indices import IndexResult, PerturbationConfig, component_index
 from .normalform import BimatrixGame, build_normal_form, monitor_bit, monitored_form, reduce_at_cost
-from .rational import sqrt_decimal
 
 ZERO = Fraction(0)
 # `threshold` scans C_MAX, C_MAX/2, ..., C_MAX/2**11 before bisecting to
@@ -65,10 +64,6 @@ class SweepRecord:
     payoffs: tuple[Fraction, Fraction]
     sender_support: tuple[object, ...]
     receiver_support: tuple[object, ...]
-
-    @property
-    def distance_decimal(self) -> str:
-        return sqrt_decimal(self.squared_distance)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from sigsolve import cli, indices
 from sigsolve.catalog import BEER_QUICHE_TEXT, beer_quiche
 from sigsolve.cli import run_command, write_sweep_csv
 from sigsolve.equilibrium import VertexPairs
+from sigsolve.game import ReceiverStrategy, ReceiverStrategyC, SenderStrategy
+from sigsolve.normalform import StrategyClass
 from sigsolve.gamefile import (
     GameFileSemanticError,
     GameFileSyntaxError,
@@ -100,6 +102,40 @@ def test_file_that_is_not_utf8_is_a_game_file_error(tmp_path):
     result = run_command(["solve", str(path)])
     assert result.status == 1
     assert result.text.startswith("game file error: not UTF-8 text: ")
+
+
+def _receiver_class(*members):
+    return StrategyClass(tuple(ReceiverStrategyC(*m) for m in members))
+
+
+@pytest.mark.parametrize(
+    "label, classic, expected",
+    [
+        (SenderStrategy(("B", "Q")), False, "BQ"),
+        (SenderStrategy(("B", "Q")), True, "BQ"),
+        (SenderStrategy(("m1", "m2", "m1")), False, "m1,m2,m1"),
+        (ReceiverStrategy(("F", "N")), False, "FN"),
+        (ReceiverStrategy(("F", "N")), True, "NF"),
+        (ReceiverStrategy(("x", "yes", "x")), False, "x,yes,x"),
+        (ReceiverStrategyC(1, ("F", "N"), "N"), False, "1FNN"),
+        (ReceiverStrategyC(1, ("F", "N"), "N"), True, "CNNF"),
+        (ReceiverStrategyC(0, ("N", "F"), "F"), True, "0FFN"),
+        # a monitoring class never plays its default, a free class never its replies
+        (_receiver_class((1, ("F", "N"), "F"), (1, ("F", "N"), "N")), False, "1FN*"),
+        (_receiver_class((1, ("F", "N"), "F"), (1, ("F", "N"), "N")), True, "C*NF"),
+        (_receiver_class((0, ("F", "F"), "N"), (0, ("F", "N"), "N")), False, "0**N"),
+        (_receiver_class((0, ("F", "F"), "N"), (0, ("F", "N"), "N")), True, "0N**"),
+        # members that disagree on the monitor bit show the representative whole
+        (_receiver_class((0, ("F", "F"), "F"), (1, ("F", "F"), "F")), False, "0FFF"),
+        (_receiver_class((0, ("N", "F"), "N"), (1, ("N", "F"), "F")), True, "0NFN"),
+        (StrategyClass((ReceiverStrategy(("F", "N")), ReceiverStrategy(("N", "N")))), True, "NF"),
+        (StrategyClass((SenderStrategy(("Q", "B")), SenderStrategy(("Q", "Q")))), False, "QB"),
+        ("r0", False, "r0"),
+        ("r0", True, "r0"),
+    ],
+)
+def test_render_label(label, classic, expected):
+    assert cli.render_label(label, classic) == expected
 
 
 def test_nf_command_prints_table_one_values(beerquiche_file):
@@ -253,6 +289,31 @@ def test_sweep_rejects_a_bad_coefficient_before_sweeping(beerquiche_file, tmp_pa
     assert result.status == 1
     assert "not a rational" in result.text
     assert not out.exists()
+
+
+def test_sweep_checks_its_output_path_before_solving(beerquiche_file, tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved a cost for an output it cannot write")
+
+    monkeypatch.setattr(cli, "cost_sweep", unreachable)
+    out = tmp_path / "missing" / "x.csv"
+    result = run_command(
+        ["sweep", beerquiche_file, "--component", "C0", "--cmin", "0", "--cmax", "1/8", "--steps", "3000",
+         "--out", str(out)]
+    )
+    assert result.status == 1
+    assert result.text.startswith("error: [Errno 2]")
+
+
+def test_sweep_usage_error_leaves_an_existing_output_alone(beerquiche_file, tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"earlier,run\r\n")
+    result = run_command(
+        ["sweep", beerquiche_file, "--component", "C9", "--cmin", "0", "--cmax", "1/8", "--steps", "3",
+         "--out", str(out)]
+    )
+    assert result.status == 2
+    assert out.read_bytes() == b"earlier,run\r\n"
 
 
 def test_empty_record_list_gives_header_only(tmp_path):

@@ -49,7 +49,7 @@ from sigsolve.normalform import (
 
 def test_strategy_space_counts(beerquiche):
     senders, receivers = strategy_spaces(beerquiche)
-    assert [s.label for s in senders] == ["BB", "BQ", "QB", "QQ"]
+    assert [render_label(s, classic=False) for s in senders] == ["BB", "BQ", "QB", "QQ"]
     assert len(receivers) == 4
 
 
