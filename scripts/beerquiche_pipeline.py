@@ -14,7 +14,7 @@ from sigsolve.catalog import beer_quiche
 from sigsolve.cli import render_outcome, render_table, write_sweep_csv
 from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.indices import DrawStore, PerturbationConfig, component_index, duplicate_containment_check
-from sigsolve.normalform import build_normal_form, embed_map, reduced_sgcm, reduced_sgcm_at_zero
+from sigsolve.normalform import build_normal_form, embed_map, monitored_form, reduced_sgcm
 from sigsolve.rational import sqrt_decimal
 from sigsolve.sweep import (
     component_ids,
@@ -60,7 +60,7 @@ def main() -> None:
         )
 
     print("\n== zero-cost duplicate containment ==")
-    gamma0 = reduced_sgcm_at_zero(game)
+    gamma0 = monitored_form(game, gamma)
     containment = duplicate_containment_check(gamma0, gamma, embed_map(gamma0), cfg)
     for entry in containment.entries:
         print(

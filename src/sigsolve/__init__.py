@@ -27,7 +27,6 @@ from .normalform import (
     monitored_form,
     reduce_normal_form,
     reduced_sgcm,
-    reduced_sgcm_at_zero,
     strategy_spaces,
     strategy_spaces_c,
 )

@@ -70,11 +70,11 @@ def render_label(label: object, classic: bool) -> str:
     """The text of a strategy or class label, the only place one is made.
 
     A strategy lists its choices, comma-separated when some name is longer
-    than one letter; a monitored receiver strategy its monitor bit, replies
-    and default. A class shows its representative with '*' for the choices
-    that never reach play: the default of a monitoring class, the replies of
-    a free one; a class without a common monitor bit shows it whole. Any
-    other label prints as itself.
+    than one letter; a monitored receiver strategy lists its monitor bit,
+    replies and default the same way. A class shows its representative with
+    '*' for the choices that never reach play: the default of a monitoring
+    class, the replies of a free one; a class without a common monitor bit
+    shows it whole. Any other label prints as itself.
 
     The classic beer-quiche convention lists the quiche action before the
     beer action, with the unmonitored default squeezed between the monitor
@@ -103,7 +103,7 @@ def _joined(names: tuple[str, ...]) -> str:
 def _monitored(bit: int, on_message: tuple[str, ...], default: str, classic: bool) -> str:
     if classic:
         return f"{'C' if bit else '0'}{default}{''.join(on_message[::-1])}"
-    return f"{bit}{''.join(on_message)}{default}"
+    return _joined((str(bit), *on_message, default))
 
 
 def render_table(gamma: BimatrixGame, classic: bool, cost: Fraction | None = None) -> str:

@@ -329,9 +329,12 @@ def duplicate_containment_check(
     """Every non-zero-index component of the duplicate-strategy game must map
     onto a non-zero-index component of the base game.
 
-    The image of a component is the set of base strategies reached by mapping
-    its row support through `embedding`, a dict from the rows of `gamma0` to
-    those of `gamma_base` (columns map by representative).
+    `gamma0` is the base game plus duplicate rows, such as the zero-cost
+    game `monitored_form(game, gamma_base)`. The image of a component is the
+    set of base strategies reached by mapping its row support through
+    `embedding`, a dict from the rows of `gamma0` to those of `gamma_base`,
+    and its columns by representative. Neither game may be reduced: an image
+    keeps only a class's representative, never its other members.
     """
 
     def image(labels, mapping=deep_representative):

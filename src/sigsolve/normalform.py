@@ -10,8 +10,10 @@ reduction all read; it computes them from its own cells. A reduced form is
 its labels and views (`ReducedViews`), and `_game` alone reads `Fraction`
 cells off them. A monitoring receiver strategy (1, s, d) pays like base row
 s minus the cost, a free one (0, s, d) like the constant base row
-(d, ..., d), so the reduced monitored form is built from the base form's
-rows (`monitored_form`, `reduce_at_cost`).
+(d, ..., d), so every monitored form is read off the base form's rows:
+`monitored_form` is the game at cost zero, and the reduced form at a cost
+(`reduce_at_cost`) and the full table (`build_sgcm_normal_form`) come from
+it.
 
 Orientation convention used throughout the package: the receiver picks rows,
 the sender picks columns, and each cell stores (sender payoff, receiver
@@ -147,8 +149,9 @@ def _pays_like(s2: ReceiverStrategyC) -> ReceiverStrategy:
 
 
 def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
-    """Expected payoffs before any monitoring cost, receiver rows by sender
-    columns; a monitored receiver strategy is priced by the actions it takes.
+    """Expected payoffs of base receiver strategies against sender
+    strategies, receiver rows by sender columns; every monitored table reads
+    its rows off these through `monitored_form`.
 
     The prior and the payoff table are each scaled to integers by the lcm of
     their denominators, so a cell is an integer sum over the types and each
@@ -165,7 +168,7 @@ def _payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tupl
     den = prior_scale * payoff_scale
     cells = []
     for s2 in receivers:
-        replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
+        replies = dict(zip(game.messages, s2.actions))
         row = []
         for s1 in senders:
             u1 = u2 = 0
@@ -186,13 +189,14 @@ def build_normal_form(game: SignalingGame) -> BimatrixGame:
 
 def build_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
     """The full monitored bimatrix, one row per strategy of
-    `strategy_spaces_c`; the receiver pays `cost` on monitoring rows."""
+    `strategy_spaces_c`: the row of its `monitored_form` class, with the
+    receiver paying `cost` on monitoring rows."""
     _check_cost(cost)
-    senders, _ = strategy_spaces(game)
+    monitored = monitored_form(game, build_normal_form(game))
+    row_of = {s2: row for label, row in zip(monitored.row_labels, monitored.cells) for s2 in label.members}
     receivers = strategy_spaces_c(game)
-    cells = _payoff_cells(game, senders, receivers)
-    priced = (tuple((u1, u2 - cost) for u1, u2 in row) if s2.monitor else row for s2, row in zip(receivers, cells))
-    return BimatrixGame(receivers, senders, tuple(priced))
+    priced = (tuple((u1, u2 - cost) for u1, u2 in row_of[s2]) if s2.monitor else row_of[s2] for s2 in receivers)
+    return BimatrixGame(receivers, monitored.col_labels, tuple(priced))
 
 
 def _check_cost(cost: Fraction) -> None:
@@ -301,26 +305,10 @@ def reduced_sgcm(game: SignalingGame, cost: Fraction) -> BimatrixGame:
     return _game(reduce_at_cost(monitored_form(game, build_normal_form(game)), cost))
 
 
-def reduced_sgcm_at_zero(game: SignalingGame) -> BimatrixGame:
-    """The reduced monitored form with the classes it has at any cost above
-    the receiver's payoff range, where no free row equals a monitoring row,
-    priced at cost zero by adding that cost back to the monitoring rows.
-
-    At cost zero this game is no longer purely reduced: each free class
-    (0,*,d) duplicates the monitoring class of the constant base row.
-    """
-    monitored = monitored_form(game, build_normal_form(game))
-    view = monitored.receiver_integers
-    spread = max(map(max, view.matrix)) + view.shift - 1  # the largest payoff minus the least, times the scale
-    cost = Fraction(spread + 1, view.scale)
-    apart = reduce_at_cost(monitored, cost)
-    bits = [monitor_bit(label) for label in apart.row_labels]
-    return _game(apart._replace(receiver_integers=_repriced(apart.receiver_integers, bits, cost)))
-
-
 def embed_map(gamma0: BimatrixGame) -> dict[StrategyClass, ReceiverStrategy]:
-    """Where each receiver class of `reduced_sgcm_at_zero` sits in the base
-    game, by construction: on the base row its strategies pay like."""
+    """Where each receiver class of `monitored_form`, the zero-cost game,
+    sits in the base game, by construction: on the base row its strategies
+    pay like."""
     return {label: _pays_like(label.representative) for label in gamma0.row_labels}
 
 

@@ -40,6 +40,8 @@ C_MAX = Fraction(1, 4)
 THRESHOLD_GRID_STEPS = 12
 THEOREM_GRID_STEPS = 10
 BRACKET_TOLERANCE = Fraction(1, 1000)
+# the most costs a halving grid may hold, so a sweep's work is bounded
+MAX_GRID_COSTS = 256
 
 
 class NoSurvivalError(RuntimeError):
@@ -97,12 +99,15 @@ class BaseContext:
 
 def halving_grid(c_max: Fraction, steps: int, c_min: Fraction = ZERO) -> list[Fraction]:
     """c_max, c_max/2, ..., c_max/2**(steps-1), descending, stopping before
-    the first cost below c_min."""
+    the first cost below c_min. Raises ValueError before a cost past the
+    first MAX_GRID_COSTS."""
     grid = []
     for i in range(steps):
         cost = c_max / 2**i
         if cost < c_min:
             break
+        if len(grid) == MAX_GRID_COSTS:
+            raise ValueError(f"the cost grid exceeds its budget of {MAX_GRID_COSTS} costs; raise c_min or lower steps")
         grid.append(cost)
     return grid
 
@@ -161,8 +166,9 @@ def cost_sweep(
         raise ValueError("need 0 <= c_min < c_max")
     if steps < 1:
         raise ValueError("need at least one step")
+    grid = halving_grid(c_max, steps, c_min)
     base = resolve_base_component(game, component_id)
-    return [evaluate_cost(game, base, c) for c in reversed(halving_grid(c_max, steps, c_min))]
+    return [evaluate_cost(game, base, c) for c in reversed(grid)]
 
 
 def survival_threshold(game: SignalingGame, base_component_id: str) -> ThresholdResult:

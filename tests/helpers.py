@@ -24,11 +24,13 @@ shares between components and for the far screen in front of the LPs.
 Walking both best-response polytopes in full and matching labels, which
 `equilibrium.extreme_vertex_pairs` replaced with one walk and partner faces,
 is the oracle for its pairs, and a sympy regularity check for its
-`degenerate` flag. The `Fraction` path of a cost sweep, which reduces the
-full monitored table of `Fraction` cells and recomputes each form's views
-from them, with outcomes and distances summed in `Fraction`s, is the oracle
-for `sweep.evaluate_cost` on the integer views of the form built from the
-base form. `lexicographic_component_indices` is the exact oracle for the
+`degenerate` flag. `reference_sgcm_normal_form` prices every monitored
+receiver strategy by its own replies, apart from `monitored_form`, and is
+the oracle for the full monitored table read off it. The `Fraction` path of
+a cost sweep, which reduces that priced table and recomputes each form's
+views from its cells, with outcomes and distances summed in `Fraction`s, is
+the oracle for `sweep.evaluate_cost` on the integer views of the form built
+from the base form. `lexicographic_component_indices` is the exact oracle for the
 sampling index `indices.component_index` wherever its replications agree:
 each component's index is the sum of the determinant indices of the
 complementary pairs of lexicographically feasible bases, walked on both
@@ -61,7 +63,7 @@ from sigsolve.equilibrium import (
     enumerate_extreme_equilibria,
     solve_components,
 )
-from sigsolve.game import ReceiverStrategyC, SignalingGame, enumerate_plays
+from sigsolve.game import ReceiverStrategyC, SignalingGame, enumerate_plays, strategy_spaces, strategy_spaces_c
 from sigsolve.indices import (
     DegenerateDrawsError,
     DegenerateEquilibriumError,
@@ -75,7 +77,6 @@ from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
 from sigsolve.normalform import (
     BimatrixGame,
     IntegerPayoffs,
-    build_sgcm_normal_form,
     deep_representative,
     monitor_bit,
     reduce_normal_form,
@@ -322,8 +323,9 @@ def frontier_probe(types: int, messages: int, actions: int, seed: int, jitter: b
 
 
 def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
-    """`normalform._payoff_cells` summed in `Fraction`s: receiver rows by
-    sender columns, before any monitoring cost."""
+    """`normalform._payoff_cells` summed in `Fraction`s, for base and
+    monitored receiver strategies alike, each by its replies: receiver rows
+    by sender columns, before any monitoring cost."""
     cells = []
     for s2 in receivers:
         replies = {m: s2.reply(i) for i, m in enumerate(game.messages)}
@@ -337,6 +339,17 @@ def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple
             row.append((u1, u2))
         cells.append(tuple(row))
     return tuple(cells)
+
+
+def reference_sgcm_normal_form(game: SignalingGame, cost: Fraction) -> BimatrixGame:
+    """`normalform.build_sgcm_normal_form` priced strategy by strategy: each
+    row of `strategy_spaces_c` from its own replies in `Fraction`s, less
+    `cost` when it monitors, without `monitored_form`."""
+    senders, _ = strategy_spaces(game)
+    receivers = strategy_spaces_c(game)
+    cells = reference_payoff_cells(game, senders, receivers)
+    priced = tuple(tuple((u1, u2 - cost * s2.monitor) for u1, u2 in row) for s2, row in zip(receivers, cells))
+    return BimatrixGame(receivers, senders, priced)
 
 
 def mixed_strategies(gamma: BimatrixGame, eq: MixedEquilibrium) -> tuple[dict, dict]:
@@ -389,11 +402,12 @@ def reference_outcome(game: SignalingGame, sender: dict, receiver: dict) -> dict
 
 
 def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> SweepRecord:
-    """`sweep.evaluate_cost` on the `Fraction` path: reduce the full
-    monitored table at `cost` with `reduce_normal_form`, recompute the
-    reduced form's views from its cells (a `replace` copy has none cached),
-    enumerate, and sum outcomes and squared distances in `Fraction`s."""
-    reduced = replace(reduce_normal_form(build_sgcm_normal_form(game, cost))[0])
+    """`sweep.evaluate_cost` on the `Fraction` path: reduce
+    `reference_sgcm_normal_form` at `cost` with `reduce_normal_form`,
+    recompute the reduced form's views from its cells (a `replace` copy has
+    none cached), enumerate, and sum outcomes and squared distances in
+    `Fraction`s."""
+    reduced = replace(reduce_normal_form(reference_sgcm_normal_form(game, cost))[0])
     equilibria = enumerate_extreme_equilibria(reduced)
 
     def squared_distance(eq):

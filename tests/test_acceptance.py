@@ -35,8 +35,8 @@ from sigsolve.normalform import (
     build_normal_form,
     build_sgcm_normal_form,
     embed_map,
+    monitored_form,
     reduce_normal_form,
-    reduced_sgcm_at_zero,
 )
 from sigsolve.sweep import (
     cost_sweep,
@@ -108,7 +108,7 @@ def test_criterion_03_reduction_to_six_then_four(game, rows_by_label):
             assert reduced.cells[idx[label]][j] == expected
     # documented misprint check: C*FF against QB carries the class value 1/10-c
     assert reduced.cells[idx["C*FF"]][2] == (F(0), F(1, 10) - cost)
-    at_zero, _ = reduce_normal_form(reduced_sgcm_at_zero(game))
+    at_zero, _ = reduce_normal_form(monitored_form(game, build_normal_form(game)))
     assert len(at_zero.row_labels) == 4
     print("ACCEPTANCE 3: PASS | 16 receiver strategies reduce to 6 classes, then to 4 at zero cost")
 
@@ -253,8 +253,8 @@ def test_criterion_10_property_suite(game):
         assert sum(equilibrium_index(gamma, eq).value for eq in result) == 1
         checked += 1
     assert checked == 50
-    gamma0 = reduced_sgcm_at_zero(game)
     base = build_normal_form(game)
+    gamma0 = monitored_form(game, base)
     report = duplicate_containment_check(gamma0, base, embed_map(gamma0))
     assert report.ok
     assert len(report.entries) == 1

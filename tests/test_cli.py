@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import message_blind_receiver_game
 
-from sigsolve import cli, indices
+from sigsolve import cli, indices, sweep
 from sigsolve.catalog import BEER_QUICHE_TEXT, beer_quiche
 from sigsolve.cli import run_command, write_sweep_csv
 from sigsolve.equilibrium import VertexPairs
@@ -132,6 +132,10 @@ def _receiver_class(*members):
         (StrategyClass((SenderStrategy(("Q", "B")), SenderStrategy(("Q", "Q")))), False, "QB"),
         ("r0", False, "r0"),
         ("r0", True, "r0"),
+        # multi-letter actions: bit, replies and default comma-separated too
+        (ReceiverStrategyC(1, ("a0", "a1"), "a0"), False, "1,a0,a1,a0"),
+        (_receiver_class((1, ("a0", "a1"), "a0"), (1, ("a0", "a1"), "a1")), False, "1,a0,a1,*"),
+        (_receiver_class((0, ("a0", "a0"), "a0"), (0, ("a0", "a1"), "a0")), False, "0,*,*,a0"),
     ],
 )
 def test_render_label(label, classic, expected):
@@ -303,6 +307,22 @@ def test_sweep_checks_its_output_path_before_solving(beerquiche_file, tmp_path, 
     )
     assert result.status == 1
     assert result.text.startswith("error: [Errno 2]")
+
+
+def test_sweep_past_the_grid_budget_fails_before_solving(beerquiche_file, tmp_path, monkeypatch):
+    """With --cmin 0 every step is a cost to solve; past the grid's budget
+    the sweep exits 1 before it solves the base game or any cost."""
+    def unreachable(*args):
+        raise AssertionError("solved a game past the budget")
+
+    monkeypatch.setattr(sweep, "resolve_base_component", unreachable)
+    monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
+    result = run_command(
+        ["sweep", beerquiche_file, "--component", "C0", "--cmin", "0", "--cmax", "1/8", "--steps", "1000000000",
+         "--out", str(tmp_path / "budget.csv")]
+    )
+    assert result.status == 1
+    assert result.text.startswith("error: ") and f"budget of {sweep.MAX_GRID_COSTS} costs" in result.text
 
 
 def test_sweep_usage_error_leaves_an_existing_output_alone(beerquiche_file, tmp_path):

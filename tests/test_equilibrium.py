@@ -19,8 +19,8 @@ from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
+    monitored_form,
     reduce_normal_form,
-    reduced_sgcm_at_zero,
 )
 
 
@@ -218,7 +218,7 @@ def test_matching_pennies_single_component():
 
 
 def test_zero_cost_reduced_game_components_mirror_base(beerquiche):
-    gamma0 = reduced_sgcm_at_zero(beerquiche)
+    gamma0 = monitored_form(beerquiche, build_normal_form(beerquiche))
     components = solve_components(gamma0)
     assert len(components) == 2
     senders = {tuple(render_label(l, True) for l in c.col_support()) for c in components}

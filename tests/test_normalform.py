@@ -20,6 +20,7 @@ from helpers import (
     reference_classes,
     reference_extreme_equilibria,
     reference_payoff_cells,
+    reference_sgcm_normal_form,
     reference_strict_core,
 )
 
@@ -40,7 +41,6 @@ from sigsolve.normalform import (
     reduce_at_cost,
     reduce_normal_form,
     reduced_sgcm,
-    reduced_sgcm_at_zero,
     strategy_spaces,
     strict_core,
     strategy_spaces_c,
@@ -190,7 +190,7 @@ def test_base_game_has_no_merges(beerquiche):
 
 
 def test_zero_cost_six_row_game_collapses_to_four(beerquiche):
-    six = reduced_sgcm_at_zero(beerquiche)
+    six = monitored_form(beerquiche, build_normal_form(beerquiche))
     assert len(six.row_labels) == 6
     four, _ = reduce_normal_form(six)
     assert len(four.row_labels) == 4
@@ -231,11 +231,11 @@ def test_repricing_changes_only_monitoring_rows(beerquiche):
 def test_zero_cost_form_keeps_apart_rows_that_merge_at_one_twentieth():
     """The receiver values x at 1 and y at 19/20, so at cost 1/20 the free
     class that plays y equals the monitoring class that always plays x. The
-    zero-cost form finds its classes where no free row equals a monitoring
-    one: two free classes and four monitoring ones."""
+    zero-cost form `monitored_form` keeps them apart by construction: two
+    free classes and four monitoring ones."""
     game = merging_game(F(19, 20))
     assert len(reduce_normal_form(build_sgcm_normal_form(game, F(1, 20)))[0].row_labels) == 5
-    gamma0 = reduced_sgcm_at_zero(game)
+    gamma0 = monitored_form(game, build_normal_form(game))
     assert [render_label(label, classic=False) for label in gamma0.row_labels] == [
         "0**x", "0**y", "1xx*", "1xy*", "1yx*", "1yy*"
     ]
@@ -254,7 +254,7 @@ def test_unreached_information_sets_never_matter(beerquiche):
 
 
 def test_embedding_of_zero_cost_classes(beerquiche):
-    gamma0 = reduced_sgcm_at_zero(beerquiche)
+    gamma0 = monitored_form(beerquiche, build_normal_form(beerquiche))
     embedding = {
         render_label(cls, classic=True): render_label(strat, classic=True) for cls, strat in embed_map(gamma0).items()
     }
@@ -271,7 +271,7 @@ def test_embedding_single_action_game():
         prior={"t": F(1)},
         payoff={("t", m, "x"): (F(1), F(2)) for m in "mn"},
     )
-    gamma0 = reduced_sgcm_at_zero(game)
+    gamma0 = monitored_form(game, build_normal_form(game))
     assert [monitor_bit(label) for label in gamma0.row_labels] == [0, 1]
     assert set(embed_map(gamma0).values()) == {ReceiverStrategy(("x", "x"))}
 
@@ -282,12 +282,12 @@ def test_embedding_maps_each_class_onto_a_base_row_with_its_payoffs():
     for game in [*fixture_games(), *random_signaling_games(11, count=10)]:
         base = build_normal_form(game)
         base_row = {label: i for i, label in enumerate(base.row_labels)}
-        gamma0 = reduced_sgcm_at_zero(game)
+        gamma0 = monitored_form(game, base)
         embedding = embed_map(gamma0)
         assert list(embedding) == list(gamma0.row_labels)
         for label, cells in zip(gamma0.row_labels, gamma0.cells):
             assert list(cells) == [
-                base.cells[base_row[embedding[label]]][base.col_labels.index(col.representative)]
+                base.cells[base_row[embedding[label]]][base.col_labels.index(deep_representative(col))]
                 for col in gamma0.col_labels
             ]
 
@@ -376,10 +376,9 @@ def fixture_games():
 def fixture_forms(unreduced=False):
     """Base forms and reduced monitored forms of the bundled games, down to
     costs at which a monitoring row loses to a free one by only c. With
-    `unreduced`, also the full monitored tables, `monitored_form`,
-    `reduced_sgcm` and `reduced_sgcm_at_zero`, so that every kind of form
-    that is handed its views is there; the exhaustive oracle cannot afford
-    the unreduced 32x9 form."""
+    `unreduced`, also the full monitored tables, `monitored_form` and
+    `reduced_sgcm`, so that every kind of form that is handed its views is
+    there; the exhaustive oracle cannot afford the unreduced 32x9 form."""
     for game in fixture_games():
         base = build_normal_form(game)
         yield base
@@ -389,7 +388,7 @@ def fixture_forms(unreduced=False):
                 yield from (monitored, reduced_sgcm(game, cost))
             yield reduce_normal_form(monitored)[0]
         if unreduced:
-            yield from (monitored_form(game, base), reduced_sgcm_at_zero(game))
+            yield monitored_form(game, base)
 
 
 @pytest.mark.parametrize(
@@ -436,17 +435,17 @@ def assert_exact_cells(cells, expected):
 
 @pytest.mark.parametrize("games", [fixture_games, lambda: random_signaling_games(5)], ids=["fixtures", "random"])
 def test_integer_pricing_matches_fraction_reference(games):
-    """Integer sums per cell give the Fraction loop's cells, at every cost."""
+    """Integer sums per cell give the Fraction loop's cells, at every cost;
+    the full monitored table read off `monitored_form` gives the cells of
+    every strategy priced by its own replies."""
     for game in games():
         senders, receivers = strategy_spaces(game)
         assert_exact_cells(build_normal_form(game).cells, reference_payoff_cells(game, senders, receivers))
-        monitored = strategy_spaces_c(game)
-        free = reference_payoff_cells(game, senders, monitored)
         for cost in (F(0), F(1, 20), F(1, 4)):
-            expected = tuple(
-                tuple((u1, u2 - cost * s2.monitor) for u1, u2 in row) for s2, row in zip(monitored, free)
-            )
-            assert_exact_cells(build_sgcm_normal_form(game, cost).cells, expected)
+            expected = reference_sgcm_normal_form(game, cost)
+            gamma = build_sgcm_normal_form(game, cost)
+            assert (gamma.row_labels, gamma.col_labels) == (expected.row_labels, expected.col_labels)
+            assert_exact_cells(gamma.cells, expected.cells)
 
 
 def fraction_bimatrices(seed):
@@ -492,7 +491,7 @@ def test_derived_forms_views_equal_the_views_of_their_cells(beerquiche):
         views = reduce_at_cost(monitored, cost)
         gamma = reduced_sgcm(beerquiche, cost)
         assert (gamma.sender_integers, gamma.receiver_integers) == (views.sender_integers, views.receiver_integers)
-    derived = [monitored, reduced, reduced_sgcm_at_zero(beerquiche), *(reduced_sgcm(beerquiche, c) for c in costs)]
+    derived = [monitored, reduced, *(reduced_sgcm(beerquiche, c) for c in costs)]
     for gamma in derived:
         assert_integer_view(gamma)
     free = build_sgcm_normal_form(beerquiche, F(0))
@@ -512,8 +511,9 @@ def all_zero_game():
 def test_reduced_monitored_form_matches_the_full_table_reduction():
     """The reduced monitored form built from the base form has the labels,
     the members in their order, the cells and the views of the reduced full
-    monitored table, at costs that change the scale and at costs where free
-    and monitoring rows merge."""
+    monitored table priced strategy by strategy (`reference_sgcm_normal_form`),
+    at costs that change the scale and at costs where free and monitoring
+    rows merge."""
     games = [
         *fixture_games(),
         *random_signaling_games(13, count=10),
@@ -522,7 +522,7 @@ def test_reduced_monitored_form_matches_the_full_table_reduction():
     ]
     for game in games:
         for cost in (F(0), F(1, 3), F(1, 20), F(1, 4), F(1, 1024)):
-            expected, classes = reduce_normal_form(build_sgcm_normal_form(game, cost))
+            expected, classes = reduce_normal_form(reference_sgcm_normal_form(game, cost))
             built = reduced_sgcm(game, cost)
             assert (built.row_labels, built.col_labels) == (expected.row_labels, expected.col_labels), (game, cost)
             assert [cls.members for cls in built.row_labels + built.col_labels] == [cls.members for cls in classes]
@@ -574,7 +574,6 @@ def test_every_label_of_every_form_has_its_own_representative():
             base,
             reduce_normal_form(base)[0],
             monitored_form(game, base),
-            reduced_sgcm_at_zero(game),
             *(reduced_sgcm(game, cost) for cost in (F(0), F(1, 20), F(1, 4), F(1))),
         ]
         for gamma in forms:

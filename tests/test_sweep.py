@@ -14,6 +14,7 @@ from sigsolve.gamefile import load_game
 from sigsolve.normalform import build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from sigsolve.sweep import (
     C_MAX,
+    MAX_GRID_COSTS,
     THEOREM_GRID_STEPS,
     NoSurvivalError,
     UnknownComponentError,
@@ -113,6 +114,22 @@ def test_sweep_grid_stops_at_the_first_cost_below_c_min(game):
     assert halving_grid(C_MAX, THEOREM_GRID_STEPS) == [C_MAX / 2**i for i in range(THEOREM_GRID_STEPS)]
     records = cost_sweep(game, BEER, c_min=F(1, 100), c_max=F(1, 8), steps=10**9)
     assert [r.c for r in records] == kept[::-1]
+
+
+def test_sweep_grid_has_a_budget(game, monkeypatch):
+    """With c_min 0 every step keeps a cost, so the grid raises before its
+    cost past MAX_GRID_COSTS, and such a sweep solves nothing."""
+    assert len(halving_grid(C_MAX, MAX_GRID_COSTS)) == MAX_GRID_COSTS
+    with pytest.raises(ValueError, match=f"budget of {MAX_GRID_COSTS} costs"):
+        halving_grid(C_MAX, MAX_GRID_COSTS + 1)
+    assert len(halving_grid(C_MAX, 10**9, F(1, 100))) == 5
+
+    def never(*args):
+        raise AssertionError("a cost was solved past the budget")
+
+    monkeypatch.setattr(sweep, "evaluate_cost", never)
+    with pytest.raises(ValueError, match="budget"):
+        cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 8), steps=10**9)
 
 
 @pytest.mark.parametrize(
