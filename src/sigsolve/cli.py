@@ -34,6 +34,8 @@ from .normalform import (
     build_normal_form,
     build_sgcm_normal_form,
     monitor_bit,
+    monitored_form,
+    reduce_at_cost,
     reduce_normal_form,
     reduced_sgcm,
 )
@@ -185,6 +187,14 @@ def write_sweep_csv(records: list[SweepRecord], path: str, classic: bool = False
             )
 
 
+def _coincidence(rec: SweepRecord) -> str:
+    """The flag of a record whose payoff match is a coincidence."""
+    return (
+        f"coincidence at c = {rec.c}: no equilibrium at the least squared distance"
+        f" {rec.squared_distance} has the component's payoffs"
+    )
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -232,10 +242,9 @@ def _cmd_solve(args) -> CommandResult:
     game = load_game(args.game)
     classic = _classic_labels(game)
     cost = parse_rational(args.cost) if args.cost is not None else None
-    if cost is None:
-        gamma = build_normal_form(game)
-    else:
-        gamma = reduced_sgcm(game, cost)
+    gamma = build_normal_form(game)
+    if cost is not None:  # the reduced monitored form's views, without the cells the table would print
+        gamma = reduce_at_cost(monitored_form(game, gamma), cost)
     lines = []
     summary: dict = {"cost": str(cost) if cost is not None else None}
     equilibria = enumerate_extreme_equilibria(gamma)
@@ -298,6 +307,7 @@ def _cmd_sweep(args) -> CommandResult:
         lines.append(f"distance scaling: squared_distance = {scaling} * c^2")
     else:
         lines.append("distance scaling: not a constant multiple of c^2 over this grid")
+    lines.extend(_coincidence(rec) for rec in records if rec.coincidence)
     if expected is not None:
         if scaling == expected:
             lines.append(f"scaling coefficient matches {expected}")
@@ -335,6 +345,7 @@ def _cmd_threshold(args) -> CommandResult:
             f"first failing c = {result.first_failing}\n"
             f"bracket width = {result.bracket_width}"
         )
+    text += "".join(f"\nwarning: {_coincidence(rec)}" for rec in result.coincidences)
     summary = {
         "last_surviving": str(result.last_surviving),
         "first_failing": str(result.first_failing) if result.first_failing is not None else None,

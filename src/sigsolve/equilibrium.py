@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .game import SignalingGame, classify_outcome, outcome_of_profile
 from .linalg import Tableau, bareiss
@@ -135,8 +134,8 @@ def is_equilibrium(gamma: BimatrixGame, profile: tuple[Mix, Mix]) -> Equilibrium
     m, n = gamma.shape
     _validate_mix(row_mix, m, "row")
     _validate_mix(col_mix, n, "col")
-    row_values = [sum(gamma.receiver_payoff(r, c) * col_mix[c] for c in range(n)) for r in range(m)]
-    col_values = [sum(gamma.sender_payoff(r, c) * row_mix[r] for r in range(m)) for c in range(n)]
+    row_values = [sum(gamma.cells[r][c][1] * col_mix[c] for c in range(n)) for r in range(m)]
+    col_values = [sum(gamma.cells[r][c][0] * row_mix[r] for r in range(m)) for c in range(n)]
     row_value = sum(row_mix[r] * row_values[r] for r in range(m))
     col_value = sum(col_mix[c] * col_values[c] for c in range(n))
     deviations = []
@@ -297,20 +296,13 @@ def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> tuple[lis
     return pairs, irregular
 
 
-class VertexPairs(NamedTuple):
-    """The extreme equilibria as integer vertex pairs: in each pair (x, y),
-    x / sum(x) is the row mix and y / sum(y) the col mix, padded with zeros
-    on the strategies outside the strict-dominance core. `degenerate` says
-    that some pair is not a regular equilibrium, as in `EquilibriumSet`; it
-    does not depend on which polytope was walked."""
-
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    degenerate: bool
-
-
-def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> VertexPairs:
-    """The vertex pairs of the best-response polytopes of the game whose row
-    player gets `receiver.matrix` and col player `sender.matrix`.
+def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> tuple[list, bool]:
+    """The extreme equilibria of the game whose row player gets
+    `receiver.matrix` and col player `sender.matrix`, as (pairs, degenerate):
+    integer vertex pairs (x, y) of the best-response polytopes, x / sum(x) the
+    row mix and y / sum(y) the col mix, zero outside the strict-dominance
+    core, and whether some pair is not regular (as in `EquilibriumSet`; it
+    does not depend on which polytope was walked).
 
     Cut the game to its strict-dominance core (`normalform.strict_core`),
     build the core's polytopes P = {x >= 0 : B^T x <= 1} and
@@ -332,10 +324,7 @@ def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> Ve
     else:
         flipped, irregular = _partner_pairs(q_rows, p_rows)
         pairs = [(x, y) for y, x in flipped]
-    return VertexPairs(
-        pairs=[(_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)) for x, y in pairs],
-        degenerate=irregular,
-    )
+    return [(_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)) for x, y in pairs], irregular
 
 
 def _bilinear(matrix: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -353,9 +342,9 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> Equilibr
     The views are all it reads, so a reduction without cells will do.
     """
     receiver, sender = gamma.receiver_integers, gamma.sender_integers  # row player A, col player B
-    walk = extreme_vertex_pairs(receiver, sender)
+    pairs, degenerate = extreme_vertex_pairs(receiver, sender)
     found = []
-    for x, y in walk.pairs:
+    for x, y in pairs:
         sx, sy = sum(x), sum(y)
         found.append(
             MixedEquilibrium(
@@ -368,7 +357,7 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> Equilibr
             )
         )
     found.sort(key=MixedEquilibrium.sort_key)
-    return EquilibriumSet(equilibria=tuple(found), degenerate=walk.degenerate)
+    return EquilibriumSet(equilibria=tuple(found), degenerate=degenerate)
 
 
 def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:
@@ -399,7 +388,7 @@ def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:
     )
 
 
-def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame) -> tuple[Component, ...]:
+def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame | ReducedViews) -> tuple[Component, ...]:
     """Connected components of the graph whose edges are the extreme equilibria.
 
     A union-find over the row and col mixes joins the two ends of every

@@ -9,7 +9,8 @@
     S B F 1 0
     ...
 
-Files are UTF-8, with or without a byte-order mark.
+Files are UTF-8, with or without a byte-order mark. Every problem with a
+file is a `GameFileError`; a syntax error's message starts 'line N: '.
 """
 
 from __future__ import annotations
@@ -21,16 +22,6 @@ from .rational import parse_rational
 
 
 class GameFileError(ValueError):
-    pass
-
-
-class GameFileSyntaxError(GameFileError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class GameFileSemanticError(GameFileError):
     pass
 
 
@@ -49,21 +40,21 @@ def parse_game_file(text: str) -> SignalingGame:
             continue
         if not in_payoffs:
             if ":" not in line:
-                raise GameFileSyntaxError(line_no, f"expected a 'section:' header, got {line!r}")
+                raise GameFileError(f"line {line_no}: expected a 'section:' header, got {line!r}")
             head, _, rest = line.partition(":")
             head = head.strip()
             if head in seen:
-                raise GameFileSyntaxError(line_no, f"duplicate section {head!r}")
+                raise GameFileError(f"line {line_no}: duplicate section {head!r}")
             seen.add(head)
             if head == "types":
                 for entry in rest.split():
                     label, sep, value = entry.partition(":")
                     if not sep:
-                        raise GameFileSyntaxError(line_no, f"type entry {entry!r} needs label:probability")
+                        raise GameFileError(f"line {line_no}: type entry {entry!r} needs label:probability")
                     try:
                         prob = parse_rational(value)
                     except ValueError as exc:
-                        raise GameFileSyntaxError(line_no, str(exc)) from exc
+                        raise GameFileError(f"line {line_no}: {exc}") from exc
                     types.append(label)
                     prior[label] = prob
             elif head == "messages":
@@ -72,25 +63,25 @@ def parse_game_file(text: str) -> SignalingGame:
                 actions.extend(rest.split())
             elif head == "payoffs":
                 if rest.strip():
-                    raise GameFileSyntaxError(line_no, "payoffs section header takes no values")
+                    raise GameFileError(f"line {line_no}: payoffs section header takes no values")
                 in_payoffs = True
             else:
-                raise GameFileSyntaxError(line_no, f"unknown section {head!r}")
+                raise GameFileError(f"line {line_no}: unknown section {head!r}")
         else:
             parts = line.split()
             if len(parts) != 5:
-                raise GameFileSyntaxError(line_no, f"payoff line needs 'type message action u1 u2', got {line!r}")
+                raise GameFileError(f"line {line_no}: payoff line needs 'type message action u1 u2', got {line!r}")
             t, m, a, raw1, raw2 = parts
             try:
                 u1, u2 = parse_rational(raw1), parse_rational(raw2)
             except ValueError as exc:
-                raise GameFileSyntaxError(line_no, str(exc)) from exc
+                raise GameFileError(f"line {line_no}: {exc}") from exc
             if (t, m, a) in payoff:
-                raise GameFileSemanticError(f"payoff for {(t, m, a)} given twice")
+                raise GameFileError(f"payoff for {(t, m, a)} given twice")
             payoff[(t, m, a)] = (u1, u2)
     for name, values in (("types", types), ("messages", messages), ("actions", actions)):
         if not values:
-            raise GameFileSemanticError(f"{name} section missing or empty")
+            raise GameFileError(f"{name} section missing or empty")
     game = SignalingGame(
         types=tuple(types),
         messages=tuple(messages),
@@ -100,7 +91,7 @@ def parse_game_file(text: str) -> SignalingGame:
     )
     problems = validate_game(game)
     if problems:
-        raise GameFileSemanticError("; ".join(problems))
+        raise GameFileError("; ".join(problems))
     return game
 
 

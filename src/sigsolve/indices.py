@@ -49,7 +49,7 @@ from .equilibrium import (  # noqa: F401
     solve_components,
 )
 from .linalg import determinant, linf_distance_to_hull
-from .normalform import BimatrixGame, IntegerPayoffs, deep_representative
+from .normalform import BimatrixGame, IntegerPayoffs, ReducedViews, deep_representative
 from .rational import numerators
 
 ONE = Fraction(1)
@@ -139,7 +139,7 @@ def _determinant_index(receiver: IntegerPayoffs, sender: IntegerPayoffs, x, y) -
     return sign * (-1 if len(rows) % 2 == 0 else 1)
 
 
-def equilibrium_index(gamma: BimatrixGame, eq: MixedEquilibrium) -> IndexResult:
+def equilibrium_index(gamma: BimatrixGame | ReducedViews, eq: MixedEquilibrium) -> IndexResult:
     """Determinant index of a regular equilibrium, read on the game's integer
     views, which enumerating it already computed, against each mix times the
     lcm of its denominators (see `_determinant_index`)."""
@@ -193,7 +193,7 @@ def _near(point: tuple, screens, radius: Fraction) -> bool:
     return False
 
 
-def _perturbed_views(gamma: BimatrixGame, rng: random.Random) -> tuple[IntegerPayoffs, IntegerPayoffs]:
+def _perturbed_views(gamma: BimatrixGame | ReducedViews, rng: random.Random) -> tuple[IntegerPayoffs, IntegerPayoffs]:
     """The receiver and sender views of `gamma` with k/10^6 added to every
     payoff, k drawn uniformly from [-1000, 1000]: u1 then u2 of each cell,
     row by row. Entry M[i][j] of a view with scale s becomes
@@ -249,7 +249,7 @@ class DrawStore:
     passes one store to each `component_index` call and then drops it.
     """
 
-    def __init__(self, gamma: BimatrixGame, cfg: PerturbationConfig):
+    def __init__(self, gamma: BimatrixGame | ReducedViews, cfg: PerturbationConfig):
         self.gamma = gamma
         self.cfg = cfg
         self._draws: dict[tuple[int, int], _Draw | None] = {}
@@ -259,13 +259,13 @@ class DrawStore:
         key = (rep, attempt)
         if key not in self._draws:
             receiver, sender = _perturbed_views(self.gamma, random.Random(f"{self.cfg.seed}:{rep}:{attempt}"))
-            walk = extreme_vertex_pairs(receiver, sender)
-            self._draws[key] = None if walk.degenerate else _Draw(receiver, sender, walk.pairs)
+            pairs, degenerate = extreme_vertex_pairs(receiver, sender)
+            self._draws[key] = None if degenerate else _Draw(receiver, sender, pairs)
         return self._draws[key]
 
 
 def component_index(
-    gamma: BimatrixGame,
+    gamma: BimatrixGame | ReducedViews,
     component: Component,
     cfg: PerturbationConfig = PerturbationConfig(),
     draws: DrawStore | None = None,
@@ -283,7 +283,7 @@ def component_index(
 
 
 def _perturbation_index(
-    gamma: BimatrixGame, component: Component, cfg: PerturbationConfig, draws: DrawStore | None = None
+    gamma: BimatrixGame | ReducedViews, component: Component, cfg: PerturbationConfig, draws: DrawStore | None = None
 ) -> IndexResult:
     """The modal sum, over replications, of the determinant indices of the
     perturbed equilibria within `cfg.neighborhood` of the component."""

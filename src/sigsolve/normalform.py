@@ -84,12 +84,6 @@ class BimatrixGame:
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
 
-    def sender_payoff(self, row: int, col: int) -> Fraction:
-        return self.cells[row][col][0]
-
-    def receiver_payoff(self, row: int, col: int) -> Fraction:
-        return self.cells[row][col][1]
-
     @cached_property
     def sender_integers(self) -> IntegerPayoffs:
         return _integer_view(self.cells, 0)

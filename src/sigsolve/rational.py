@@ -32,25 +32,15 @@ def parse_rational(token: str) -> Fraction:
 def format_compact(value: Fraction) -> str:
     """Exact decimal when the denominator is 2^a*5^b, else 'p/q'.
 
-    Mirrors the usual table style: 9/10 prints as 0.9, 29/10 as 2.9.
+    Mirrors the usual table style: 9/10 prints as 0.9, 29/10 as 2.9. Such a
+    denominator divides 10^bit_length, so the quotient is exact at this precision.
     """
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    num, den = value.numerator, value.denominator
+    if 10 ** den.bit_length() % den:
         return str(value)
-    shift = max(twos, fives)
-    if shift == 0:
-        return str(value.numerator)
-    scaled = value.numerator * 10**shift // value.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    with localcontext() as ctx:
+        ctx.prec = len(str(abs(num))) + den.bit_length()
+        return format(Decimal(num) / Decimal(den), "f")
 
 
 def sqrt_decimal(square: Fraction) -> str:

@@ -8,6 +8,12 @@ of equilibria that converges to the component as the cost vanishes, on-path
 indifference pins the payoffs to the component values, and the family
 disappears exactly at the threshold cost, so this criterion is bisectable.
 
+A payoff match can also be a coincidence: an equilibrium far from the
+component may pay its payoffs while the nearest one does not. Such a record
+has `coincidence` set. Binary game 40006 (games/binary_40006.sg) is one:
+its C1 pools on Y with payoffs (1/2, 1/2), and at every threshold grid cost
+the equilibria that pay them pool on X, farther than the nearest one.
+
 It is exact only for families that stop monitoring on path. A family that
 keeps the outcome by monitoring with probability one pays c on every play:
 its payoffs are (u1, u2 - c), so payoff equality misses it. On
@@ -58,8 +64,12 @@ class UnknownComponentError(ValueError):
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One cost's verdict. `coincidence`: `found` holds, but no equilibrium
+    at the least squared distance has the component's payoffs."""
+
     c: Fraction
     found: bool
+    coincidence: bool
     nearest: MixedEquilibrium | None
     monitor_probability: Fraction
     squared_distance: Fraction
@@ -72,6 +82,7 @@ class SweepRecord:
 class ThresholdResult:
     last_surviving: Fraction
     first_failing: Fraction | None
+    coincidences: tuple[SweepRecord, ...]  # the evaluated costs whose survival was a coincidence
 
     @property
     def bracket_width(self) -> Fraction | None:
@@ -140,15 +151,17 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
     """Reduce the base's monitored form at one cost on its integer views,
     solve it and face it off against the base component's outcome."""
     reduced = reduce_at_cost(base.monitored, cost)
-    equilibria = enumerate_extreme_equilibria(reduced)
-    squared, eq = min(
-        ((outcome_distance(outcome_of_equilibrium(game, reduced, e), base.outcome), e) for e in equilibria),
-        key=lambda pair: (pair[0], pair[1].sort_key()),
-    )
+    measured = [
+        (outcome_distance(outcome_of_equilibrium(game, reduced, e), base.outcome), e)
+        for e in enumerate_extreme_equilibria(reduced)
+    ]
+    squared, eq = min(measured, key=lambda pair: (pair[0], pair[1].sort_key()))
+    paying = [d for d, e in measured if e.payoffs == base.payoffs]
     rows = list(zip(reduced.row_labels, eq.row_mix))
     return SweepRecord(
         c=cost,
-        found=any(e.payoffs == base.payoffs for e in equilibria),
+        found=bool(paying),
+        coincidence=bool(paying) and squared not in paying,
         nearest=eq,
         monitor_probability=sum((w for label, w in rows if monitor_bit(label)), ZERO),
         squared_distance=squared,
@@ -179,7 +192,9 @@ def survival_threshold(game: SignalingGame, base_component_id: str) -> Threshold
     first, stopping at the first surviving cost. A component that survives at
     C_MAX itself (monitoring may simply be worthless) is reported with an open
     bracket after that one evaluation; one that never survives raises
-    NoSurvivalError with the grid records attached.
+    NoSurvivalError with the grid records attached. Every evaluated cost
+    whose survival was a coincidence is reported, in evaluation order; the
+    bisection still counts it as surviving.
     """
     base = resolve_base_component(game, base_component_id)
     records = []
@@ -196,16 +211,15 @@ def survival_threshold(game: SignalingGame, base_component_id: str) -> Threshold
         raise NoSurvivalError(
             f"component {base_component_id} survives at no sampled cost", tuple(records)
         )
-    if failing is None:
-        return ThresholdResult(last_surviving=surviving, first_failing=None)
     lo, hi = surviving, failing
-    while hi - lo > BRACKET_TOLERANCE:
+    while hi is not None and hi - lo > BRACKET_TOLERANCE:
         mid = (lo + hi) / 2
-        if evaluate_cost(game, base, mid).found:
+        records.append(evaluate_cost(game, base, mid))
+        if records[-1].found:
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(last_surviving=lo, first_failing=hi)
+    return ThresholdResult(last_surviving=lo, first_failing=hi, coincidences=tuple(r for r in records if r.coincidence))
 
 
 def verify_theorem_bound(

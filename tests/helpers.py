@@ -12,6 +12,8 @@ engine that `linalg.Tableau` replaced, is the oracle for
 `Fraction`-pair grouping that `normalform` replaced with integer sums and
 integer views are the oracles for its cells and its strategy classes, and
 the generator form of `strict_core` is the oracle for its plain loops.
+The digit loop that `rational.format_compact` replaced with one `decimal`
+quotient is the oracle for its strings.
 Expected payoffs of a profile are priced play by play from the payoff
 table, apart from the normal forms and the enumerator; `mixed_strategies`
 reads a profile off an equilibrium by summing each class's weight onto its
@@ -57,7 +59,6 @@ from sigsolve.equilibrium import (
     EquilibriumSet,
     Mix,
     MixedEquilibrium,
-    VertexPairs,
     _padded,
     _polytope_vertices,
     enumerate_extreme_equilibria,
@@ -322,6 +323,29 @@ def frontier_probe(types: int, messages: int, actions: int, seed: int, jitter: b
     )
 
 
+def reference_format_compact(value: Fraction) -> str:
+    """`rational.format_compact` by the digit loop it replaced: strip the
+    denominator's factors 2 and 5, and when nothing else is left, print the
+    numerator scaled by 10^max(a, b) with that many digits after the point."""
+    den = value.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return str(value)
+    shift = max(twos, fives)
+    if shift == 0:
+        return str(value.numerator)
+    scaled = value.numerator * 10**shift // value.denominator
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
 def reference_payoff_cells(game: SignalingGame, senders: tuple, receivers: tuple) -> tuple:
     """`normalform._payoff_cells` summed in `Fraction`s, for base and
     monitored receiver strategies alike, each by its replies: receiver rows
@@ -406,7 +430,8 @@ def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fracti
     `reference_sgcm_normal_form` at `cost` with `reduce_normal_form`,
     recompute the reduced form's views from its cells (a `replace` copy has
     none cached), enumerate, and sum outcomes and squared distances in
-    `Fraction`s."""
+    `Fraction`s. A payoff match is a coincidence when every equilibrium with
+    the base payoffs lies farther than the nearest one."""
     reduced = replace(reduce_normal_form(reference_sgcm_normal_form(game, cost))[0])
     equilibria = enumerate_extreme_equilibria(reduced)
 
@@ -415,9 +440,11 @@ def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fracti
         return sum(((v - base.outcome[play]) ** 2 for play, v in masses.items()), Fraction(0))
 
     squared, eq = min(((squared_distance(e), e) for e in equilibria), key=lambda pair: (pair[0], pair[1].sort_key()))
+    found = any(e.payoffs == base.payoffs for e in equilibria)
     return SweepRecord(
         c=cost,
-        found=any(e.payoffs == base.payoffs for e in equilibria),
+        found=found,
+        coincidence=found and all(squared_distance(e) > squared for e in equilibria if e.payoffs == base.payoffs),
         nearest=eq,
         monitor_probability=sum((w for label, w in zip(reduced.row_labels, eq.row_mix) if monitor_bit(label)), F(0)),
         squared_distance=squared,
@@ -503,8 +530,8 @@ def is_regular(gamma: BimatrixGame, eq: MixedEquilibrium) -> bool:
     cols = [j for j, w in enumerate(eq.col_mix) if w > 0]
     if len(rows) != len(cols):
         return False
-    row_values = [sum(gamma.receiver_payoff(i, j) * eq.col_mix[j] for j in range(n)) for i in range(m)]
-    col_values = [sum(gamma.sender_payoff(i, j) * eq.row_mix[i] for i in range(m)) for j in range(n)]
+    row_values = [sum(gamma.cells[i][j][1] * eq.col_mix[j] for j in range(n)) for i in range(m)]
+    col_values = [sum(gamma.cells[i][j][0] * eq.row_mix[i] for i in range(m)) for j in range(n)]
     if rows != [i for i, v in enumerate(row_values) if v == max(row_values)]:
         return False
     if cols != [j for j, v in enumerate(col_values) if v == max(col_values)]:
@@ -523,8 +550,8 @@ def brute_force_equilibria(gamma: BimatrixGame) -> set:
     support sizes and each support pair admits at most one solution.
     """
     m, n = gamma.shape
-    A = [[_to_sympy(gamma.receiver_payoff(i, j)) for j in range(n)] for i in range(m)]
-    B = [[_to_sympy(gamma.sender_payoff(i, j)) for j in range(n)] for i in range(m)]
+    A = [[_to_sympy(gamma.cells[i][j][1]) for j in range(n)] for i in range(m)]
+    B = [[_to_sympy(gamma.cells[i][j][0]) for j in range(n)] for i in range(m)]
     found = set()
     for size in range(1, min(m, n) + 1):
         for I in itertools.combinations(range(m), size):
@@ -669,14 +696,15 @@ def exhaustive_polytope_vertices(rows, dim, sides):
     return vertices
 
 
-def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> VertexPairs:
+def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> tuple[list, bool]:
     """`equilibrium.extreme_vertex_pairs` by walking both best-response
     polytopes of the strict-dominance core in full and keeping the vertex
-    pairs whose labels jointly cover every pure strategy of the core.
+    pairs whose labels jointly cover every pure strategy of the core, as
+    (pairs, degenerate).
 
     Row i is label bit i and col j bit m + j, so a pair matches when the col
     vertex holds every label the row vertex lacks (a superset test, as
-    degenerate vertices carry extra labels). Its `degenerate` is the flag
+    degenerate vertices carry extra labels). `degenerate` is the flag
     the package had before it walked one polytope: some vertex of either
     core polytope is overlabeled.
     """
@@ -702,7 +730,7 @@ def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> V
         for y, ly in q_labeled:
             if ly & need == need:
                 pairs.append((_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)))
-    return VertexPairs(pairs=pairs, degenerate=degenerate)
+    return pairs, degenerate
 
 
 def normalized_pairs(pairs) -> list[tuple[Mix, Mix]]:
@@ -713,8 +741,8 @@ def normalized_pairs(pairs) -> list[tuple[Mix, Mix]]:
 def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
     """The mix pair with its expected (sender, receiver) payoffs in `gamma`."""
     m, n = gamma.shape
-    u1 = sum(row_mix[i] * col_mix[j] * gamma.sender_payoff(i, j) for i in range(m) for j in range(n))
-    u2 = sum(row_mix[i] * col_mix[j] * gamma.receiver_payoff(i, j) for i in range(m) for j in range(n))
+    u1 = sum(row_mix[i] * col_mix[j] * gamma.cells[i][j][0] for i in range(m) for j in range(n))
+    u2 = sum(row_mix[i] * col_mix[j] * gamma.cells[i][j][1] for i in range(m) for j in range(n))
     return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
 
 

@@ -1,6 +1,6 @@
 """Byte-for-byte CLI output on the bundled fixtures.
 
-Each case compares `run_command` text (and the sweep CSV) with a file under
+Each case compares `run_command` text (and a sweep's CSV) with files under
 tests/golden/, named after the fixture and the case, and checks the exit
 status the fixture's case table expects.
 """
@@ -27,14 +27,19 @@ CASES = {
     "sweep": ["sweep", "--component", "C0", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
     "theorem": ["theorem", "--component", "C0", "--epsilon", "1/20"],
     "threshold": ["threshold", "--component", "C0"],
+    # binary game 40006's C0 has no constant outcome; its C1 survives only by coincidence
+    "sweep_c1": ["sweep", "--component", "C1", "--cmin", "0", "--cmax", "1/20", "--steps", "2", "--out", "sweep.csv"],
+    "threshold_c1": ["threshold", "--component", "C1"],
 }
 SOLVE_CASES = ("solve_components", "solve_cost_components", "solve_components_index")
+C0_CASES = tuple(case for case in CASES if not case.endswith("_c1"))
 # expected exit status per fixture and case
 FIXTURES = {
-    "beerquiche": dict.fromkeys(CASES, 0),
+    "beerquiche": dict.fromkeys(C0_CASES, 0),
     # C0 keeps its outcome only by monitoring, so `threshold` finds no surviving cost
-    "three_types": {**dict.fromkeys(CASES, 0), "threshold": 1},
+    "three_types": {**dict.fromkeys(C0_CASES, 0), "threshold": 1},
     "two_types_three_messages": dict.fromkeys(SOLVE_CASES, 0),
+    "binary_40006": dict.fromkeys(SOLVE_CASES + ("sweep_c1", "threshold_c1"), 0),
 }
 
 
@@ -56,9 +61,9 @@ def run_case(fixture: str, case: str) -> str:
 def test_cli_output_matches_golden(fixture, case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_case(fixture, case) == (GOLDEN / f"{fixture}.{case}.txt").read_text(encoding="utf-8")
-    if case == "sweep":
+    if CASES[case][0] == "sweep":
         csv_text = (tmp_path / "sweep.csv").read_bytes()
-        assert csv_text == (GOLDEN / f"{fixture}.sweep.csv").read_bytes()
+        assert csv_text == (GOLDEN / f"{fixture}.{case}.csv").read_bytes()
 
 
 def test_usage_error_leaves_the_parser_reusable():

@@ -277,11 +277,11 @@ def test_integer_draws_are_the_fraction_draws(games):
     for gamma in games():
         for attempt in range(3):
             seed = f"{CFG.seed}:0:{attempt}"
-            walk = extreme_vertex_pairs(*indices._perturbed_views(gamma, random.Random(seed)))
+            pairs, degenerate = extreme_vertex_pairs(*indices._perturbed_views(gamma, random.Random(seed)))
             expected = enumerate_extreme_equilibria(perturbed_game(gamma, random.Random(seed)))
-            mixes = sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in walk.pairs)
+            mixes = sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in pairs)
             assert mixes == [eq.sort_key() for eq in expected], gamma
-            assert walk.degenerate == expected.degenerate, gamma
+            assert degenerate == expected.degenerate, gamma
 
 
 def test_draws_are_shared_within_a_store_and_never_across_calls(beerquiche, monkeypatch):

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from helpers import InfeasibleProgram, simplex_distance_to_hull, simplex_minimize, solve_square
+from helpers import (
+    InfeasibleProgram,
+    reference_format_compact,
+    simplex_distance_to_hull,
+    simplex_minimize,
+    solve_square,
+)
 
 from sigsolve.indices import _box, _outside
 from sigsolve.linalg import Tableau, determinant, linf_distance_to_hull
@@ -228,6 +234,25 @@ def test_parse_and_render_rationals():
     assert format_compact(F(-1, 4)) == "-0.25"
     assert format_compact(F(1, 3)) == "1/3"
     assert format_compact(F(7)) == "7"
+
+
+def test_format_compact_matches_the_digit_loop():
+    """One exact `decimal` quotient prints what the digit loop printed, on
+    0, integers, negatives, numerators up to 10^30, denominators 2^a * 5^b
+    up to 2^40 * 5^30, and denominators with other prime factors. Numerators
+    of 30 digits over 2^40 need more than the 28 digits of decimal's
+    default precision."""
+    rng = random.Random(30)
+    values = [F(0), F(7), F(-7), F(10**30), F(-(10**30) + 1, 2**40 * 5**30)]
+    for _ in range(100_000):
+        numerator = rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30))
+        if rng.random() < 0.8:
+            denominator = 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 30)
+        else:
+            denominator = rng.randint(1, 10**12)
+        values.append(F(numerator, denominator))
+    for value in values:
+        assert format_compact(value) == reference_format_compact(value), value
 
 
 def test_sqrt_rendering():

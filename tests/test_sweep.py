@@ -16,6 +16,7 @@ from sigsolve.sweep import (
     C_MAX,
     MAX_GRID_COSTS,
     THEOREM_GRID_STEPS,
+    THRESHOLD_GRID_STEPS,
     NoSurvivalError,
     UnknownComponentError,
     component_ids,
@@ -30,6 +31,7 @@ from sigsolve.sweep import (
 
 BEER = "C0"
 QUICHE = "C1"
+GAMES = Path(__file__).resolve().parent.parent / "games"
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +166,52 @@ def test_message_blind_receiver_survives_every_cost():
     result = survival_threshold(game, "C0")
     assert result.first_failing is None
     assert result.last_surviving == sweep.C_MAX
+
+
+def test_survival_by_coincidence_is_flagged():
+    """Binary game 40006's C1 pools on Y with payoffs (1/2, 1/2). At every
+    threshold grid cost the nearest equilibrium, at squared distance 1/2,
+    pays otherwise, and only farther ones pay (1/2, 1/2): each record is
+    found by coincidence. `survival_threshold` still counts C_MAX as
+    surviving, and reports that record."""
+    game = load_game(str(GAMES / "binary_40006.sg"))
+    base = resolve_base_component(game, QUICHE)
+    assert base.payoffs == (F(1, 2), F(1, 2))
+    for cost in halving_grid(C_MAX, THRESHOLD_GRID_STEPS):
+        record = evaluate_cost(game, base, cost)
+        assert record.found and record.coincidence, cost
+        assert record.squared_distance == F(1, 2) and record.payoffs != base.payoffs, cost
+    result = survival_threshold(game, QUICHE)
+    assert (result.last_surviving, result.first_failing) == (C_MAX, None)
+    assert [record.c for record in result.coincidences] == [C_MAX]
+
+
+def test_no_other_fixture_survives_by_coincidence(monkeypatch):
+    """No record is flagged for a constant component of beer-quiche or the
+    other bundled games, at the threshold scan and bisection costs, the
+    theorem grid and the golden sweep costs."""
+    evaluate = sweep.evaluate_cost
+    priced = []
+
+    def recording(game, base, cost):
+        record = evaluate(game, base, cost)
+        priced.append((cost, record.found, record.coincidence))
+        return record
+
+    monkeypatch.setattr(sweep, "evaluate_cost", recording)
+    games = [load_game(str(path)) for path in sorted(GAMES.glob("*.sg")) if path.stem != "binary_40006"]
+    for each in games:
+        for component_id in component_ids(solve_components(build_normal_form(each))):
+            try:
+                base = resolve_base_component(each, component_id)
+            except ValueError:  # no constant outcome
+                continue
+            with suppress(NoSurvivalError):
+                assert survival_threshold(each, component_id).coincidences == ()
+            for cost in halving_grid(C_MAX, THEOREM_GRID_STEPS) + [F(1, 20), F(1, 40)]:
+                sweep.evaluate_cost(each, base, cost)
+    assert any(found for _, found, _ in priced)
+    assert not any(coincidence for _, _, coincidence in priced)
 
 
 def test_theorem_bound_for_beer_component(game):
