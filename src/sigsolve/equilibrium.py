@@ -14,10 +14,12 @@ vertices of one face, found by one fraction-free solve when the face is a
 point and by walking the face otherwise (von Stengel 2002, "Computing
 equilibria for two-person games", Handbook of Game Theory 3, ch. 45). This
 captures degenerate games too: the extreme points of every equilibrium
-segment are themselves vertex pairs. That integer walk,
-`extreme_vertex_pairs`, is shared with the index's perturbation draws;
-`enumerate_extreme_equilibria` turns its pairs into `Fraction` mixes and
-payoffs, and flags whether some of them is not regular.
+segment are themselves vertex pairs. The walk is also the one place that
+decides whether an equilibrium is regular: it flags each vertex pair as it
+finds it. That integer walk, `extreme_vertex_pairs`, is shared with the
+index's perturbation draws; `enumerate_extreme_equilibria` turns its pairs
+into `Fraction` mixes and payoffs and keeps each flag as
+`MixedEquilibrium.regular`.
 
 The extreme equilibria are the edges of a bipartite graph between extreme
 row mixes and extreme col mixes (Avis, Rosenberg, Savani & von Stengel 2010,
@@ -45,11 +47,16 @@ Mix = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class MixedEquilibrium:
-    """An extreme equilibrium: exact mixes plus (sender, receiver) payoffs."""
+    """An extreme equilibrium: exact mixes, (sender, receiver) payoffs, and
+    whether it is regular: equal support sizes, each player's best replies
+    exactly its support, and nonsingular support blocks of both players'
+    payoffs. The walk that found it decides `regular` (`_partner_pairs`);
+    the determinant index reads it and decides nothing itself."""
 
     row_mix: Mix
     col_mix: Mix
     payoffs: tuple[Fraction, Fraction]
+    regular: bool
 
     def sort_key(self):
         return (self.row_mix, self.col_mix)
@@ -64,16 +71,17 @@ class EquilibriumCheck:
 @dataclass(frozen=True)
 class EquilibriumSet:
     """Enumeration result; `degenerate` says that some extreme equilibrium is
-    not regular: its support sizes differ, a best reply lies outside a
-    support, or a support block of either player's payoffs is singular,
-    exactly what `indices.equilibrium_index` rejects. At any equilibrium each
+    not regular, read off their `regular` flags. At any equilibrium each
     strictly dominated strategy has weight 0 and is never a best reply, so
-    an equilibrium is regular in the strict-dominance core exactly when it
-    is regular in the full game. An overlabeled vertex that is part of no
-    equilibrium does not count."""
+    an equilibrium is regular in the strict-dominance core, where the walk
+    flags it, exactly when it is regular in the full game. An overlabeled
+    vertex that is part of no equilibrium does not count."""
 
     equilibria: tuple[MixedEquilibrium, ...]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return not all(eq.regular for eq in self.equilibria)
 
     def __iter__(self):
         return iter(self.equilibria)
@@ -242,29 +250,29 @@ def _solve_ones(block: list[list[int]]) -> tuple[int, list[int]] | None:
     return last, nums
 
 
-def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> tuple[list, bool]:
-    """The vertex pairs (x, y) of the best-response polytopes
+def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> list:
+    """The vertex pairs (x, y, regular) of the best-response polytopes
     X = {x >= 0 : walked . x <= 1} and Y = {y >= 0 : other . y <= 1} of a
-    game with positive integer payoffs, found by walking only X, and whether
-    some pair is not regular. Row j of `walked` holds the payoffs of the
-    opponent's strategy j against each of the m own strategies, and row i of
-    `other` the payoffs of own strategy i against each opponent strategy.
+    game with positive integer payoffs, found by walking only X, each flagged
+    with whether it is regular (see `MixedEquilibrium`). Row j of `walked`
+    holds the payoffs of the opponent's strategy j against each of the m own
+    strategies, and row i of `other` the payoffs of own strategy i against
+    each opponent strategy.
 
     A nonzero vertex x with support S makes tight the opponent strategies T.
     Its partners are the vertices of Y with the labels x lacks: zero off T
     and tight on the rows in S. When |S| = |T| (x then has exactly m labels,
     so its own block is nonsingular) and other[S,T] is nonsingular, that face
     is at most the one point solving other[S,T] y = 1: a partner when y >= 0
-    and other . y <= 1 on the other rows, and regular when y > 0 and no other
-    row is tight. Otherwise the face is walked as the vertices of
+    and other . y <= 1 on the other rows, and regular exactly when y > 0 and
+    no other row is tight. Otherwise the face is walked as the vertices of
     {y_T >= 0 : other[:,T] y_T <= 1}, once per T, that are tight on S, and
-    every partner found there is irregular: its supports differ in size or
-    its support block is singular. Each pair is (x, y) as integer points.
+    no partner found there is regular: its supports differ in size or its
+    support block is singular. x and y are integer points.
     """
     m, n = len(other), len(walked)
     faces: dict[int, list] = {}  # tight T as a bit mask -> the labeled vertices of other[:,T] y_T <= 1
     pairs = []
-    irregular = False
     for key, labels in _polytope_vertices(walked, m).items():
         held = ~labels & ((1 << m) - 1)  # the own strategies in x's support
         if not held:  # the origin matches only the other origin, which is no equilibrium
@@ -281,28 +289,25 @@ def _partner_pairs(walked: list[list[int]], other: list[list[int]]) -> tuple[lis
                 values = [sum(row[j] * v for j, v in zip(tight, nums)) for row in other]
                 if max(values) > det:
                     continue
-                irregular |= not min(nums) or values.count(det) > len(support)
-                pairs.append((x, _padded(nums, tight, n)))
+                regular = min(nums) > 0 and values.count(det) == len(support)
+                pairs.append((x, _padded(nums, tight, n), regular))
                 continue
         face = labels >> m
         if face not in faces:
             walked_face = _polytope_vertices([[row[j] for j in tight] for row in other], len(tight))
             faces[face] = [(y[1:], ly) for y, ly in walked_face.items()]
         need = held << len(tight)
-        for y, ly in faces[face]:
-            if ly & need == need:
-                pairs.append((x, _padded(y, tight, n)))
-                irregular = True
-    return pairs, irregular
+        pairs.extend((x, _padded(y, tight, n), False) for y, ly in faces[face] if ly & need == need)
+    return pairs
 
 
-def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> tuple[list, bool]:
+def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> list:
     """The extreme equilibria of the game whose row player gets
-    `receiver.matrix` and col player `sender.matrix`, as (pairs, degenerate):
-    integer vertex pairs (x, y) of the best-response polytopes, x / sum(x) the
-    row mix and y / sum(y) the col mix, zero outside the strict-dominance
-    core, and whether some pair is not regular (as in `EquilibriumSet`; it
-    does not depend on which polytope was walked).
+    `receiver.matrix` and col player `sender.matrix`, as flagged integer
+    vertex pairs (x, y, regular) of the best-response polytopes: x / sum(x)
+    the row mix and y / sum(y) the col mix, zero outside the strict-dominance
+    core, and whether the equilibrium is regular (it does not depend on which
+    polytope was walked).
 
     Cut the game to its strict-dominance core (`normalform.strict_core`),
     build the core's polytopes P = {x >= 0 : B^T x <= 1} and
@@ -320,11 +325,10 @@ def extreme_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> tu
     p_rows = [[sender.matrix[i][j] + sender.shift for i in kept_rows] for j in kept_cols]
     q_rows = [[receiver.matrix[i][j] + receiver.shift for j in kept_cols] for i in kept_rows]
     if len(kept_rows) <= len(kept_cols):
-        pairs, irregular = _partner_pairs(p_rows, q_rows)
+        pairs = _partner_pairs(p_rows, q_rows)
     else:
-        flipped, irregular = _partner_pairs(q_rows, p_rows)
-        pairs = [(x, y) for y, x in flipped]
-    return [(_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)) for x, y in pairs], irregular
+        pairs = [(x, y, regular) for y, x, regular in _partner_pairs(q_rows, p_rows)]
+    return [(_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n), regular) for x, y, regular in pairs]
 
 
 def _bilinear(matrix: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> int:
@@ -337,14 +341,13 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> Equilibr
 
     The vertex pairs of `extreme_vertex_pairs` on the game's integer views,
     normalized into `Fraction` mixes; each pair's payoffs are integer sums
-    over the supports divided by the mix totals and the view's scale.
-    `degenerate` says that some of them is not regular (see `EquilibriumSet`).
-    The views are all it reads, so a reduction without cells will do.
+    over the supports divided by the mix totals and the view's scale, and
+    its flag is the equilibrium's `regular`. The views are all it reads, so
+    a reduction without cells will do.
     """
     receiver, sender = gamma.receiver_integers, gamma.sender_integers  # row player A, col player B
-    pairs, degenerate = extreme_vertex_pairs(receiver, sender)
     found = []
-    for x, y in pairs:
+    for x, y, regular in extreme_vertex_pairs(receiver, sender):
         sx, sy = sum(x), sum(y)
         found.append(
             MixedEquilibrium(
@@ -354,10 +357,11 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> Equilibr
                     Fraction(_bilinear(sender.matrix, x, y), sx * sy * sender.scale),
                     Fraction(_bilinear(receiver.matrix, x, y), sx * sy * receiver.scale),
                 ),
+                regular=regular,
             )
         )
     found.sort(key=MixedEquilibrium.sort_key)
-    return EquilibriumSet(equilibria=tuple(found), degenerate=degenerate)
+    return EquilibriumSet(equilibria=tuple(found))
 
 
 def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:

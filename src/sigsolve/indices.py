@@ -5,6 +5,9 @@ two support-restricted payoff determinants, read on the game's cached integer
 view of each player's payoffs (the one the enumerator read) shifted to at
 least 1, times (-1)^(k+1) for support size k. The sign convention makes every
 pure strict equilibrium +1 and the indices of a nondegenerate game sum to +1.
+Whether an equilibrium is regular is decided by the walk that found it
+(`MixedEquilibrium.regular`); this module reads that flag and decides no
+regularity itself.
 
 Components get a sampling index by one fixed procedure: in each of 20
 replications, add to every payoff a multiple of 1/10^6 drawn uniformly from
@@ -17,9 +20,9 @@ unnormalized integer points. A perturbed equilibrium is far from a Nash
 subset when it lies more than 1/20 outside the box around either face
 (each coordinate's range over the face's vertices), tested by
 cross-multiplying; only the others become `Fraction` mixes, whose distance
-comes from hull-distance LPs. A draw with an extreme equilibrium that is
-not regular (`EquilibriumSet.degenerate`) is redrawn, up to 16 draws per
-replication, so every equilibrium of a kept draw has a determinant index.
+comes from hull-distance LPs. A draw with an extreme equilibrium that its
+walk flags as not regular is redrawn, up to 16 draws per replication, so
+every equilibrium of a kept draw has a determinant index.
 Only the seed is settable. The draws do not depend on the component, so the
 components of one game, indexed in one call, share them through a
 `DrawStore`: each draw is perturbed and walked once, and each nearby
@@ -108,33 +111,18 @@ class ContainmentReport:
 
 
 def _determinant_index(receiver: IntegerPayoffs, sender: IntegerPayoffs, x, y) -> int:
-    """The determinant index of the equilibrium (x / sum(x), y / sum(y)) of
-    the game with these integer views, for nonnegative integer points x and y.
-
-    Regularity is enforced: equal support sizes, best-response sets equal to
-    the supports, and nonsingular support-restricted payoff blocks. Scaling
-    keeps the best responses, so they are compared in integers against the
-    unnormalized points; at value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v,
-    so no positive shift s changes a sign or makes a block singular (Shapley
-    1974), and neither does a positive scale.
+    """The determinant index of the regular equilibrium (x / sum(x), y / sum(y))
+    of the game with these integer views, for nonnegative integer points x
+    and y: (-1)^(k+1) times the signs of both players' support blocks, k the
+    support size. The caller vouches that it is regular, which the walk that
+    found it decided. At value v > 0, det(A_ST + sJ) = det(A_ST)(v + s)/v, so
+    no positive shift s changes a sign (Shapley 1974), and neither does a
+    positive scale.
     """
-    rows = [i for i, w in enumerate(x) if w > 0]
-    cols = [j for j, w in enumerate(y) if w > 0]
-    if len(rows) != len(cols):
-        raise DegenerateEquilibriumError(
-            f"support sizes differ ({len(rows)} rows vs {len(cols)} cols); use component_index"
-        )
-    row_values = [sum(a * yj for a, yj in zip(row, y) if yj) for row in receiver.matrix]
-    col_values = [sum(row[j] * xi for row, xi in zip(sender.matrix, x) if xi) for j in range(len(y))]
-    best_row, best_col = max(row_values), max(col_values)
-    if rows != [i for i, value in enumerate(row_values) if value == best_row]:
-        raise DegenerateEquilibriumError("row best responses extend beyond the support")
-    if cols != [j for j, value in enumerate(col_values) if value == best_col]:
-        raise DegenerateEquilibriumError("col best responses extend beyond the support")
+    rows = [i for i, w in enumerate(x) if w]
+    cols = [j for j, w in enumerate(y) if w]
     det_receiver = determinant([[receiver.matrix[i][j] + receiver.shift for j in cols] for i in rows])
     det_sender = determinant([[sender.matrix[i][j] + sender.shift for j in cols] for i in rows])
-    if det_receiver == 0 or det_sender == 0:
-        raise DegenerateEquilibriumError("singular support-restricted payoff block")
     sign = 1 if det_receiver * det_sender > 0 else -1
     return sign * (-1 if len(rows) % 2 == 0 else 1)
 
@@ -142,7 +130,10 @@ def _determinant_index(receiver: IntegerPayoffs, sender: IntegerPayoffs, x, y) -
 def equilibrium_index(gamma: BimatrixGame | ReducedViews, eq: MixedEquilibrium) -> IndexResult:
     """Determinant index of a regular equilibrium, read on the game's integer
     views, which enumerating it already computed, against each mix times the
-    lcm of its denominators (see `_determinant_index`)."""
+    lcm of its denominators (see `_determinant_index`). Raises
+    DegenerateEquilibriumError when the equilibrium is not regular."""
+    if not eq.regular:
+        raise DegenerateEquilibriumError("the equilibrium is not regular; use component_index")
     value = _determinant_index(
         gamma.receiver_integers, gamma.sender_integers, numerators(eq.row_mix)[0], numerators(eq.col_mix)[0]
     )
@@ -222,7 +213,7 @@ class _Draw:
     def __init__(self, receiver: IntegerPayoffs, sender: IntegerPayoffs, pairs):
         self.receiver = receiver
         self.sender = sender
-        self.points = [(x, sum(x), y, sum(y)) for x, y in pairs]
+        self.points = [(x, sum(x), y, sum(y)) for x, y, _ in pairs]
         self._indices: dict[int, int] = {}
 
     def index(self, k: int) -> int:
@@ -259,8 +250,8 @@ class DrawStore:
         key = (rep, attempt)
         if key not in self._draws:
             receiver, sender = _perturbed_views(self.gamma, random.Random(f"{self.cfg.seed}:{rep}:{attempt}"))
-            pairs, degenerate = extreme_vertex_pairs(receiver, sender)
-            self._draws[key] = None if degenerate else _Draw(receiver, sender, pairs)
+            pairs = extreme_vertex_pairs(receiver, sender)
+            self._draws[key] = _Draw(receiver, sender, pairs) if all(regular for *_, regular in pairs) else None
         return self._draws[key]
 
 
@@ -274,11 +265,8 @@ def component_index(
     regular equilibrium, the perturbation index otherwise. The components of
     one game share their perturbation draws through `draws`, a `DrawStore`
     of `gamma` and `cfg`; without one the call makes its own."""
-    if len(component.extremes) == 1:
-        try:
-            return equilibrium_index(gamma, component.extremes[0])
-        except DegenerateEquilibriumError:
-            pass
+    if len(component.extremes) == 1 and component.extremes[0].regular:
+        return equilibrium_index(gamma, component.extremes[0])
     return _perturbation_index(gamma, component, cfg, draws)
 
 

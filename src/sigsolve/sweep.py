@@ -256,6 +256,7 @@ def verify_theorem_bound(
 
 def distance_scaling(records: list[SweepRecord]) -> Fraction | None:
     """The constant k with squared distance = k c^2 at every positive sampled
-    cost where the component survives, or None if there is no such constant."""
-    ratios = {r.squared_distance / (r.c * r.c) for r in records if r.c > 0 and r.found}
+    cost where the component survives other than by coincidence, or None if
+    there is no such constant."""
+    ratios = {r.squared_distance / (r.c * r.c) for r in records if r.c > 0 and r.found and not r.coincidence}
     return ratios.pop() if len(ratios) == 1 else None

@@ -25,8 +25,9 @@ hull LPs, is the oracle for the integer draws that `indices.DrawStore`
 shares between components and for the far screen in front of the LPs.
 Walking both best-response polytopes in full and matching labels, which
 `equilibrium.extreme_vertex_pairs` replaced with one walk and partner faces,
-is the oracle for its pairs, and a sympy regularity check for its
-`degenerate` flag. `reference_sgcm_normal_form` prices every monitored
+is the oracle for its pairs and, by counting each vertex's labels, for
+their `regular` flags; the sympy check `is_regular` is a second oracle for
+every flag. `reference_sgcm_normal_form` prices every monitored
 receiver strategy by its own replies, apart from `monitored_form`, and is
 the oracle for the full monitored table read off it. The `Fraction` path of
 a cost sweep, which reduces that priced table and recomputes each form's
@@ -67,7 +68,6 @@ from sigsolve.equilibrium import (
 from sigsolve.game import ReceiverStrategyC, SignalingGame, enumerate_plays, strategy_spaces, strategy_spaces_c
 from sigsolve.indices import (
     DegenerateDrawsError,
-    DegenerateEquilibriumError,
     DrawStore,
     IndexResult,
     PerturbationConfig,
@@ -246,15 +246,18 @@ def binary_game(number: int) -> SignalingGame:
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):
     """Yield `count` games whose full best-response polytopes have simple
     vertices, each with its `enumerate_extreme_equilibria`. The filter reads
-    the full-game flag of `reference_extreme_equilibria`, not the
-    enumerator's, which describes only the strict-dominance core."""
+    the full-game vertices of `reference_vertices`, not the enumerator's
+    flags, which describe only equilibria."""
     rng = random.Random(seed)
     produced = 0
     while produced < count:
         rows = rng.randint(2, max_size)
         cols = rng.randint(2, max_size)
         gamma = random_bimatrix(rng, rows, cols)
-        if reference_extreme_equilibria(gamma).degenerate:
+        p_vertices, q_vertices = reference_vertices(gamma)
+        if any(len(labels) > rows for labels in p_vertices.values()) or any(
+            len(labels) > cols for labels in q_vertices.values()
+        ):
             continue
         produced += 1
         yield gamma, enumerate_extreme_equilibria(gamma)
@@ -700,13 +703,18 @@ def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> t
     """`equilibrium.extreme_vertex_pairs` by walking both best-response
     polytopes of the strict-dominance core in full and keeping the vertex
     pairs whose labels jointly cover every pure strategy of the core, as
-    (pairs, degenerate).
+    (flagged pairs (x, y, regular), overlabeled).
 
     Row i is label bit i and col j bit m + j, so a pair matches when the col
     vertex holds every label the row vertex lacks (a superset test, as
-    degenerate vertices carry extra labels). `degenerate` is the flag
-    the package had before it walked one polytope: some vertex of either
-    core polytope is overlabeled.
+    degenerate vertices carry extra labels). A matched pair is regular
+    exactly when neither vertex is overlabeled: then their labels are
+    disjoint, so each support is the other player's tight set, the supports
+    have equal sizes, and each vertex's m or n tight constraints are
+    independent, which makes both support blocks nonsingular; a regular
+    pair's vertices carry no other labels. `overlabeled` is the flag the
+    package had before it walked one polytope: some vertex of either core
+    polytope is overlabeled.
     """
     full_m, full_n = len(receiver.matrix), len(receiver.matrix[0])
     kept_rows, kept_cols = strict_core(receiver.matrix, sender.matrix)
@@ -715,7 +723,7 @@ def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> t
     q_rows = [[receiver.matrix[i][j] + receiver.shift for j in kept_cols] for i in kept_rows]
     p_vertices = _polytope_vertices(p_rows, m)
     q_vertices = _polytope_vertices(q_rows, n)
-    degenerate = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
+    overlabeled = any(lx.bit_count() > m for lx in p_vertices.values()) or any(
         ly.bit_count() > n for ly in q_vertices.values()
     )
     full = (1 << (m + n)) - 1
@@ -729,40 +737,53 @@ def two_walk_vertex_pairs(receiver: IntegerPayoffs, sender: IntegerPayoffs) -> t
         need = full & ~lx
         for y, ly in q_labeled:
             if ly & need == need:
-                pairs.append((_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n)))
-    return pairs, degenerate
+                regular = lx.bit_count() == m and ly.bit_count() == n
+                pairs.append((_padded(x, kept_rows, full_m), _padded(y, kept_cols, full_n), regular))
+    return pairs, overlabeled
 
 
-def normalized_pairs(pairs) -> list[tuple[Mix, Mix]]:
-    """Integer vertex pairs as sorted (row mix, col mix) `Fraction` pairs."""
-    return sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in pairs)
+def normalized_pairs(pairs) -> list[tuple[Mix, Mix, bool]]:
+    """Flagged integer vertex pairs as sorted (row mix, col mix, regular)
+    triples with `Fraction` mixes."""
+    return sorted(
+        (tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y), regular) for x, y, regular in pairs
+    )
 
 
 def _priced(gamma: BimatrixGame, row_mix: Mix, col_mix: Mix) -> MixedEquilibrium:
-    """The mix pair with its expected (sender, receiver) payoffs in `gamma`."""
+    """The mix pair with its expected (sender, receiver) payoffs in `gamma`
+    and its `is_regular` flag."""
     m, n = gamma.shape
     u1 = sum(row_mix[i] * col_mix[j] * gamma.cells[i][j][0] for i in range(m) for j in range(n))
     u2 = sum(row_mix[i] * col_mix[j] * gamma.cells[i][j][1] for i in range(m) for j in range(n))
-    return MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2))
+    eq = MixedEquilibrium(row_mix=row_mix, col_mix=col_mix, payoffs=(u1, u2), regular=False)
+    return replace(eq, regular=is_regular(gamma, eq))
 
 
-def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
-    """`equilibrium.enumerate_extreme_equilibria` over Fractions.
-
-    Shift each payoff matrix so its least entry is 1, take every labeled vertex
-    of both best-response polytopes from the exhaustive basis search, and
-    keep the pairs whose label sets together cover all m + n strategies.
-    """
+def reference_vertices(gamma: BimatrixGame) -> tuple[dict, dict]:
+    """Every vertex of both best-response polytopes of the full game, each
+    payoff matrix shifted so its least entry is 1, with its label set, from
+    the exhaustive basis search."""
     m, n = gamma.shape
     receiver = positive_payoffs(gamma, 1)
     sender = positive_payoffs(gamma, 0)
     p_rows = [[sender[i][j] for i in range(m)] for j in range(n)]
     q_rows = [[receiver[i][j] for j in range(n)] for i in range(m)]
-    p_vertices = exhaustive_polytope_vertices(p_rows, m, ("row", "col"))
-    q_vertices = exhaustive_polytope_vertices(q_rows, n, ("col", "row"))
-    degenerate = any(len(labels) > m for labels in p_vertices.values()) or any(
-        len(labels) > n for labels in q_vertices.values()
+    return (
+        exhaustive_polytope_vertices(p_rows, m, ("row", "col")),
+        exhaustive_polytope_vertices(q_rows, n, ("col", "row")),
     )
+
+
+def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
+    """`equilibrium.enumerate_extreme_equilibria` over Fractions.
+
+    Take every labeled vertex of both best-response polytopes
+    (`reference_vertices`), keep the pairs whose label sets together cover
+    all m + n strategies, and flag each with `is_regular`.
+    """
+    m, n = gamma.shape
+    p_vertices, q_vertices = reference_vertices(gamma)
     found = {}
     for x, lx in p_vertices.items():
         for y, ly in q_vertices.items():
@@ -771,7 +792,7 @@ def reference_extreme_equilibria(gamma: BimatrixGame) -> EquilibriumSet:
                 col_mix = tuple(v / sum(y) for v in y)
                 found[(row_mix, col_mix)] = _priced(gamma, row_mix, col_mix)
     ordered = tuple(sorted(found.values(), key=MixedEquilibrium.sort_key))
-    return EquilibriumSet(equilibria=ordered, degenerate=degenerate)
+    return EquilibriumSet(equilibria=ordered)
 
 
 class InfeasibleProgram(ValueError):
@@ -926,12 +947,7 @@ def reference_perturbation_index(gamma: BimatrixGame, component, cfg: Perturbati
             result = enumerate_extreme_equilibria(perturbed)
             if result.degenerate:
                 continue
-            try:
-                total = sum(
-                    equilibrium_index(perturbed, eq).value for eq in result if distance(eq) <= cfg.neighborhood
-                )
-            except DegenerateEquilibriumError:
-                continue
+            total = sum(equilibrium_index(perturbed, eq).value for eq in result if distance(eq) <= cfg.neighborhood)
             break
         if total is None:
             raise DegenerateDrawsError(

@@ -392,7 +392,7 @@ def test_missing_file_is_computation_error():
 
 
 def test_all_degenerate_perturbation_draws_are_a_computation_error(beerquiche_file, monkeypatch):
-    monkeypatch.setattr(indices, "extreme_vertex_pairs", lambda receiver, sender: ([], True))
+    monkeypatch.setattr(indices, "extreme_vertex_pairs", lambda receiver, sender: [((1,), (1,), False)])
     result = run_command(["solve", beerquiche_file, "--index"])
     assert result.status == 1
     assert result.text == "error: replication 0: all 16 perturbation draws hit degenerate games"

@@ -11,6 +11,7 @@ from helpers import (
     coordination_2x2,
     lexicographic_component_indices,
     matching_pennies,
+    normalized_pairs,
     perturbed_game,
     random_nondegenerate_games,
     reference_determinant_index,
@@ -80,6 +81,28 @@ def test_unequal_supports_rejected(beerquiche):
     )
     with pytest.raises(DegenerateEquilibriumError):
         equilibrium_index(gamma, segment_end)
+
+
+def test_an_isolated_irregular_equilibrium_gets_the_perturbation_index(monkeypatch):
+    """(r0, c0) is an isolated equilibrium at which both players tie, so
+    its component has one extreme, which the walk flags as not regular; the
+    component index goes straight to the perturbation index and never asks
+    for a determinant index."""
+    row, col = ((1, 0), (1, 1)), ((1, 1), (0, 1))
+    gamma = BimatrixGame(
+        ("r0", "r1"), ("c0", "c1"), tuple(tuple((F(col[i][j]), F(row[i][j])) for j in range(2)) for i in range(2))
+    )
+    components = solve_components(gamma)
+    tied = next(comp for comp in components if comp.extremes[0].row_mix == (1, 0))
+    assert len(tied.extremes) == 1 and not tied.extremes[0].regular
+
+    def never(*args):
+        raise AssertionError("equilibrium_index was called")
+
+    monkeypatch.setattr(indices, "equilibrium_index", never)
+    result = component_index(gamma, tied, CFG)
+    assert (result.method, result.value, result.agreement) == ("perturbation", 0, 1)
+    assert lexicographic_component_indices(gamma)[components.index(tied)] == 0
 
 
 def test_component_indices_of_beer_quiche(beerquiche):
@@ -277,11 +300,9 @@ def test_integer_draws_are_the_fraction_draws(games):
     for gamma in games():
         for attempt in range(3):
             seed = f"{CFG.seed}:0:{attempt}"
-            pairs, degenerate = extreme_vertex_pairs(*indices._perturbed_views(gamma, random.Random(seed)))
+            pairs = extreme_vertex_pairs(*indices._perturbed_views(gamma, random.Random(seed)))
             expected = enumerate_extreme_equilibria(perturbed_game(gamma, random.Random(seed)))
-            mixes = sorted((tuple(F(v, sum(x)) for v in x), tuple(F(v, sum(y)) for v in y)) for x, y in pairs)
-            assert mixes == [eq.sort_key() for eq in expected], gamma
-            assert degenerate == expected.degenerate, gamma
+            assert normalized_pairs(pairs) == [(*eq.sort_key(), eq.regular) for eq in expected], gamma
 
 
 def test_draws_are_shared_within_a_store_and_never_across_calls(beerquiche, monkeypatch):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import message_blind_receiver_game, monitoring_merges_at_one_quarter, reference_evaluate_cost
+from helpers import binary_game, message_blind_receiver_game, monitoring_merges_at_one_quarter, reference_evaluate_cost
 
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
@@ -105,6 +105,14 @@ def test_distance_scaling_ignores_costs_where_the_component_failed(game):
     records = cost_sweep(game, BEER, F(0), F(1, 4), 6)
     assert [r.c for r in records if not r.found] == [F(1, 8), F(1, 4)]
     assert distance_scaling(records) == F(3, 2)
+
+
+def test_distance_scaling_ignores_costs_where_survival_is_a_coincidence():
+    """Binary game 40006's C1 survives at c = 1/8 only by coincidence, so
+    that record gives no scaling constant."""
+    records = cost_sweep(binary_game(40006), "C1", F(0), F(1, 8), 1)
+    assert [(r.c, r.found, r.coincidence) for r in records] == [(F(1, 8), True, True)]
+    assert distance_scaling(records) is None
 
 
 def test_sweep_grid_stops_at_the_first_cost_below_c_min(game):

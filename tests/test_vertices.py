@@ -4,10 +4,10 @@ the two-walk label matcher.
 Every polytope that `enumerate_extreme_equilibria` walks, on the game's
 strict-dominance core, must get the same {vertex: labels} map from both. The
 equilibria must print the same as those of the `Fraction` reference
-enumerator on the full game, and the `degenerate` flag must say whether
-some of them is not regular, by the sympy regularity oracle. The vertex
-pairs of the one walk and its partner faces must be those of walking both
-polytopes in full, whichever polytope is walked. Small payoff ranges and
+enumerator on the full game, flags included, and each equilibrium's
+`regular` flag must be the sympy regularity oracle's verdict. The flagged
+vertex pairs of the one walk and its partner faces must be those of walking
+both polytopes in full, whichever polytope is walked. Small payoff ranges and
 monitored forms make most of these polytopes degenerate, which is where a
 pivoting walk can lose vertices and a partner face can lose pairs.
 """
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    binary_game,
     exhaustive_polytope_vertices,
     frontier_probe,
     is_regular,
@@ -36,6 +37,7 @@ from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
     build_sgcm_normal_form,
+    monitored_form,
     reduce_normal_form,
     strict_core,
 )
@@ -184,43 +186,53 @@ def probe_forms():
             yield reduce_normal_form(form)[0]
 
 
-@pytest.mark.parametrize(
-    "forms",
-    [
-        lambda: random_games(11),
-        lambda: random_games(19),
-        lambda: rational_games(17),
-        lambda: monitored_forms(23),
-        lambda: perturbed_forms(29),
-        fixture_forms,
-        probe_forms,
-    ],
-    ids=[
-        "random_games-11",
-        "random_games-19",
-        "rational_games-17",
-        "monitored_forms",
-        "perturbed_forms",
-        "fixtures",
-        "probes",
-    ],
-)
+def binary_forms():
+    """The base form, the zero-cost monitored form and the reduced monitored
+    form at 1/20 of 40 seeded binary games (`helpers.binary_game`)."""
+    for number in random.Random(31).sample(range(2**16), 40):
+        game = binary_game(number)
+        base = build_normal_form(game)
+        yield base
+        yield monitored_form(game, base)
+        yield reduce_normal_form(build_sgcm_normal_form(game, F(1, 20)))[0]
+
+
+FORMS = {
+    "random_games-11": lambda: random_games(11),
+    "random_games-19": lambda: random_games(19),
+    "rational_games-17": lambda: rational_games(17),
+    "monitored_forms": lambda: monitored_forms(23),
+    "perturbed_forms": lambda: perturbed_forms(29),
+    "fixtures": fixture_forms,
+    "probes": probe_forms,
+}
+
+
+@pytest.mark.parametrize("forms", FORMS.values(), ids=FORMS.keys())
 def test_one_walk_matches_two_walks(forms):
     """`extreme_vertex_pairs` gives the normalized pairs of the two-walk
-    matcher. So does its partner routine walking either polytope of the
-    core, P or Q, with the same flag."""
+    matcher, each with the same `regular` flag. So does its partner routine
+    walking either polytope of the core, P or Q."""
     for gamma in forms():
         receiver, sender = gamma.receiver_integers, gamma.sender_integers
         m, n = gamma.shape
         expected = normalized_pairs(two_walk_vertex_pairs(receiver, sender)[0])
-        found, degenerate = equilibrium.extreme_vertex_pairs(receiver, sender)
+        found = equilibrium.extreme_vertex_pairs(receiver, sender)
         assert normalized_pairs(found) == expected, gamma
         rows, cols = strict_core(receiver.matrix, sender.matrix)
         p_rows = [[sender.matrix[i][j] + sender.shift for i in rows] for j in cols]
         q_rows = [[receiver.matrix[i][j] + receiver.shift for j in cols] for i in rows]
-        on_p, p_irregular = equilibrium._partner_pairs(p_rows, q_rows)
-        on_q, q_irregular = equilibrium._partner_pairs(q_rows, p_rows)
-        for pairs in (on_p, [(x, y) for y, x in on_q]):
-            full = [(equilibrium._padded(x, rows, m), equilibrium._padded(y, cols, n)) for x, y in pairs]
+        on_p = equilibrium._partner_pairs(p_rows, q_rows)
+        on_q = equilibrium._partner_pairs(q_rows, p_rows)
+        for pairs in (on_p, [(x, y, regular) for y, x, regular in on_q]):
+            full = [(equilibrium._padded(x, rows, m), equilibrium._padded(y, cols, n), r) for x, y, r in pairs]
             assert normalized_pairs(full) == expected, gamma
-        assert p_irregular == q_irregular == degenerate, gamma
+
+
+@pytest.mark.parametrize("forms", [*FORMS.values(), binary_forms], ids=[*FORMS, "binary"])
+def test_regular_flags_match_the_sympy_oracle(forms):
+    """Every extreme equilibrium's `regular` flag, which the walk decides, is
+    the sympy check `is_regular` on the full game."""
+    for gamma in forms():
+        for eq in equilibrium.enumerate_extreme_equilibria(gamma):
+            assert eq.regular == is_regular(gamma, eq), (gamma, eq)
