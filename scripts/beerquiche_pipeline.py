@@ -20,6 +20,8 @@ from sigsolve.sweep import (
     component_ids,
     cost_sweep,
     distance_scaling,
+    halving_grid,
+    resolve_base_component,
     survival_threshold,
     verify_theorem_bound,
 )
@@ -69,7 +71,8 @@ def main() -> None:
         )
 
     print("\n== cost sweep toward zero ==")
-    records = cost_sweep(game, "C0", c_min=Fraction(0), c_max=Fraction(1, 8), steps=8)
+    base = resolve_base_component(game, "C0")
+    records = cost_sweep(game, base, halving_grid(Fraction(1, 8), 8))
     out_path = out_dir / "sweep.csv"
     write_sweep_csv(records, str(out_path), classic=True)
     for rec in records:
@@ -82,14 +85,14 @@ def main() -> None:
     print(f"sweep written to {out_path}")
 
     print("\n== survival threshold of the beer component ==")
-    threshold = survival_threshold(game, "C0")
+    threshold = survival_threshold(game, base)
     print(
         f"bracket [{threshold.last_surviving}, "
         f"{threshold.first_failing}], width {threshold.bracket_width}"
     )
 
     print("\n== closeness bound at epsilon = 1/20 ==")
-    evidence = verify_theorem_bound(game, "C0", Fraction(1, 20), index_cfg=cfg)
+    evidence = verify_theorem_bound(game, base, Fraction(1, 20))
     print(f"c_epsilon = {evidence.c_epsilon}")
 
 

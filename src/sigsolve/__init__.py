@@ -54,6 +54,7 @@ from .sweep import (
     ThresholdResult,
     cost_sweep,
     distance_scaling,
+    resolve_base_component,
     survival_threshold,
     verify_theorem_bound,
 )

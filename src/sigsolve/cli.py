@@ -41,12 +41,13 @@ from .normalform import (
 )
 from .rational import format_compact, parse_rational, sqrt_decimal
 from .sweep import (
-    NoSurvivalError,
     SweepRecord,
     UnknownComponentError,
     component_ids,
     cost_sweep,
     distance_scaling,
+    halving_grid,
+    resolve_base_component,
     survival_threshold,
     verify_theorem_bound,
 )
@@ -298,9 +299,16 @@ def _cmd_sweep(args) -> CommandResult:
     classic = _classic_labels(game)
     c_min, c_max = parse_rational(args.cmin), parse_rational(args.cmax)
     expected = parse_rational(args.check_coefficient) if args.check_coefficient is not None else None
+    created = not os.path.lexists(args.out)
     open(args.out, "a").close()  # fail on an unwritable --out before solving; append mode truncates nothing
-    records = cost_sweep(game, args.component, c_min, c_max, args.steps)
-    write_sweep_csv(records, args.out, classic)
+    try:
+        grid = halving_grid(c_max, args.steps, c_min)
+        records = cost_sweep(game, resolve_base_component(game, args.component), grid)
+        write_sweep_csv(records, args.out, classic)
+    except BaseException:
+        if created:  # a failed run leaves no file behind, and any earlier file as it was
+            os.remove(args.out)
+        raise
     lines = [f"wrote {len(records)} records to {args.out}"]
     scaling = distance_scaling(records)
     if scaling is not None:
@@ -328,11 +336,10 @@ def _cmd_sweep(args) -> CommandResult:
 
 def _cmd_threshold(args) -> CommandResult:
     game = load_game(args.game)
-    try:
-        result = survival_threshold(game, args.component)
-    except NoSurvivalError as exc:
-        lines = [str(exc)]
-        for rec in exc.records:
+    result = survival_threshold(game, resolve_base_component(game, args.component))
+    if result.last_surviving is None:
+        lines = [f"component {args.component} survives at no sampled cost"]
+        for rec in result.records:
             lines.append(
                 f"  c={rec.c}: payoffs ({rec.payoffs[0]}, {rec.payoffs[1]}), squared distance {rec.squared_distance}"
             )
@@ -356,16 +363,18 @@ def _cmd_threshold(args) -> CommandResult:
 def _cmd_theorem(args) -> CommandResult:
     game = load_game(args.game)
     epsilon = parse_rational(args.epsilon)
-    evidence = verify_theorem_bound(game, args.component, epsilon, index_cfg=PerturbationConfig(seed=args.seed))
-    lines = [
-        f"component index: {evidence.index_result.value:+d}"
-        f" (agreement={evidence.index_result.agreement}, seed={args.seed})"
-    ]
-    if evidence.index_warning:
+    if epsilon <= 0:  # checked before the component is resolved, as `verify_theorem_bound` checks it
+        raise ValueError("epsilon must be positive")
+    base = resolve_base_component(game, args.component)
+    index = component_index(base.gamma, base.component, PerturbationConfig(seed=args.seed))
+    evidence = verify_theorem_bound(game, base, epsilon)
+    lines = [f"component index: {index.value:+d} (agreement={index.agreement}, seed={args.seed})"]
+    warning = index.value == 0 or index.indeterminate
+    if warning:
         lines.append("warning: zero or indeterminate index; no survival guarantee applies")
     if evidence.c_epsilon is None:
         lines.append(f"no cost bound found: sampled costs violate distance < {args.epsilon}")
-        status = 0 if evidence.index_warning else 1
+        status = 0 if warning else 1
     else:
         lines.append(f"c_epsilon = {evidence.c_epsilon}")
         status = 0
@@ -376,7 +385,7 @@ def _cmd_theorem(args) -> CommandResult:
         )
     summary = {
         "c_epsilon": str(evidence.c_epsilon) if evidence.c_epsilon is not None else None,
-        "index": evidence.index_result.value,
+        "index": index.value,
     }
     return CommandResult(status, "\n".join(lines), summary)
 

@@ -1,6 +1,12 @@
-"""Cost sweeps: track the equilibrium nearest a base component as the
-monitoring cost varies, locate the survival threshold, and collect the
-epsilon-closeness evidence for nonzero-index components.
+"""Cost sweeps of a resolved base component: track the equilibrium nearest
+it as the monitoring cost varies, locate the survival threshold, and collect
+the epsilon-closeness evidence for the small-cost theorem.
+
+`resolve_base_component` looks a component up once and returns its
+`BaseContext`; `cost_sweep`, `survival_threshold` and `verify_theorem_bound`
+sweep that context and never resolve it again. The theorem's hypothesis, a
+nonzero component index, is not decided here: the caller computes it with
+`indices.component_index` on the same context.
 
 Survival at cost c means the reduced monitored form has an equilibrium whose
 expected payoffs exactly equal the base component's payoffs. Along a family
@@ -19,7 +25,7 @@ keeps the outcome by monitoring with probability one pays c on every play:
 its payoffs are (u1, u2 - c), so payoff equality misses it. On
 games/three_types.sg the hybrid component C0 has such an equilibrium at
 squared outcome distance 0 at every sampled cost, yet `survival_threshold`
-reports that it survives at no sampled cost.
+finds no surviving cost.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .equilibrium import (
     solve_components,
 )
 from .game import SignalingGame, outcome_distance
-from .indices import IndexResult, PerturbationConfig, component_index
 from .normalform import BimatrixGame, build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 
 ZERO = Fraction(0)
@@ -48,14 +53,6 @@ THEOREM_GRID_STEPS = 10
 BRACKET_TOLERANCE = Fraction(1, 1000)
 # the most costs a halving grid may hold, so a sweep's work is bounded
 MAX_GRID_COSTS = 256
-
-
-class NoSurvivalError(RuntimeError):
-    """No cost on the initial grid kept the component's payoffs alive."""
-
-    def __init__(self, message: str, records: tuple["SweepRecord", ...]):
-        super().__init__(message)
-        self.records = records
 
 
 class UnknownComponentError(ValueError):
@@ -80,13 +77,22 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    last_surviving: Fraction
+    """`last_surviving` is None when no grid cost survives, and
+    `first_failing` is None when C_MAX does. `records` holds every evaluated
+    cost, in evaluation order."""
+
+    last_surviving: Fraction | None
     first_failing: Fraction | None
-    coincidences: tuple[SweepRecord, ...]  # the evaluated costs whose survival was a coincidence
+    records: tuple[SweepRecord, ...]
+
+    @property
+    def coincidences(self) -> tuple[SweepRecord, ...]:
+        """The evaluated costs whose survival was a coincidence."""
+        return tuple(r for r in self.records if r.coincidence)
 
     @property
     def bracket_width(self) -> Fraction | None:
-        if self.first_failing is None:
+        if self.last_surviving is None or self.first_failing is None:
             return None
         return self.first_failing - self.last_surviving
 
@@ -95,8 +101,6 @@ class ThresholdResult:
 class TheoremEvidence:
     c_epsilon: Fraction | None
     records: tuple[SweepRecord, ...]
-    index_result: IndexResult
-    index_warning: bool
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,12 @@ class BaseContext:
 
 def halving_grid(c_max: Fraction, steps: int, c_min: Fraction = ZERO) -> list[Fraction]:
     """c_max, c_max/2, ..., c_max/2**(steps-1), descending, stopping before
-    the first cost below c_min. Raises ValueError before a cost past the
-    first MAX_GRID_COSTS."""
+    the first cost below c_min. Raises ValueError unless 0 <= c_min < c_max
+    and steps >= 1, and before a cost past the first MAX_GRID_COSTS."""
+    if not (0 <= c_min < c_max):
+        raise ValueError("need 0 <= c_min < c_max")
+    if steps < 1:
+        raise ValueError("need at least one step")
     grid = []
     for i in range(steps):
         cost = c_max / 2**i
@@ -171,32 +179,24 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
     )
 
 
-def cost_sweep(
-    game: SignalingGame, component_id: str, c_min: Fraction, c_max: Fraction, steps: int
-) -> list[SweepRecord]:
-    """One record per cost of `halving_grid(c_max, steps, c_min)`, ascending."""
-    if not (0 <= c_min < c_max):
-        raise ValueError("need 0 <= c_min < c_max")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    grid = halving_grid(c_max, steps, c_min)
-    base = resolve_base_component(game, component_id)
-    return [evaluate_cost(game, base, c) for c in reversed(grid)]
+def cost_sweep(game: SignalingGame, base: BaseContext, grid: list[Fraction]) -> list[SweepRecord]:
+    """One record per cost of the grid, ascending."""
+    return [evaluate_cost(game, base, c) for c in sorted(grid)]
 
 
-def survival_threshold(game: SignalingGame, base_component_id: str) -> ThresholdResult:
+def survival_threshold(game: SignalingGame, base: BaseContext) -> ThresholdResult:
     """Bisect the cost at which the component's payoffs stop being supported,
     to a bracket no wider than BRACKET_TOLERANCE.
 
     Scans the halving grid from C_MAX down for a surviving/failing pair
     first, stopping at the first surviving cost. A component that survives at
     C_MAX itself (monitoring may simply be worthless) is reported with an open
-    bracket after that one evaluation; one that never survives raises
-    NoSurvivalError with the grid records attached. Every evaluated cost
-    whose survival was a coincidence is reported, in evaluation order; the
-    bisection still counts it as surviving.
+    bracket after that one evaluation; one that survives at no grid cost
+    comes back with `last_surviving` None, its smallest grid cost as
+    `first_failing` and all 12 grid records. Every evaluated cost whose
+    survival was a coincidence is among `coincidences`; the bisection still
+    counts it as surviving.
     """
-    base = resolve_base_component(game, base_component_id)
     records = []
     surviving = None
     failing = None
@@ -207,51 +207,34 @@ def survival_threshold(game: SignalingGame, base_component_id: str) -> Threshold
             surviving = c
             break
         failing = c
-    if surviving is None:
-        raise NoSurvivalError(
-            f"component {base_component_id} survives at no sampled cost", tuple(records)
-        )
     lo, hi = surviving, failing
-    while hi is not None and hi - lo > BRACKET_TOLERANCE:
+    while lo is not None and hi is not None and hi - lo > BRACKET_TOLERANCE:
         mid = (lo + hi) / 2
         records.append(evaluate_cost(game, base, mid))
         if records[-1].found:
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(last_surviving=lo, first_failing=hi, coincidences=tuple(r for r in records if r.coincidence))
+    return ThresholdResult(last_surviving=lo, first_failing=hi, records=tuple(records))
 
 
-def verify_theorem_bound(
-    game: SignalingGame,
-    base_component_id: str,
-    epsilon: Fraction,
-    index_cfg: PerturbationConfig = PerturbationConfig(),
-) -> TheoremEvidence:
+def verify_theorem_bound(game: SignalingGame, base: BaseContext, epsilon: Fraction) -> TheoremEvidence:
     """Largest grid cost below which every sampled cost stays epsilon-close,
     over the halving grid from C_MAX.
 
-    Closeness is exact: squared distance < epsilon^2. The bound only carries
-    the survival guarantee for components of non-zero index, so the component
-    index is computed and a warning is flagged otherwise.
+    Closeness is exact: squared distance < epsilon^2. The bound carries the
+    survival guarantee only for a component of nonzero index, which the
+    caller decides; this is the evidence alone.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    base = resolve_base_component(game, base_component_id)
-    index_result = component_index(base.gamma, base.component, index_cfg)
-    index_warning = index_result.value == 0 or index_result.indeterminate
-    records = [evaluate_cost(game, base, c) for c in reversed(halving_grid(C_MAX, THEOREM_GRID_STEPS))]
+    records = cost_sweep(game, base, halving_grid(C_MAX, THEOREM_GRID_STEPS))
     c_epsilon = None
     for lower, upper in zip(records, records[1:]):  # ascending
         if lower.squared_distance >= epsilon * epsilon:
             break
         c_epsilon = upper.c
-    return TheoremEvidence(
-        c_epsilon=c_epsilon,
-        records=tuple(records),
-        index_result=index_result,
-        index_warning=index_warning,
-    )
+    return TheoremEvidence(c_epsilon=c_epsilon, records=tuple(records))
 
 
 def distance_scaling(records: list[SweepRecord]) -> Fraction | None:

@@ -38,7 +38,9 @@ sampling index `indices.component_index` wherever its replications agree:
 each component's index is the sum of the determinant indices of the
 complementary pairs of lexicographically feasible bases, walked on both
 best-response polytopes of the full game, whose vertex pairs lie in it.
-`frontier_probe` builds the seeded frontier games, `binary_game` the binary
+`pooling_persists`, a closed-form test on the payoff table, is the oracle
+for which pooling components `sweep.evaluate_cost` keeps at squared
+distance 0. `frontier_probe` builds the seeded frontier games, `binary_game` the binary
 2-type, 2-message, 2-action games by number, and `dominance_filter` the
 strict-dominance core as a game. `matching_pennies` and `coordination_2x2`
 are small bimatrix fixtures, and `component_indices` indexes every
@@ -241,6 +243,25 @@ def binary_game(number: int) -> SignalingGame:
     bits = iter(number >> k & 1 for k in range(16))
     table = {(t, m, a): (F(next(bits)), F(next(bits))) for t in "AB" for m in "XY" for a in "UV"}
     return SignalingGame(("A", "B"), ("X", "Y"), ("U", "V"), {"A": F(1, 2), "B": F(1, 2)}, table)
+
+
+def pooling_persists(game: SignalingGame, outcome: dict) -> bool:
+    """Whether a pooling outcome keeps exactly, at squared distance 0, at
+    every positive monitoring cost, read off the payoff table alone.
+
+    When every type sends m, monitoring reveals nothing on path: each
+    monitoring row pays its free twin less the cost, so the receiver never
+    monitors and plays the on-path reply mix rho after every message. The
+    outcome (m, rho) therefore persists iff no type gains by sending another
+    message m' against the same rho."""
+    (message,) = {m for (_, m, _), mass in outcome.items() if mass > 0}
+    first = game.types[0]
+    rho = {a: outcome[(first, message, a)] / game.prior[first] for a in game.actions}
+
+    def pays(t, m):
+        return sum(rho[a] * game.payoff[(t, m, a)][0] for a in game.actions)
+
+    return all(pays(t, message) >= pays(t, other) for t in game.types for other in game.messages)
 
 
 def random_nondegenerate_games(count: int, seed: int, max_size: int = 4):

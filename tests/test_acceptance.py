@@ -28,6 +28,7 @@ from sigsolve.equilibrium import (
 from sigsolve.indices import (
     PerturbationConfig,
     _perturbation_index,
+    component_index,
     duplicate_containment_check,
     equilibrium_index,
 )
@@ -41,6 +42,7 @@ from sigsolve.normalform import (
 from sigsolve.sweep import (
     cost_sweep,
     evaluate_cost,
+    halving_grid,
     resolve_base_component,
     survival_threshold,
     verify_theorem_bound,
@@ -183,11 +185,11 @@ def test_criterion_06_mixed_equilibrium_at_one_twentieth(game):
 
 
 def test_criterion_07_survival_threshold(game):
-    result = survival_threshold(game, "C0")
+    base = resolve_base_component(game, "C0")
+    result = survival_threshold(game, base)
     assert result.first_failing is not None
     assert result.bracket_width <= F(1, 1000)
     assert result.last_surviving <= F(1, 10) <= result.first_failing
-    base = resolve_base_component(game, "C0")
     record = evaluate_cost(game, base, F(1, 5))
     assert not record.found
     assert record.payoffs == (F(3), F(9, 10))
@@ -198,7 +200,7 @@ def test_criterion_07_survival_threshold(game):
 
 
 def test_criterion_08_distance_scaling(game, beerquiche_file, tmp_path):
-    records = cost_sweep(game, "C0", c_min=F(0), c_max=F(1, 100), steps=3)
+    records = cost_sweep(game, resolve_base_component(game, "C0"), halving_grid(F(1, 100), 3))
     assert [r.c for r in records] == [F(1, 400), F(1, 200), F(1, 100)]
     ratios = {r.squared_distance / (r.c * r.c) for r in records}
     assert ratios == {ORACLE_SQUARED_COEFFICIENT}
@@ -231,14 +233,17 @@ def test_criterion_08_distance_scaling(game, beerquiche_file, tmp_path):
 
 def test_criterion_09_theorem_harness(game):
     epsilon = F(1, 20)
-    beer = verify_theorem_bound(game, "C0", epsilon)
+    beer_base = resolve_base_component(game, "C0")
+    beer = verify_theorem_bound(game, beer_base, epsilon)
     assert beer.c_epsilon is not None and beer.c_epsilon > 0
-    assert not beer.index_warning
+    beer_index = component_index(beer_base.gamma, beer_base.component)
+    assert beer_index.value != 0 and not beer_index.indeterminate
     below = [r for r in beer.records if r.c < beer.c_epsilon]
     assert below and all(r.squared_distance < epsilon**2 for r in below)
-    quiche = verify_theorem_bound(game, "C1", epsilon)
+    quiche_base = resolve_base_component(game, "C1")
+    quiche = verify_theorem_bound(game, quiche_base, epsilon)
     assert quiche.c_epsilon is None
-    assert quiche.index_warning and quiche.index_result.value == 0
+    assert component_index(quiche_base.gamma, quiche_base.component).value == 0
     print("ACCEPTANCE 9: PASS | epsilon=1/20 bound holds below c_eps>0 for BB; QQ reports failure")
 
 

@@ -292,6 +292,7 @@ def test_sweep_checks_its_output_path_before_solving(beerquiche_file, tmp_path, 
     def unreachable(*args):
         raise AssertionError("solved a cost for an output it cannot write")
 
+    monkeypatch.setattr(cli, "resolve_base_component", unreachable)
     monkeypatch.setattr(cli, "cost_sweep", unreachable)
     out = tmp_path / "missing" / "x.csv"
     result = run_command(
@@ -308,7 +309,7 @@ def test_sweep_past_the_grid_budget_fails_before_solving(beerquiche_file, tmp_pa
     def unreachable(*args):
         raise AssertionError("solved a game past the budget")
 
-    monkeypatch.setattr(sweep, "resolve_base_component", unreachable)
+    monkeypatch.setattr(cli, "resolve_base_component", unreachable)
     monkeypatch.setattr(sweep, "evaluate_cost", unreachable)
     result = run_command(
         ["sweep", beerquiche_file, "--component", "C0", "--cmin", "0", "--cmax", "1/8", "--steps", "1000000000",
@@ -327,6 +328,27 @@ def test_sweep_usage_error_leaves_an_existing_output_alone(beerquiche_file, tmp_
     )
     assert result.status == 2
     assert out.read_bytes() == b"earlier,run\r\n"
+
+
+@pytest.mark.parametrize(
+    "bounds, status",
+    [
+        (["--component", "C9", "--cmin", "0", "--cmax", "1/8", "--steps", "3"], 2),
+        (["--component", "C0", "--cmin", "1", "--cmax", "0", "--steps", "3"], 1),
+        (["--component", "C0", "--cmin", "0", "--cmax", "1/8", "--steps", "0"], 1),
+    ],
+)
+def test_a_failed_sweep_removes_only_the_output_it_created(beerquiche_file, tmp_path, bounds, status):
+    """The --out probe creates an empty file; a run that then fails removes
+    it, and leaves a file that was there before byte-identical."""
+    fresh = tmp_path / "fresh.csv"
+    result = run_command(["sweep", beerquiche_file, *bounds, "--out", str(fresh)])
+    assert result.status == status
+    assert not fresh.exists()
+    earlier = tmp_path / "earlier.csv"
+    earlier.write_bytes(b"earlier,run\r\n")
+    assert run_command(["sweep", beerquiche_file, *bounds, "--out", str(earlier)]).status == status
+    assert earlier.read_bytes() == b"earlier,run\r\n"
 
 
 def test_empty_record_list_gives_header_only(tmp_path):

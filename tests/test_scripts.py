@@ -100,23 +100,34 @@ def test_importing_the_package_leaves_the_front_end_unloaded():
     assert result.stdout == "[]\n"
 
 
+def imports(path: Path, module: str) -> bool:
+    """Whether the source file imports sigsolve's `module` or a name from it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            # `from .cli import x`, `from . import cli` and `from sigsolve import cli` all name it
+            source = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            targets = {source, *(f"{source}{sep}{alias.name}" for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            targets = {alias.name for alias in node.names}
+        else:
+            continue
+        if targets & {f".{module}", f"sigsolve.{module}"}:
+            return True
+    return False
+
+
 def test_no_library_module_imports_the_front_end():
     """Only `__main__` may import `.cli`; the library below it knows nothing of it."""
-    importers = []
-    for path in sorted((ROOT / "src" / "sigsolve").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                # `from .cli import x`, `from . import cli` and `from sigsolve import cli` all name it
-                module = "." * node.level + (node.module or "")
-                sep = "." if node.module else ""
-                targets = {module, *(f"{module}{sep}{alias.name}" for alias in node.names)}
-            elif isinstance(node, ast.Import):
-                targets = {alias.name for alias in node.names}
-            else:
-                continue
-            if targets & {".cli", "sigsolve.cli"}:
-                importers.append(path.name)
-    assert importers == ["__main__.py"]
+    paths = sorted((ROOT / "src" / "sigsolve").glob("*.py"))
+    assert [path.name for path in paths if imports(path, "cli")] == ["__main__.py"]
+
+
+def test_the_sweep_layer_imports_nothing_from_indices():
+    """`sweep` sweeps a component the caller resolved; whether its index
+    carries the theorem's guarantee is the caller's to decide."""
+    assert imports(ROOT / "src" / "sigsolve" / "cli.py", "indices")
+    assert not imports(ROOT / "src" / "sigsolve" / "sweep.py", "indices")
 
 
 def cache_bypasses(tree: ast.AST) -> list[str]:

@@ -1,23 +1,30 @@
-from contextlib import suppress
+import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from helpers import binary_game, message_blind_receiver_game, monitoring_merges_at_one_quarter, reference_evaluate_cost
+from helpers import (
+    binary_game,
+    message_blind_receiver_game,
+    monitoring_merges_at_one_quarter,
+    pooling_persists,
+    reference_evaluate_cost,
+)
 
 from sigsolve import sweep
 from sigsolve.catalog import beer_quiche
-from sigsolve.cli import render_label
-from sigsolve.equilibrium import solve_components
+from sigsolve.cli import render_label, run_command
+from sigsolve.equilibrium import component_outcome, solve_components
 from sigsolve.gamefile import load_game
+from sigsolve.indices import component_index
 from sigsolve.normalform import build_normal_form, monitor_bit, monitored_form, reduce_at_cost
 from sigsolve.sweep import (
     C_MAX,
     MAX_GRID_COSTS,
     THEOREM_GRID_STEPS,
     THRESHOLD_GRID_STEPS,
-    NoSurvivalError,
     UnknownComponentError,
     component_ids,
     cost_sweep,
@@ -84,8 +91,8 @@ def test_distance_shrinks_towards_zero_cost(game, beer_base):
     assert smaller.squared_distance == F(3, 2) * F(1, 1000) ** 2
 
 
-def test_sweep_grid_and_invariants(game):
-    records = cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 16), steps=5)
+def test_sweep_grid_and_invariants(game, beer_base):
+    records = cost_sweep(game, beer_base, halving_grid(F(1, 16), 5))
     assert [r.c for r in records] == sorted(r.c for r in records)
     assert len(records) == 5
     for r in records:
@@ -97,12 +104,12 @@ def test_sweep_grid_and_invariants(game):
         assert r.squared_distance == F(3, 2) * r.c * r.c
 
 
-def test_distance_scaling_constant(game):
-    assert distance_scaling(cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 100), steps=3)) == F(3, 2)
+def test_distance_scaling_constant(game, beer_base):
+    assert distance_scaling(cost_sweep(game, beer_base, halving_grid(F(1, 100), 3))) == F(3, 2)
 
 
-def test_distance_scaling_ignores_costs_where_the_component_failed(game):
-    records = cost_sweep(game, BEER, F(0), F(1, 4), 6)
+def test_distance_scaling_ignores_costs_where_the_component_failed(game, beer_base):
+    records = cost_sweep(game, beer_base, halving_grid(F(1, 4), 6))
     assert [r.c for r in records if not r.found] == [F(1, 8), F(1, 4)]
     assert distance_scaling(records) == F(3, 2)
 
@@ -110,23 +117,24 @@ def test_distance_scaling_ignores_costs_where_the_component_failed(game):
 def test_distance_scaling_ignores_costs_where_survival_is_a_coincidence():
     """Binary game 40006's C1 survives at c = 1/8 only by coincidence, so
     that record gives no scaling constant."""
-    records = cost_sweep(binary_game(40006), "C1", F(0), F(1, 8), 1)
+    game = binary_game(40006)
+    records = cost_sweep(game, resolve_base_component(game, "C1"), halving_grid(F(1, 8), 1))
     assert [(r.c, r.found, r.coincidence) for r in records] == [(F(1, 8), True, True)]
     assert distance_scaling(records) is None
 
 
-def test_sweep_grid_stops_at_the_first_cost_below_c_min(game):
+def test_sweep_grid_stops_at_the_first_cost_below_c_min(game, beer_base):
     """The grid never builds the costs below c_min, so a huge step count
     costs no more than the costs it keeps."""
     kept = [F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
     assert halving_grid(F(1, 8), 10**9, F(1, 100)) == halving_grid(F(1, 8), 8, F(1, 100)) == kept
     assert halving_grid(F(1, 8), 3, F(1, 100)) == kept[:3]
     assert halving_grid(C_MAX, THEOREM_GRID_STEPS) == [C_MAX / 2**i for i in range(THEOREM_GRID_STEPS)]
-    records = cost_sweep(game, BEER, c_min=F(1, 100), c_max=F(1, 8), steps=10**9)
+    records = cost_sweep(game, beer_base, halving_grid(F(1, 8), 10**9, F(1, 100)))
     assert [r.c for r in records] == kept[::-1]
 
 
-def test_sweep_grid_has_a_budget(game, monkeypatch):
+def test_sweep_grid_has_a_budget(game, beer_base, monkeypatch):
     """With c_min 0 every step keeps a cost, so the grid raises before its
     cost past MAX_GRID_COSTS, and such a sweep solves nothing."""
     assert len(halving_grid(C_MAX, MAX_GRID_COSTS)) == MAX_GRID_COSTS
@@ -139,7 +147,7 @@ def test_sweep_grid_has_a_budget(game, monkeypatch):
 
     monkeypatch.setattr(sweep, "evaluate_cost", never)
     with pytest.raises(ValueError, match="budget"):
-        cost_sweep(game, BEER, c_min=F(0), c_max=F(1, 8), steps=10**9)
+        cost_sweep(game, beer_base, halving_grid(F(1, 8), 10**9))
 
 
 @pytest.mark.parametrize(
@@ -150,28 +158,48 @@ def test_sweep_grid_has_a_budget(game, monkeypatch):
         (F(0), F(1, 8), 0, "need at least one step"),
     ],
 )
-def test_cost_sweep_checks_its_arguments_before_the_component(game, c_min, c_max, steps, message):
+def test_cost_sweep_checks_its_arguments_before_the_component(beerquiche_file, c_min, c_max, steps, message):
+    """`halving_grid` checks the arguments, and `sweep` builds the grid before
+    it resolves the component, so an unknown one is not reported."""
     with pytest.raises(ValueError, match=message):
-        cost_sweep(game, "C7", c_min, c_max, steps)
+        halving_grid(c_max, steps, c_min)
+    result = run_command(
+        ["sweep", beerquiche_file, "--component", "C7", f"--cmin={c_min}", f"--cmax={c_max}",
+         f"--steps={steps}", "--out", str(Path(beerquiche_file).with_suffix(".csv"))]
+    )
+    assert (result.status, result.text) == (1, f"error: {message}")
 
 
-def test_threshold_brackets_one_tenth(game):
-    result = survival_threshold(game, BEER)
+def test_threshold_brackets_one_tenth(game, beer_base):
+    result = survival_threshold(game, beer_base)
     assert result.first_failing is not None
     assert result.bracket_width <= F(1, 1000)
     assert result.last_surviving <= F(1, 10) <= result.first_failing
 
 
 def test_quiche_component_never_survives(game):
-    with pytest.raises(NoSurvivalError) as err:
-        survival_threshold(game, QUICHE)
-    assert all(not record.found for record in err.value.records)
+    result = survival_threshold(game, resolve_base_component(game, QUICHE))
+    assert (result.last_surviving, result.first_failing) == (None, C_MAX / 2 ** (THRESHOLD_GRID_STEPS - 1))
+    assert [record.c for record in result.records] == halving_grid(C_MAX, THRESHOLD_GRID_STEPS)
+    assert all(not record.found for record in result.records)
+    assert result.bracket_width is None and result.coincidences == ()
+
+
+def test_a_component_kept_only_by_monitoring_survives_at_no_grid_cost():
+    """three_types C0 stays at squared distance 0 by monitoring on path, which
+    pays c, so no grid cost keeps its payoffs: no bisection runs, and the
+    result holds the 12 grid records."""
+    game = load_game(str(GAMES / "three_types.sg"))
+    result = survival_threshold(game, resolve_base_component(game, "C0"))
+    assert result.last_surviving is None and result.bracket_width is None
+    assert [record.c for record in result.records] == halving_grid(C_MAX, THRESHOLD_GRID_STEPS)
+    assert all(not record.found and record.squared_distance == 0 for record in result.records)
 
 
 def test_message_blind_receiver_survives_every_cost():
     game = message_blind_receiver_game()
     assert len(solve_components(build_normal_form(game))) == 1
-    result = survival_threshold(game, "C0")
+    result = survival_threshold(game, resolve_base_component(game, "C0"))
     assert result.first_failing is None
     assert result.last_surviving == sweep.C_MAX
 
@@ -189,7 +217,7 @@ def test_survival_by_coincidence_is_flagged():
         record = evaluate_cost(game, base, cost)
         assert record.found and record.coincidence, cost
         assert record.squared_distance == F(1, 2) and record.payoffs != base.payoffs, cost
-    result = survival_threshold(game, QUICHE)
+    result = survival_threshold(game, base)
     assert (result.last_surviving, result.first_failing) == (C_MAX, None)
     assert [record.c for record in result.coincidences] == [C_MAX]
 
@@ -214,18 +242,17 @@ def test_no_other_fixture_survives_by_coincidence(monkeypatch):
                 base = resolve_base_component(each, component_id)
             except ValueError:  # no constant outcome
                 continue
-            with suppress(NoSurvivalError):
-                assert survival_threshold(each, component_id).coincidences == ()
+            assert survival_threshold(each, base).coincidences == ()
             for cost in halving_grid(C_MAX, THEOREM_GRID_STEPS) + [F(1, 20), F(1, 40)]:
                 sweep.evaluate_cost(each, base, cost)
     assert any(found for _, found, _ in priced)
     assert not any(coincidence for _, _, coincidence in priced)
 
 
-def test_theorem_bound_for_beer_component(game):
-    evidence = verify_theorem_bound(game, BEER, F(1, 20))
-    assert not evidence.index_warning
-    assert evidence.index_result.value == 1
+def test_theorem_bound_for_beer_component(game, beer_base):
+    # the theorem's hypothesis, which the caller decides
+    assert component_index(beer_base.gamma, beer_base.component).value == 1
+    evidence = verify_theorem_bound(game, beer_base, F(1, 20))
     assert evidence.c_epsilon is not None and evidence.c_epsilon > 0
     for record in evidence.records:
         if record.c < evidence.c_epsilon:
@@ -233,14 +260,14 @@ def test_theorem_bound_for_beer_component(game):
 
 
 def test_theorem_bound_fails_for_quiche_component(game):
-    evidence = verify_theorem_bound(game, QUICHE, F(1, 20))
-    assert evidence.index_warning
-    assert evidence.index_result.value == 0
+    base = resolve_base_component(game, QUICHE)
+    assert component_index(base.gamma, base.component).value == 0  # no guarantee applies
+    evidence = verify_theorem_bound(game, base, F(1, 20))
     assert evidence.c_epsilon is None
 
 
-def test_theorem_bound_trivial_for_huge_epsilon(game):
-    evidence = verify_theorem_bound(game, BEER, F(50))
+def test_theorem_bound_trivial_for_huge_epsilon(game, beer_base):
+    evidence = verify_theorem_bound(game, beer_base, F(50))
     assert evidence.c_epsilon == F(1, 4)
 
 
@@ -266,8 +293,7 @@ def test_integer_cost_grid_matches_fraction_path(monkeypatch):
                 base = resolve_base_component(game, component_id)
             except ValueError:  # no constant outcome
                 continue
-            with suppress(NoSurvivalError):
-                survival_threshold(game, component_id)
+            survival_threshold(game, base)
             for cost in halving_grid(C_MAX, THEOREM_GRID_STEPS):
                 checked(game, base, cost)
     assert len(set(priced)) > THEOREM_GRID_STEPS  # bisection costs off the grid were priced too
@@ -275,3 +301,25 @@ def test_integer_cost_grid_matches_fraction_path(monkeypatch):
     monitored = monitored_form(merged, build_normal_form(merged))
     for cost, mixed in ((F(1, 4), 1), (F(1, 8), 0)):
         assert [monitor_bit(label) for label in reduce_at_cost(monitored, cost).row_labels].count(None) == mixed
+
+
+def test_pooling_outcome_persists_exactly_where_no_type_gains_by_deviating():
+    """A pooling component keeps squared distance 0 at c = 1/4096, 1/64 and
+    1/8 exactly where `pooling_persists` holds, on the bundled games and 300
+    binary games. A solver that also charged the cost to the free rows
+    would keep beer-quiche's components, which fail the test, at distance 0."""
+    games = [load_game(str(path)) for path in sorted(GAMES.glob("*.sg"))]
+    games += [binary_game(number) for number in random.Random(7).sample(range(65536), 300)]
+    verdicts = Counter()
+    for game in games:
+        components = solve_components(build_normal_form(game))
+        for component_id, component in zip(component_ids(components), components):
+            report = component_outcome(game, component)
+            if not report.constant or report.classification != "pooling":
+                continue
+            persists = pooling_persists(game, report.outcome)
+            base = resolve_base_component(game, component_id)
+            for cost in (F(1, 4096), F(1, 64), F(1, 8)):
+                assert (evaluate_cost(game, base, cost).squared_distance == 0) == persists, (game, component_id, cost)
+            verdicts[persists] += 1
+    assert verdicts == {True: 22, False: 16}
