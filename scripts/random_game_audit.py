@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Audit the enumeration and index machinery on random bimatrix games.
+"""Audit the enumeration, index and grouping machinery on random bimatrix games.
 
 For each sampled game: every enumerated equilibrium must verify exactly, the
-count must be odd, and the determinant indices must sum to +1. A draw is
-skipped when its enumeration is `degenerate`: some extreme equilibrium is
-not regular, so it has no determinant index. Exits nonzero on the first
-violation.
+count must be odd, the determinant indices must sum to +1, and
+`group_components` must give each equilibrium its own component, since a
+regular equilibrium is isolated. A draw is skipped when its enumeration is
+`degenerate`: some extreme equilibrium is not regular, so it has no
+determinant index. Exits nonzero on the first violation.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import random
 import sys
 
 from sigsolve.catalog import random_bimatrix
-from sigsolve.equilibrium import enumerate_extreme_equilibria, is_equilibrium
+from sigsolve.equilibrium import enumerate_extreme_equilibria, group_components, is_equilibrium
 from sigsolve.indices import equilibrium_index
 
 
@@ -48,12 +49,15 @@ def main() -> int:
         if total_index != 1:
             print(f"FAIL: index sum {total_index} in game {audited}")
             return 1
+        if [comp.extremes for comp in group_components(result, gamma)] != [(eq,) for eq in result]:
+            print(f"FAIL: regular equilibria share a component in game {audited}")
+            return 1
         counts[len(result)] = counts.get(len(result), 0) + 1
         audited += 1
     print(f"audited {audited} games ({skipped} degenerate draws skipped)")
     for count in sorted(counts):
         print(f"  {counts[count]:>4} games with {count} equilibria")
-    print("all equilibria exact, counts odd, index sums +1")
+    print("all equilibria exact, counts odd, index sums +1, one component per equilibrium")
     return 0
 
 

@@ -15,12 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibrium import (
-    component_outcome,
-    enumerate_extreme_equilibria,
-    group_components,
-    maximal_nash_subsets,
-)
+from .equilibrium import component_outcome, enumerate_extreme_equilibria, group_components
 from .game import ReceiverStrategy, ReceiverStrategyC, SenderStrategy, SignalingGame
 from .gamefile import GameFileError, load_game
 
@@ -180,8 +175,7 @@ def write_sweep_csv(records: list[SweepRecord], path: str, classic: bool = False
                     rec.monitor_probability,
                     rec.squared_distance,
                     sqrt_decimal(rec.squared_distance),
-                    rec.payoffs[0],
-                    rec.payoffs[1],
+                    *rec.nearest.payoffs,
                     "+".join(render_label(l, classic) for l in rec.sender_support),
                     "+".join(render_label(l, classic) for l in rec.receiver_support),
                 ]
@@ -257,7 +251,7 @@ def _cmd_solve(args) -> CommandResult:
             f" | payoffs ({eq.payoffs[0]}, {eq.payoffs[1]})"
         )
     if args.components or args.index:
-        components = group_components(maximal_nash_subsets(equilibria), gamma)
+        components = group_components(equilibria, gamma)
         ids = component_ids(components)
         summary["components"] = len(components)
         if args.index:
@@ -340,9 +334,8 @@ def _cmd_threshold(args) -> CommandResult:
     if result.last_surviving is None:
         lines = [f"component {args.component} survives at no sampled cost"]
         for rec in result.records:
-            lines.append(
-                f"  c={rec.c}: payoffs ({rec.payoffs[0]}, {rec.payoffs[1]}), squared distance {rec.squared_distance}"
-            )
+            u1, u2 = rec.nearest.payoffs
+            lines.append(f"  c={rec.c}: payoffs ({u1}, {u2}), squared distance {rec.squared_distance}")
         return CommandResult(1, "\n".join(lines), {"survives": False})
     if result.first_failing is None:
         text = f"survives at c = {result.last_surviving}, the largest grid cost; smaller costs were not checked"

@@ -1,6 +1,6 @@
 """Exact enumeration of all extreme Nash equilibria of a bimatrix game,
-grouping into maximal Nash subsets and connected components, and the
-constant-outcome check on components.
+grouping into connected components, the maximal Nash subsets of a set of
+extremes, and the constant-outcome check on components.
 
 The enumeration reads each player's payoffs from the game's cached integer
 view (`BimatrixGame.receiver_integers`, `sender_integers`), cuts the game to
@@ -24,8 +24,10 @@ into `Fraction` mixes and payoffs and keeps each flag as
 The extreme equilibria are the edges of a bipartite graph between extreme
 row mixes and extreme col mixes (Avis, Rosenberg, Savani & von Stengel 2010,
 "Enumeration of Nash equilibria for two-player games", Economic Theory 42).
-Its maximal bicliques are the maximal Nash subsets, and its connected
-components are the components of equilibria. The partner faces are the only
+Its connected components are the components of equilibria, grouped straight
+from the edges (`group_components`). Its maximal bicliques are the maximal
+Nash subsets; only the sampling index reads them, and it builds them one
+component at a time (`maximal_nash_subsets`). The partner faces are the only
 test of which pairs are equilibria: a Nash pair of extreme mixes is a
 completely labeled vertex pair, so the enumeration already holds it.
 """
@@ -33,6 +35,7 @@ completely labeled vertex pair, so the enumeration already holds it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,18 +95,20 @@ class EquilibriumSet:
 
 @dataclass(frozen=True)
 class NashSubset:
-    """A maximal product of mix sets whose every cross pair is an equilibrium."""
+    """A maximal product of extreme mixes whose every cross pair is an
+    extreme equilibrium: a maximal biclique of the equilibrium graph. Its
+    cross pairs are its extreme equilibria."""
 
     row_face: tuple[Mix, ...]
     col_face: tuple[Mix, ...]
-    extremes: tuple[MixedEquilibrium, ...]
 
 
 @dataclass(frozen=True)
 class Component:
-    """A connected union of maximal Nash subsets."""
+    """A connected component of the equilibrium graph: its extreme
+    equilibria, in `sort_key` order. Its maximal Nash subsets are
+    `maximal_nash_subsets(extremes)`, built only by the sampling index."""
 
-    subsets: tuple[NashSubset, ...]
     extremes: tuple[MixedEquilibrium, ...]
     row_labels: tuple[object, ...]
     col_labels: tuple[object, ...]
@@ -364,20 +369,21 @@ def enumerate_extreme_equilibria(gamma: BimatrixGame | ReducedViews) -> Equilibr
     return EquilibriumSet(equilibria=tuple(found))
 
 
-def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:
-    """Maximal products X x Y of extreme mixes whose every pair is an equilibrium.
+def maximal_nash_subsets(extremes: Iterable[MixedEquilibrium]) -> tuple[NashSubset, ...]:
+    """Maximal products X x Y of extreme mixes whose every pair is one of
+    `extremes`, in (row face, col face) order.
 
     These are the maximal bicliques of the graph whose edges are the extreme
     equilibria (Avis et al. 2010). A row mix's neighborhood is the set of col
     mixes it is enumerated with; the col sides are exactly the nonempty
     intersections of those neighborhoods, built one row at a time as in the
     clique step of lrsnash, and each side's rows are the rows whose
-    neighborhood contains it.
+    neighborhood contains it. A biclique is connected, so the subsets of one
+    component's extremes are the game's subsets that lie in it.
     """
-    known = {(eq.row_mix, eq.col_mix): eq for eq in extremes}
     neighbors: dict[Mix, set[Mix]] = {}
-    for x, y in known:
-        neighbors.setdefault(x, set()).add(y)
+    for eq in extremes:
+        neighbors.setdefault(eq.row_mix, set()).add(eq.col_mix)
     row_mixes = sorted(neighbors)
     col_sides: set[frozenset] = set()
     for x in row_mixes:
@@ -385,19 +391,16 @@ def maximal_nash_subsets(extremes: EquilibriumSet) -> tuple[NashSubset, ...]:
     bicliques = sorted(
         (tuple(x for x in row_mixes if side <= neighbors[x]), tuple(sorted(side))) for side in col_sides if side
     )
-    # rows and cols are sorted, so their product comes out in sort_key order
-    return tuple(
-        NashSubset(row_face=rows, col_face=cols, extremes=tuple(known[(x, y)] for x in rows for y in cols))
-        for rows, cols in bicliques
-    )
+    return tuple(NashSubset(row_face=rows, col_face=cols) for rows, cols in bicliques)
 
 
-def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame | ReducedViews) -> tuple[Component, ...]:
+def group_components(extremes: EquilibriumSet, gamma: BimatrixGame | ReducedViews) -> tuple[Component, ...]:
     """Connected components of the graph whose edges are the extreme equilibria.
 
     A union-find over the row and col mixes joins the two ends of every
-    extreme; each subset then belongs to the component of its mixes, and the
-    components keep the subsets in their given order.
+    extreme; each extreme then belongs to the component of its row mix. The
+    extremes arrive in `sort_key` order, so each component keeps them in that
+    order, and the components come out ordered by their first extremes.
     """
     parent: dict[tuple[int, Mix], tuple[int, Mix]] = {}  # row mix x is node (0, x), col mix y is (1, y)
 
@@ -407,35 +410,20 @@ def group_components(subsets: tuple[NashSubset, ...], gamma: BimatrixGame | Redu
             node = parent[node]
         return node
 
-    for subset in subsets:
-        for eq in subset.extremes:
-            parent[find((0, eq.row_mix))] = find((1, eq.col_mix))
-
-    grouped: dict[tuple[int, Mix], list[NashSubset]] = {}
-    for subset in subsets:
-        grouped.setdefault(find((0, subset.row_face[0])), []).append(subset)
-    components = []
-    for members in grouped.values():
-        extremes: dict[tuple[Mix, Mix], MixedEquilibrium] = {}
-        for subset in members:
-            for eq in subset.extremes:
-                extremes[(eq.row_mix, eq.col_mix)] = eq
-        ordered = tuple(sorted(extremes.values(), key=MixedEquilibrium.sort_key))
-        components.append(
-            Component(
-                subsets=tuple(members),
-                extremes=ordered,
-                row_labels=gamma.row_labels,
-                col_labels=gamma.col_labels,
-            )
-        )
-    components.sort(key=lambda comp: comp.extremes[0].sort_key())
-    return tuple(components)
+    for eq in extremes:
+        parent[find((0, eq.row_mix))] = find((1, eq.col_mix))
+    grouped: dict[tuple[int, Mix], list[MixedEquilibrium]] = {}
+    for eq in extremes:
+        grouped.setdefault(find((0, eq.row_mix)), []).append(eq)
+    return tuple(
+        Component(extremes=tuple(members), row_labels=gamma.row_labels, col_labels=gamma.col_labels)
+        for members in grouped.values()
+    )
 
 
 def solve_components(gamma: BimatrixGame) -> tuple[Component, ...]:
-    """Enumerate, group into maximal Nash subsets, and connect into components."""
-    return group_components(maximal_nash_subsets(enumerate_extreme_equilibria(gamma)), gamma)
+    """Enumerate the extreme equilibria and group them into components."""
+    return group_components(enumerate_extreme_equilibria(gamma), gamma)
 
 
 def outcome_of_equilibrium(

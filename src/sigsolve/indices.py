@@ -16,13 +16,15 @@ perturbed equilibria within max-norm distance 1/20 of the component. A draw
 stays in integers from the payoffs to the index: it perturbs the game's
 integer views on the common denominator scale * 10^6, walks them with
 `equilibrium.extreme_vertex_pairs`, and keeps each equilibrium as a pair of
-unnormalized integer points. A perturbed equilibrium is far from a Nash
-subset when it lies more than 1/20 outside the box around either face
-(each coordinate's range over the face's vertices), tested by
-cross-multiplying; only the others become `Fraction` mixes, whose distance
-comes from hull-distance LPs. A draw with an extreme equilibrium that its
-walk flags as not regular is redrawn, up to 16 draws per replication, so
-every equilibrium of a kept draw has a determinant index.
+unnormalized integer points. Its distance to the component is its distance
+to the nearest of the component's maximal Nash subsets, which are built here,
+once per sampled component, from its extremes (`maximal_nash_subsets`). A
+perturbed equilibrium is far from a Nash subset when it lies more than 1/20
+outside the box around either face (each coordinate's range over the face's
+vertices), tested by cross-multiplying; only the others become `Fraction`
+mixes, whose distance comes from hull-distance LPs. A draw with an extreme
+equilibrium that its walk flags as not regular is redrawn, up to 16 draws
+per replication, so every equilibrium of a kept draw has a determinant index.
 Only the seed is settable. The draws do not depend on the component, so the
 components of one game, indexed in one call, share them through a
 `DrawStore`: each draw is perturbed and walked once, and each nearby
@@ -49,6 +51,7 @@ from .equilibrium import (  # noqa: F401
     MixedEquilibrium,
     enumerate_extreme_equilibria,
     extreme_vertex_pairs,
+    maximal_nash_subsets,
     solve_components,
 )
 from .linalg import determinant, linf_distance_to_hull
@@ -280,7 +283,8 @@ def _perturbation_index(
     elif draws.gamma is not gamma or draws.cfg != cfg:
         raise ValueError("the draw store belongs to another game or config")
     radius = cfg.neighborhood
-    screens = [(subset, _box(subset.row_face, radius), _box(subset.col_face, radius)) for subset in component.subsets]
+    subsets = maximal_nash_subsets(component.extremes)
+    screens = [(subset, _box(subset.row_face, radius), _box(subset.col_face, radius)) for subset in subsets]
     sums = []
     for rep in range(cfg.replications):
         for attempt in range(cfg.attempts):

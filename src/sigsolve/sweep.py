@@ -67,10 +67,9 @@ class SweepRecord:
     c: Fraction
     found: bool
     coincidence: bool
-    nearest: MixedEquilibrium | None
+    nearest: MixedEquilibrium
     monitor_probability: Fraction
     squared_distance: Fraction
-    payoffs: tuple[Fraction, Fraction]
     sender_support: tuple[object, ...]
     receiver_support: tuple[object, ...]
 
@@ -173,7 +172,6 @@ def evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fraction) -> Swe
         nearest=eq,
         monitor_probability=sum((w for label, w in rows if monitor_bit(label)), ZERO),
         squared_distance=squared,
-        payoffs=eq.payoffs,
         sender_support=tuple(label for label, w in zip(reduced.col_labels, eq.col_mix) if w > 0),
         receiver_support=tuple(label for label, w in rows if w > 0),
     )

@@ -65,6 +65,7 @@ from sigsolve.equilibrium import (
     _padded,
     _polytope_vertices,
     enumerate_extreme_equilibria,
+    maximal_nash_subsets,
     solve_components,
 )
 from sigsolve.game import ReceiverStrategyC, SignalingGame, enumerate_plays, strategy_spaces, strategy_spaces_c
@@ -472,7 +473,6 @@ def reference_evaluate_cost(game: SignalingGame, base: BaseContext, cost: Fracti
         nearest=eq,
         monitor_probability=sum((w for label, w in zip(reduced.row_labels, eq.row_mix) if monitor_bit(label)), F(0)),
         squared_distance=squared,
-        payoffs=eq.payoffs,
         sender_support=tuple(label for label, w in zip(reduced.col_labels, eq.col_mix) if w > 0),
         receiver_support=tuple(label for label, w in zip(reduced.row_labels, eq.row_mix) if w > 0),
     )
@@ -951,13 +951,15 @@ def perturbed_game(gamma: BimatrixGame, rng: random.Random) -> BimatrixGame:
 def reference_perturbation_index(gamma: BimatrixGame, component, cfg: PerturbationConfig) -> IndexResult:
     """`indices._perturbation_index` of one component on its own draws: each
     replication perturbs and enumerates its draws afresh, and each perturbed
-    equilibrium's distance to the component is the least, over the Nash
-    subsets, of the larger of its row and col hull distances."""
+    equilibrium's distance to the component is the least, over the maximal
+    Nash subsets of its extremes, of the larger of its row and col hull
+    distances."""
+    subsets = maximal_nash_subsets(component.extremes)
 
     def distance(eq):
         return min(
             max(linf_distance_to_hull(eq.row_mix, subset.row_face), linf_distance_to_hull(eq.col_mix, subset.col_face))
-            for subset in component.subsets
+            for subset in subsets
         )
 
     sums = []

@@ -192,7 +192,7 @@ def test_criterion_07_survival_threshold(game):
     assert result.last_surviving <= F(1, 10) <= result.first_failing
     record = evaluate_cost(game, base, F(1, 5))
     assert not record.found
-    assert record.payoffs == (F(3), F(9, 10))
+    assert record.nearest.payoffs == (F(3), F(9, 10))
     assert [render_label(l, True) for l in record.sender_support] == ["BQ"]
     assert [render_label(l, True) for l in record.receiver_support] == ["0N**"]
     assert record.monitor_probability == 0

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 from helpers import coordination_2x2, matching_pennies
 
@@ -15,6 +16,7 @@ from sigsolve.equilibrium import (
     solve_components,
 )
 from sigsolve.game import SignalingGame, enumerate_plays
+from sigsolve.gamefile import load_game
 from sigsolve.normalform import (
     BimatrixGame,
     build_normal_form,
@@ -22,6 +24,9 @@ from sigsolve.normalform import (
     monitored_form,
     reduce_normal_form,
 )
+
+
+GAMES = Path(__file__).resolve().parent.parent / "games"
 
 
 def row_index(gamma, classic_label):
@@ -133,7 +138,9 @@ def test_two_disjoint_strict_equilibria_give_two_subsets():
     eqs = enumerate_extreme_equilibria(gamma)
     subsets = maximal_nash_subsets(eqs)
     singletons = [s for s in subsets if len(s.row_face) == len(s.col_face) == 1]
-    pure = {s.extremes[0].row_mix for s in singletons}
+    pairs = {(eq.row_mix, eq.col_mix) for eq in eqs}
+    assert all((s.row_face[0], s.col_face[0]) in pairs for s in singletons)
+    pure = {s.row_face[0] for s in singletons}
     assert {(F(1), F(0)), (F(0), F(1))} <= pure
 
 
@@ -141,14 +148,35 @@ def test_subsets_cover_extremes_and_components_partition_subsets(beerquiche):
     for gamma in (build_normal_form(beerquiche), coordination_2x2()):
         extremes = enumerate_extreme_equilibria(gamma)
         subsets = maximal_nash_subsets(extremes)
-        covered = {
-            (eq.row_mix, eq.col_mix) for subset in subsets for eq in subset.extremes
-        }
-        assert {(eq.row_mix, eq.col_mix) for eq in extremes} <= covered
+        # every cross pair of a subset is an enumerated extreme, and every extreme is one
+        covered = {(x, y) for subset in subsets for x in subset.row_face for y in subset.col_face}
+        assert covered == {(eq.row_mix, eq.col_mix) for eq in extremes}
         components = solve_components(gamma)
-        seen = [subset for component in components for subset in component.subsets]
+        seen = [subset for component in components for subset in maximal_nash_subsets(component.extremes)]
         assert len(seen) == len(subsets)
         assert set(seen) == set(subsets)
+
+
+def assert_component_subsets_are_the_game_subsets_in_it(gamma):
+    """Each component's maximal Nash subsets, built from its extremes alone,
+    are the game's subsets whose mixes lie in it, in the same order."""
+    subsets = maximal_nash_subsets(enumerate_extreme_equilibria(gamma))
+    found = 0
+    for component in solve_components(gamma):
+        rows = {eq.row_mix for eq in component.extremes}
+        cols = {eq.col_mix for eq in component.extremes}
+        inside = tuple(s for s in subsets if set(s.row_face) <= rows and set(s.col_face) <= cols)
+        assert maximal_nash_subsets(component.extremes) == inside
+        found += len(inside)
+    assert found == len(subsets)
+
+
+def test_component_subsets_are_the_game_subsets_in_it_on_the_fixtures():
+    for path in sorted(GAMES.glob("*.sg")):
+        game = load_game(str(path))
+        gamma = build_normal_form(game)
+        for form in (gamma, monitored_form(game, gamma)):
+            assert_component_subsets_are_the_game_subsets_in_it(form)
 
 
 def test_nash_subsets_match_their_definition_on_degenerate_games():
@@ -164,6 +192,7 @@ def test_nash_subsets_match_their_definition_on_degenerate_games():
         extremes = enumerate_extreme_equilibria(gamma)
         degenerate += extremes.degenerate
         subsets = maximal_nash_subsets(extremes)
+        pairs = {(eq.row_mix, eq.col_mix) for eq in extremes}
         row_mixes = {eq.row_mix for eq in extremes}
         col_mixes = {eq.col_mix for eq in extremes}
 
@@ -173,11 +202,11 @@ def test_nash_subsets_match_their_definition_on_degenerate_games():
         for subset in subsets:
             cross = {(x, y) for x in subset.row_face for y in subset.col_face}
             assert all(fits(x, y) for x, y in cross)
-            assert {(eq.row_mix, eq.col_mix) for eq in subset.extremes} == cross
+            assert cross <= pairs
             assert not any(all(fits(x, y) for y in subset.col_face) for x in row_mixes - set(subset.row_face))
             assert not any(all(fits(x, y) for x in subset.row_face) for y in col_mixes - set(subset.col_face))
-        covered = {(eq.row_mix, eq.col_mix) for subset in subsets for eq in subset.extremes}
-        assert {(eq.row_mix, eq.col_mix) for eq in extremes} <= covered
+        covered = {(x, y) for subset in subsets for x in subset.row_face for y in subset.col_face}
+        assert pairs <= covered
         faces = [(subset.row_face, subset.col_face) for subset in subsets]
         assert len(set(faces)) == len(faces)
         # complete: closing any set of row mixes gives one of the subsets
@@ -202,6 +231,7 @@ def test_nash_subsets_match_their_definition_on_degenerate_games():
                     break
                 rows = joined
             assert rows == {eq.row_mix for eq in component.extremes}
+        assert_component_subsets_are_the_game_subsets_in_it(gamma)
     assert degenerate >= 20
 
 

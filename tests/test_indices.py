@@ -18,8 +18,8 @@ from helpers import (
     reference_perturbation_index,
 )
 
-from sigsolve import indices
-from sigsolve.cli import render_label
+from sigsolve import cli, equilibrium, indices, sweep
+from sigsolve.cli import render_label, run_command
 from sigsolve.gamefile import load_game
 from sigsolve.equilibrium import component_outcome, enumerate_extreme_equilibria, extreme_vertex_pairs, solve_components
 from sigsolve.indices import (
@@ -42,6 +42,7 @@ from sigsolve.normalform import (
     reduce_normal_form,
     reduced_sgcm,
 )
+from sigsolve.sweep import resolve_base_component
 
 CFG = PerturbationConfig()
 
@@ -388,3 +389,37 @@ def test_lexicographic_indices_of_game_40006():
     assert pooling.classification == "pooling"
     assert pooling.payoffs == (F(1, 2), F(1, 2))
     assert all(mass == 0 for (_, message, _), mass in pooling.outcome.items() if message == "X")
+
+
+def test_nash_subsets_are_built_only_by_the_sampling_index(monkeypatch):
+    """Grouping, resolving a component and `solve --components` build no
+    Nash subset; `solve --index` builds them once per component that takes
+    the sampling index, and never for a regular singleton."""
+
+    def refuse(extremes):
+        raise AssertionError("Nash subsets built outside the sampling index")
+
+    beerquiche = str(GAMES / "beerquiche.sg")
+    with monkeypatch.context() as patch:
+        for module in (equilibrium, indices, sweep, cli):
+            if hasattr(module, "maximal_nash_subsets"):
+                patch.setattr(module, "maximal_nash_subsets", refuse)
+        for path in sorted(GAMES.glob("*.sg")):
+            assert solve_components(build_normal_form(load_game(str(path))))
+        resolve_base_component(load_game(beerquiche), "C0")
+        assert run_command(["solve", beerquiche, "--components"]).status == 0
+        assert run_command(["solve", beerquiche, "--cost", "1/20", "--components"]).status == 0
+
+    calls = []
+
+    def counted(extremes):
+        calls.append(extremes)
+        return equilibrium.maximal_nash_subsets(extremes)
+
+    monkeypatch.setattr(indices, "maximal_nash_subsets", counted)
+    assert run_command(["solve", beerquiche, "--components", "--index"]).status == 0
+    assert len(calls) == 2
+    calls.clear()
+    # three_types C0 is a regular singleton and takes the determinant index
+    assert run_command(["solve", str(GAMES / "three_types.sg"), "--components", "--index"]).status == 0
+    assert len(calls) == 1

@@ -67,7 +67,7 @@ def test_sweep_record_at_one_twentieth(game, beer_base):
     record = evaluate_cost(game, beer_base, F(1, 20))
     assert record.found
     assert record.monitor_probability == F(1, 2)
-    assert record.payoffs == (F(29, 10), F(9, 10))
+    assert record.nearest.payoffs == (F(29, 10), F(9, 10))
     senders = [render_label(l, True) for l in record.sender_support]
     assert senders == ["BB", "BQ"]
     # pooling weight follows the cost exactly
@@ -77,7 +77,7 @@ def test_sweep_record_at_one_twentieth(game, beer_base):
 def test_sweep_record_at_one_fifth(game, beer_base):
     record = evaluate_cost(game, beer_base, F(1, 5))
     assert not record.found
-    assert record.payoffs == (F(3), F(9, 10))
+    assert record.nearest.payoffs == (F(3), F(9, 10))
     assert record.monitor_probability == 0
     assert [render_label(l, True) for l in record.sender_support] == ["BQ"]
     assert [render_label(l, True) for l in record.receiver_support] == ["0N**"]
@@ -99,7 +99,7 @@ def test_sweep_grid_and_invariants(game, beer_base):
         assert 0 < r.c < F(1, 10)
         assert r.found
         assert r.monitor_probability == F(1, 2)
-        assert r.payoffs == (F(29, 10), F(9, 10))
+        assert r.nearest.payoffs == (F(29, 10), F(9, 10))
         assert r.nearest.col_mix[0] == 1 - 10 * r.c
         assert r.squared_distance == F(3, 2) * r.c * r.c
 
@@ -216,7 +216,7 @@ def test_survival_by_coincidence_is_flagged():
     for cost in halving_grid(C_MAX, THRESHOLD_GRID_STEPS):
         record = evaluate_cost(game, base, cost)
         assert record.found and record.coincidence, cost
-        assert record.squared_distance == F(1, 2) and record.payoffs != base.payoffs, cost
+        assert record.squared_distance == F(1, 2) and record.nearest.payoffs != base.payoffs, cost
     result = survival_threshold(game, base)
     assert (result.last_surviving, result.first_failing) == (C_MAX, None)
     assert [record.c for record in result.coincidences] == [C_MAX]
